@@ -17,12 +17,13 @@ import numpy as np
 from . import kernels
 from .errors import (
     CellContained,
+    InternalContradiction,
     NotHomogeneous,
     RankDeficient,
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from .polynomials import MultivariatePolynomial, det_poly, det_scalar
+from .polynomials import MultivariatePolynomial, det_poly, det_scalar, rank_and_det
 
 DEFAULT_ORACLE_LIMIT = 10 ** 7
 
@@ -153,37 +154,13 @@ class AvoidanceResult:
         return self.outcome == FOUND
 
 
-def _matrix_rank(matrix, field):
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, c) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [
-                    field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def plucker(matrix, field):
     """m x m minors in lexicographic column-set order."""
     m = len(matrix)
     n = len(matrix[0])
     if not (1 <= m < n):
         raise ValueError("need 1 <= m < n")
-    if _matrix_rank(matrix, field) < m:
+    if rank_and_det(matrix, field)[0] < m:
         raise RankDeficient("matrix rows are linearly dependent")
     out = []
     for cols in combinations(range(n), m):
@@ -193,8 +170,9 @@ def plucker(matrix, field):
 
 
 def _verify_found(poly, value):
-    # soundness assertion on every Found return
-    assert value != 0, "internal error: returned point does not avoid the divisor"
+    # soundness check on every Found return
+    if value == 0:
+        raise InternalContradiction("returned point does not avoid the divisor")
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +217,8 @@ def _affine_recurse(poly, fld):
         if acc:
             choice = x
             break
-    assert choice is not None, "degree bound violated"  # q > t guarantees this
+    if choice is None:  # q > t guarantees a choice
+        raise InternalContradiction("degree bound violated in the affine recursion")
     point = list(sub_point[:var]) + [choice] + list(sub_point[var:])
     trace = [(i if i < var else i + 1, v) for i, v in sub_trace]
     trace.append((var, choice))
@@ -291,7 +270,7 @@ def _projective_recurse(poly, fld):
         for coords in _p1_points(fld):
             if poly.eval(coords):
                 return list(coords), [("point", coords)]
-        raise AssertionError("degree bound violated in the base case")
+        raise InternalContradiction("degree bound violated in the base case")
     one_var = MultivariatePolynomial  # alias for brevity
     for lam in fld.enumerate_elements():
         # x0 := lam * x1, leaving variables x1..xn reindexed to 0..n-1
@@ -305,7 +284,8 @@ def _projective_recurse(poly, fld):
     # member at infinity: x1 := 0
     rep = one_var.constant(0, poly.nvars - 1, fld)
     restricted = poly.eliminate(1, rep)
-    assert not restricted.is_zero(), "degree bound violated in the pencil"
+    if restricted.is_zero():
+        raise InternalContradiction("degree bound violated in the pencil")
     sub_coords, sub_trace = _projective_recurse(restricted, fld)
     coords = [sub_coords[0], 0] + sub_coords[1:]
     return coords, [("pencil", "inf")] + sub_trace
@@ -390,7 +370,8 @@ def grass_cell_pullback(d):
     pulled = d.poly.substitute(minors)
     if pulled.is_zero():
         raise CellContained("section vanishes identically on the dense cell")
-    assert pulled.total_degree() <= m * d.degree
+    if pulled.total_degree() > m * d.degree:
+        raise InternalContradiction("cell pullback exceeds degree m * deg")
     return pulled
 
 
@@ -420,7 +401,8 @@ def avoid_grassmannian(d, fld):
         pulled = grass_cell_pullback(dd)
         cell = Hypersurface(pulled, AFFINE, (m * (n - m),))
         inner = avoid_affine(cell, fld)
-        assert inner.found and inner.mode == GUARANTEED
+        if not (inner.found and inner.mode == GUARANTEED):
+            raise InternalContradiction("guaranteed cell search did not find a point")
         matrix = _cell_matrix(m, n, inner.point, fld)
         gp = GrassmannianPoint(matrix, fld)
         _verify_found(poly, poly.eval(gp.plucker))

@@ -7,7 +7,9 @@ of X in that fiber; the point lives over an extension of degree at most
 deg F, and its Frobenius orbit over the base is returned alongside.
 """
 
+import importlib
 from dataclasses import dataclass
+from itertools import islice
 
 from .avoid import (
     GUARANTEED,
@@ -29,13 +31,22 @@ from .errors import (
 from .fields import embed
 from .polynomials import (
     MultivariatePolynomial,
-    det_poly,
     find_root_in_tower,
     homogeneous_or_raise,
+    interpolate,
     poly_gcd,
     sylvester_matrix,
     to_univariate,
 )
+
+# The perfbench tracer wraps curvepoint.det_poly and avoid.det_scalar by
+# name.  det_poly is unused here since the fiber resultant is interpolated,
+# but stays importable; the scalar determinants are looked up on the avoid
+# module at call time (the package rebinds the name avoid to a function) so
+# that the tracer counts them.
+from .polynomials import det_poly  # noqa: F401
+
+_avoid = importlib.import_module(".avoid", __package__)
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,8 @@ def projection_center(curve, k1):
         raise FieldTooSmall(f"need q > {2 * e}, got {k1.q}")
     surf = Hypersurface(curve.poly.map_coefficients(k1), PROJECTIVE, (2,))
     res = avoid_projective(surf, k1)
-    assert res.found and res.mode == GUARANTEED
+    if not (res.found and res.mode == GUARANTEED):
+        raise InternalContradiction("guaranteed search found no center off the curve")
     return res.point
 
 
@@ -197,14 +209,25 @@ def _v_coefficients(form, center, fld):
     expanded = form.map_coefficients(fld).substitute(reps)
     coeffs = [dict() for _ in range(deg + 1)]
     for (eu, ev, es, et), c in expanded.terms.items():
-        assert eu + ev == deg
+        if eu + ev != deg:
+            raise InternalContradiction("restriction to the pencil is not homogeneous")
         coeffs[ev][(es, et)] = c
     return [P(2, fld, d) for d in coeffs]
 
 
 def fiber_resultant(curve, divisor, center):
     """Binary form in the pencil parameter (s:t) vanishing exactly at the
-    lines through the center that meet the curve-divisor intersection."""
+    lines through the center that meet the curve-divisor intersection.
+
+    The form R(s,t) is the resultant in v of the restrictions of F and G to
+    the line through the center and (s:t); it has degree beta = e*deg G.
+    Its Sylvester matrix is evaluated at (1:0), which gives the coefficient
+    of s^beta, and at (x:1) for beta elements x of the field; the scalar
+    determinants fix R(x,1) - R(1,0)*x^beta, of degree < beta, by
+    interpolation.  Evaluation commutes with the determinant, so the form is
+    exact even where a leading coefficient vanishes.  When the field has a
+    spare element, the form is checked against one more determinant.
+    """
     fld = center.field
     f = curve.poly.map_coefficients(fld)
     g = divisor.poly.map_coefficients(fld)
@@ -212,22 +235,41 @@ def fiber_resultant(curve, divisor, center):
         raise CenterOnCurve("projection center lies on the curve")
     e = curve.degree
     mg = divisor.degree
+    beta = e * mg
     P = MultivariatePolynomial
     if mg == 0:
         c = g.eval((0, 0, 0))
         return P.constant(fld.pow(c, e), 2, fld)
+    if fld.q < beta:
+        raise FieldTooSmall(
+            f"interpolating the fiber resultant needs q >= {beta}, got {fld.q}"
+        )
     fc = _v_coefficients(f, center, fld)
     gc = _v_coefficients(g, center, fld)
-    rows = sylvester_matrix(fc, gc, e, mg)
-    zero = P(2, fld)
-    mat = [[zero if x is None else x for x in row] for row in rows]
-    res = det_poly(mat, 2, fld)
+
+    def resultant_at(s, t):
+        rows = sylvester_matrix(
+            [c.eval((s, t)) for c in fc], [c.eval((s, t)) for c in gc], e, mg
+        )
+        return _avoid.det_scalar([[x or 0 for x in row] for row in rows], fld)
+
+    top = resultant_at(1, 0)
+    xs = list(islice(fld.enumerate_elements(), beta + 1))
+    values = [resultant_at(x, 1) for x in xs]
+    # R(x,1) - top*x^beta has degree < beta: interpolate it from beta values
+    ys = [fld.sub(v, fld.mul(top, fld.pow(x, beta))) for x, v in zip(xs, values)]
+    low = interpolate(xs[:beta], ys[:beta], fld).coeffs
+    coeffs = low + [0] * (beta - len(low)) + [top]
+    res = P(2, fld, {(i, beta - i): c for i, c in enumerate(coeffs)})
     if res.is_zero():
         raise DivisorNotProper(
             "every line through the center meets the divisor; the divisor "
             "form shares a component with the curve"
         )
-    assert res.is_homogeneous() and res.total_degree() == e * mg
+    if len(xs) > beta and res.eval((xs[beta], 1)) != values[beta]:
+        raise InternalContradiction(
+            "fiber resultant disagrees with its Sylvester determinant"
+        )
     return res
 
 
@@ -263,7 +305,8 @@ def point_off_divisor(curve, divisor, k1):
     else:
         surf = Hypersurface(res_form, PROJECTIVE, (1,))
         found = avoid_projective(surf, k1)
-        assert found.found and found.mode == GUARANTEED
+        if not (found.found and found.mode == GUARANTEED):
+            raise InternalContradiction("guaranteed search found no good fiber")
         param = found.point
     q_pt = _pencil_base_point(center, param.coords[0], param.coords[1])
     f1 = curve.poly.map_coefficients(k1)
@@ -284,7 +327,10 @@ def point_off_divisor(curve, divisor, k1):
         point = ProjectivePoint(coords, k2)
     else:
         # the line meets the curve only at its base point on the axis line
-        assert f1.eval(q_pt) == 0
+        if f1.eval(q_pt) != 0:
+            raise InternalContradiction(
+                "fiber restriction is constant but its base point is off the curve"
+            )
         k2, ext_degree = k1, 1
         point = ProjectivePoint(q_pt, k1)
     orbit = galois_orbit(point, k2, k1)

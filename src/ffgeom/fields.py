@@ -212,6 +212,8 @@ class FiniteField:
         return out
 
     def sub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def _mul_slow(self, a, b):
@@ -244,11 +246,16 @@ class FiniteField:
         return self._mul_slow(a, b)
 
     def inv(self, a):
-        """Multiplicative inverse via extended gcd with the modulus."""
+        """Multiplicative inverse: a table lookup when the discrete-log tables
+        exist, else an extended gcd with the modulus."""
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
+        tabs = self._dlog
+        if tabs is not None:
+            log, exp = tabs
+            return exp[-log[a] % (self.q - 1)]
         # extended Euclid in F_p[t] between the element and the modulus
         p = self.p
 

@@ -7,7 +7,7 @@ arithmetic mod p, so the same tables serve prime fields and towers.
 
 Backend selection: the ``FFGEOM_NUMBA`` environment variable ("0" disables,
 "1" requires, unset = use numba when importable).  Both backends produce
-identical arrays; ``benchmarks/bench_backends.py`` compares their speed.
+identical arrays.
 """
 
 import os

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .errors import InternalContradiction
+
 
 @dataclass(frozen=True)
 class SplittingType:
@@ -65,7 +67,8 @@ def cohomology_dims(t):
     h0 = sum(_h0_line(a) for a in t.parts)
     h1 = sum(_h1_line(a) for a in t.parts)
     dims = CohomologyDims(h0, h1)
-    assert dims.h0 - dims.h1 == t.degree + t.rank  # Euler characteristic
+    if dims.h0 - dims.h1 != t.degree + t.rank:
+        raise InternalContradiction("Euler characteristic mismatch")
     return dims
 
 

@@ -397,21 +397,92 @@ def _det_generic(matrix, zero, add, sub, mul, is_zero):
     return rec(tuple(range(n)), tuple(range(n)))
 
 
+def rank_and_det(matrix, field):
+    """Rank of a matrix of field elements and, when it is square, its
+    determinant (0 for a non-square matrix).
+
+    Fraction-free (Bareiss) elimination: step k replaces each entry below
+    and right of the pivot p_k by (p_k*a - b*c) / p_{k-1}, which stays a
+    minor of the input, so the last pivot of a square matrix of full rank
+    is its determinant up to the sign of the row swaps.  The division is
+    one inversion per step after the first, and none when p_{k-1} = 1.  A
+    column without a pivot is skipped, which leaves the rank exact and the
+    determinant 0.
+    """
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    rows = [list(r) for r in matrix]
+    mul, sub = field.mul, field.sub
+    rank = 0
+    sign = 1
+    prev = p = 1
+    for col in range(ncols):
+        for i in range(rank, nrows):
+            if rows[i][col]:
+                break
+        else:
+            continue  # no pivot in this column
+        if i != rank:
+            rows[rank], rows[i] = rows[i], rows[rank]
+            sign = -sign
+        prow = rows[rank]
+        p = prow[col]
+        rank += 1
+        if rank == nrows:
+            break
+        inv_prev = 1 if prev == 1 else field.inv(prev)
+        for i in range(rank, nrows):
+            row = rows[i]
+            a = row[col]
+            for j in range(col + 1, ncols):
+                v = mul(p, row[j])
+                if a:
+                    v = sub(v, mul(a, prow[j]))
+                row[j] = v if inv_prev == 1 else mul(v, inv_prev)
+        prev = p
+    if rank < nrows or nrows != ncols:
+        return rank, 0
+    return rank, (p if sign > 0 else field.neg(p))
+
+
 def det_scalar(matrix, field):
-    """Determinant of a matrix of field elements."""
-    d = _det_generic(
-        matrix,
-        0,
-        field.add,
-        field.sub,
-        field.mul,
-        lambda a: a == 0,
-    )
-    return 0 if d is None else d
+    """Determinant of a square matrix of field elements."""
+    return rank_and_det(matrix, field)[1]
+
+
+def interpolate(xs, ys, field):
+    """The polynomial of degree < len(xs) through the points (x_i, y_i).
+
+    Newton's incremental form: with N the interpolant of the first k points
+    and B = prod_{j<k} (x - x_j), the next one is
+    N + (y_k - N(x_k)) / B(x_k) * B.  One inversion per point.
+    """
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation needs distinct abscissae")
+    if len(ys) != len(xs):
+        raise ValueError("one ordinate per abscissa required")
+    add, sub, mul = field.add, field.sub, field.mul
+    interp = UnivariatePolynomial([], field)
+    basis = UnivariatePolynomial([1], field)
+    for x, y in zip(xs, ys):
+        scale = mul(sub(y, interp.eval(x)), field.inv(basis.eval(x)))
+        if scale:
+            low = interp.coeffs + [0] * (len(basis.coeffs) - len(interp.coeffs))
+            interp = UnivariatePolynomial(
+                [add(c, mul(scale, b)) for c, b in zip(low, basis.coeffs)], field
+            )
+        # basis *= (t - x)
+        b = basis.coeffs
+        basis = UnivariatePolynomial(
+            [sub(s, mul(x, c)) for s, c in zip([0] + b, b + [0])], field
+        )
+    return interp
 
 
 def det_poly(matrix, nvars, field):
-    """Determinant of a matrix of MultivariatePolynomial entries."""
+    """Determinant of a matrix of MultivariatePolynomial entries, by
+    cofactors; only the small symbolic minors of the Grassmannian cell use
+    it."""
     zero = MultivariatePolynomial(nvars, field)
     d = _det_generic(
         matrix,

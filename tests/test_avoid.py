@@ -1,3 +1,4 @@
+import importlib
 import random
 from math import comb
 
@@ -28,6 +29,7 @@ from ffgeom.avoid import (
 )
 from ffgeom.errors import (
     CellContained,
+    InternalContradiction,
     NotHomogeneous,
     RankDeficient,
     SpaceTooLarge,
@@ -91,6 +93,18 @@ class TestProjectivePoint:
 
 
 class TestAffine:
+    def test_zero_from_recursion_is_caught(self, monkeypatch):
+        # the soundness check must reject a point where the polynomial
+        # vanishes, and must do so under python -O as well
+        d = affine("x0*x1 + 1", F5, 2)
+        # the package re-exports a function named avoid, so fetch the module
+        avoid_module = importlib.import_module("ffgeom.avoid")
+        monkeypatch.setattr(
+            avoid_module, "_affine_recurse", lambda poly, fld: ([1, 4], [])
+        )
+        with pytest.raises(InternalContradiction):
+            avoid_affine(d, F5)
+
     def test_example_f4(self):
         d = affine("x0*x1*(x0+x1)", F4, 2)
         res = avoid_affine(d, F4)

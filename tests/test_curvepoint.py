@@ -6,6 +6,7 @@ from ffgeom.avoid import ProjectivePoint
 from ffgeom.curvepoint import (
     CurveDivisor,
     PlaneCurve,
+    _v_coefficients,
     enumerate_curve_points,
     fiber_resultant,
     galois_orbit,
@@ -21,9 +22,14 @@ from ffgeom.errors import (
     NotSquarefree,
 )
 from ffgeom.fields import make_field
-from ffgeom.polynomials import parse_polynomial
+from ffgeom.polynomials import (
+    MultivariatePolynomial,
+    det_poly,
+    parse_polynomial,
+    sylvester_matrix,
+)
 
-from conftest import field_for
+from conftest import field_for, random_homogeneous_poly
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -107,6 +113,58 @@ class TestFiberResultant:
         center = projection_center(c, F7)
         with pytest.raises(DivisorNotProper):
             fiber_resultant(c, divisor("x0", F7), center)
+
+    def test_field_too_small_for_interpolation(self):
+        # beta = 2 * 3 = 6 abscissae are needed, F_5 has five elements
+        c = curve("x0*x1 + 2*x2^2", F5)
+        center = ProjectivePoint((1, 1, 0), F5)  # off the conic
+        with pytest.raises(FieldTooSmall):
+            fiber_resultant(c, divisor("x0^3 + x2^3", F5), center)
+
+    def test_matches_symbolic_sylvester_determinant(self):
+        # the interpolated form equals the cofactor determinant of the
+        # Sylvester matrix over F[s,t], coefficient for coefficient
+        rng = random.Random(2024)
+        checked = 0
+        for q in (7, 8, 9, 11, 13):
+            fld = field_for(q)
+            # Sylvester size e + mg <= 7, beta = e * mg <= q, center needs q > 2e
+            shapes = [
+                (e, mg)
+                for e in (1, 2, 3)
+                for mg in range(1, 7)
+                if e + mg <= 7 and e * mg <= q and 2 * e < q
+            ]
+            done = 0
+            while done < 6:
+                e, mg = rng.choice(shapes)
+                try:
+                    c = PlaneCurve(
+                        random_homogeneous_poly(rng, fld, 3, e, rng.randint(2, 8))
+                    )
+                    g = CurveDivisor(
+                        random_homogeneous_poly(rng, fld, 3, mg, rng.randint(2, 8))
+                    )
+                    center = projection_center(c, fld)
+                except NotSquarefree:
+                    continue
+                done += 1
+                rows = sylvester_matrix(
+                    _v_coefficients(c.poly, center, fld),
+                    _v_coefficients(g.poly, center, fld),
+                    e,
+                    mg,
+                )
+                zero = MultivariatePolynomial(2, fld)
+                mat = [[zero if x is None else x for x in row] for row in rows]
+                expected = det_poly(mat, 2, fld)
+                if expected.is_zero():
+                    with pytest.raises(DivisorNotProper):
+                        fiber_resultant(c, g, center)
+                else:
+                    assert fiber_resultant(c, g, center) == expected
+                    checked += 1
+        assert checked >= 20
 
     def test_zero_set_matches_enumeration(self):
         # lines through the center hitting {F = G = 0} are exactly the roots

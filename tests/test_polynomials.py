@@ -1,15 +1,20 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffgeom.errors import BothZero, ParseError, ZeroPolynomial
 from ffgeom.fields import make_field
 from ffgeom.polynomials import (
     MultivariatePolynomial,
     UnivariatePolynomial,
+    det_scalar,
     find_root_in_tower,
+    interpolate,
     parse_polynomial,
     poly_gcd,
+    rank_and_det,
     sylvester_resultant,
     to_univariate,
 )
@@ -152,6 +157,136 @@ class TestResultant:
             res = sylvester_resultant(f, g)
             gcd = poly_gcd(f, g)
             assert (res == 0) == (gcd.degree > 0)
+
+    def test_degree_seven_pairs_against_gcd_oracle(self):
+        # 14 x 14 Sylvester matrices; half the pairs share a factor
+        rng = random.Random(77)
+        for q in (2, 7, 9, 11):
+            fld = field_for(q)
+            for shared in (False, True):
+                for _ in range(3):
+                    if shared:
+                        h = _random_univariate(rng, fld, rng.randint(1, 3))
+                        f = _times(h, _random_univariate(rng, fld, 7 - h.degree))
+                        g = _times(h, _random_univariate(rng, fld, 7 - h.degree))
+                    else:
+                        f = _random_univariate(rng, fld, 7)
+                        g = _random_univariate(rng, fld, 7)
+                    assert f.degree == g.degree == 7
+                    res = sylvester_resultant(f, g)
+                    assert (res == 0) == (poly_gcd(f, g).degree > 0)
+                    if shared:
+                        assert res == 0
+
+
+def _random_univariate(rng, fld, deg):
+    coeffs = [rng.randrange(fld.q) for _ in range(deg)]
+    return UnivariatePolynomial(coeffs + [rng.randrange(1, fld.q)], fld)
+
+
+def _times(f, g):
+    fld = f.field
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = fld.add(out[i + j], fld.mul(a, b))
+    return UnivariatePolynomial(out, fld)
+
+
+def _cofactor_det(mat, fld):
+    """Reference determinant: expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = 0
+    for j, a in enumerate(mat[0]):
+        if a:
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            term = fld.mul(a, _cofactor_det(minor, fld))
+            acc = fld.add(acc, term) if j % 2 == 0 else fld.sub(acc, term)
+    return acc
+
+
+def _cofactor_rank(mat, fld):
+    """Reference rank: the size of the largest nonzero minor."""
+    nrows, ncols = len(mat), len(mat[0])
+    for r in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), r):
+            for cs in combinations(range(ncols), r):
+                if _cofactor_det([[mat[i][j] for j in cs] for i in rs], fld):
+                    return r
+    return 0
+
+
+ELIMINATION_FIELDS = [make_field(2), make_field(2, 2), make_field(7), make_field(3, 2)]
+
+
+@st.composite
+def _matrices(draw, square):
+    """(field, matrix) with at most 6 rows and columns; about half the time
+    one row is overwritten with a combination of the others, which makes a
+    square matrix singular."""
+    fld = draw(st.sampled_from(ELIMINATION_FIELDS))
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    element = st.integers(0, fld.q - 1)
+    row = st.lists(element, min_size=ncols, max_size=ncols)
+    rows = [draw(row) for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        target = draw(st.integers(0, nrows - 1))
+        combo = [0] * ncols
+        for i, row in enumerate(rows):
+            if i != target:
+                c = draw(element)
+                combo = [fld.add(x, fld.mul(c, y)) for x, y in zip(combo, row)]
+        rows[target] = combo
+    return fld, rows
+
+
+class TestElimination:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_matrices(square=True))
+    def test_det_matches_cofactor_expansion(self, case):
+        fld, mat = case
+        assert det_scalar(mat, fld) == _cofactor_det(mat, fld)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_matrices(square=False))
+    def test_rank_matches_largest_nonzero_minor(self, case):
+        fld, mat = case
+        assert rank_and_det(mat, fld)[0] == _cofactor_rank(mat, fld)
+
+    def test_singular_and_swapped(self):
+        F7 = make_field(7)
+        assert rank_and_det([[1, 2], [2, 4]], F7) == (1, 0)
+        # a zero leading entry forces one row swap, which flips the sign
+        assert rank_and_det([[0, 1], [1, 0]], F7) == (2, F7.neg(1))
+        assert rank_and_det([[0, 0, 3], [0, 0, 1]], F7) == (1, 0)
+        assert rank_and_det([[0, 0], [0, 0]], F7) == (0, 0)
+
+    def test_input_unchanged(self):
+        mat = [[0, 1, 2], [3, 4, 5], [6, 0, 1]]
+        before = [list(r) for r in mat]
+        det_scalar(mat, make_field(7))
+        assert mat == before
+
+
+class TestInterpolate:
+    def test_recovers_polynomial(self):
+        rng = random.Random(5)
+        for q in (2, 4, 7, 9, 11):
+            fld = field_for(q)
+            for _ in range(20):
+                npts = rng.randint(1, q)
+                f = UnivariatePolynomial(
+                    [rng.randrange(q) for _ in range(npts)], fld
+                )
+                xs = rng.sample(range(q), npts)
+                g = interpolate(xs, [f.eval(x) for x in xs], fld)
+                assert g == f
+
+    def test_distinct_abscissae_required(self):
+        with pytest.raises(ValueError):
+            interpolate([1, 1], [0, 2], F5)
 
 
 class TestRootTower:
