@@ -8,6 +8,7 @@ Exit codes: 0 found/success, 2 no point / no partner in the box,
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import comb
 
 from . import bounds, curvepoint, p1lab
@@ -90,7 +91,10 @@ def _emit(doc, stream):
     stream.write("\n")
 
 
-def _build_parser():
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process: building it costs far
+    more than a parse, and a parse leaves it unchanged."""
     top = _Parser(prog="ffgeom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -386,9 +390,8 @@ def _cmd_p1(args, out):
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _ArgumentError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PRECONDITION

@@ -8,6 +8,9 @@ the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
 """
 
 from functools import lru_cache, cached_property
+from math import isqrt
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -21,7 +24,7 @@ from .errors import (
 DEFAULT_SIZE_LIMIT = 2 ** 20
 
 # Discrete-log tables are only built for fields this small; larger fields fall
-# back to direct polynomial arithmetic.
+# back to direct polynomial arithmetic and have no grid kernel.
 _DLOG_LIMIT = 2 ** 16
 
 
@@ -59,13 +62,16 @@ class FiniteField:
     """
 
     def __init__(self, p, k, size_limit=DEFAULT_SIZE_LIMIT):
+        if p > size_limit:  # checked before the trial division of p
+            raise SizeLimitExceeded(f"p = {p} exceeds limit {size_limit}")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise SizeLimitExceeded("degree must be >= 1")
+        # p^k >= 2^k, so a huge k is rejected before p^k is computed
+        if k >= size_limit.bit_length() or p ** k > size_limit:
+            raise SizeLimitExceeded(f"p^k = {p}^{k} exceeds limit {size_limit}")
         q = p ** k
-        if q > size_limit:
-            raise SizeLimitExceeded(f"p^k = {q} exceeds limit {size_limit}")
         self.p = p
         self.k = k
         self.q = q
@@ -323,18 +329,43 @@ class FiniteField:
     # -- discrete-log tables -----------------------------------------------
 
     @cached_property
-    def _dlog(self):
-        if self.k == 1 or self.q > _DLOG_LIMIT:
+    def tables(self):
+        """Discrete-log tables ``(log, exp, digits, pvec)`` as int64 arrays,
+        or None above ``_DLOG_LIMIT``.
+
+        ``exp[i]`` encodes g^i for the generator g, ``log`` inverts ``exp``
+        (``log[0]`` is 0 and meaningless), row ``a`` of ``digits`` holds the
+        coordinates of ``a`` and ``digits @ pvec`` re-encodes them.  The
+        coordinates of g^0 .. g^(m-1) double to g^0 .. g^(2m-1) with one
+        product by the matrix of multiplication by g^m, so the build takes
+        about log2(q) matrix products instead of q scalar multiplications.
+        """
+        p, k, q = self.p, self.k, self.q
+        if q > _DLOG_LIMIT:
             return None
-        gen = self.generator()
-        exp = [0] * (self.q - 1)
-        log = [0] * self.q
-        cur = 1
-        for i in range(self.q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_slow(cur, gen)
-        return log, exp
+        block = np.zeros((1, k), dtype=np.int64)
+        block[0, 0] = 1
+        gm = self.generator()  # g^m, m = len(block)
+        while len(block) < q - 1:
+            # row i: coordinates of x^i * g^m, x the power-basis root
+            mat = np.array([self.coords(self._mul_slow(p ** i, gm)) for i in range(k)],
+                           dtype=np.int64)
+            block = np.vstack([block, (block @ mat) % p])
+            gm = self._mul_slow(gm, gm)
+        block = block[: q - 1]
+        pvec = p ** np.arange(k, dtype=np.int64)
+        exp = block @ pvec
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
+        digits = np.zeros((q, k), dtype=np.int64)
+        digits[exp] = block
+        return log, exp, digits, pvec
+
+    @cached_property
+    def _dlog(self):
+        """``(log, exp)`` of :attr:`tables` as lists, for scalar lookups."""
+        tabs = self.tables
+        return None if tabs is None else (tabs[0].tolist(), tabs[1].tolist())
 
     def generator(self):
         """First element (enumeration order) generating the multiplicative group."""
@@ -377,17 +408,16 @@ def parse_field_spec(spec, size_limit=DEFAULT_SIZE_LIMIT):
     q = int(spec)
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                k += 1
-            if qq != 1:
-                raise NotPrime(f"{q} is not a prime power")
-            return make_field(p, k, size_limit=size_limit)
-    raise NotPrime(f"{q} is not a prime power")
+    if q > size_limit:
+        raise SizeLimitExceeded(f"p^k = {q} exceeds limit {size_limit}")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    return make_field(p, k, size_limit=size_limit)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,12 @@ The text format accepted by :func:`parse_polynomial`:
     parenthesized subexpression.  Whitespace is insignificant.
 """
 
+from . import kernels
 from .errors import (
     ArityMismatch,
     BothZero,
     FieldMismatch,
+    InternalContradiction,
     NotHomogeneous,
     ParseError,
     ZeroPolynomial,
@@ -530,8 +532,9 @@ def sylvester_resultant(f, g):
 def find_root_in_tower(f, max_degree, size_limit=None):
     """Scan F_{q^j} for j = 1..max_degree for the first root of ``f``.
 
-    Returns (root, extension_field, j) or None when no root exists within
-    the bound.
+    Each F_{q^j} is searched by :func:`kernels.first_zero`, and its answer
+    is re-checked by Horner's rule.  Returns (root, extension_field, j) or
+    None when no root exists within the bound.
     """
     if f.is_zero() or f.degree < 1:
         raise ZeroPolynomial("root search needs a nonconstant polynomial")
@@ -540,9 +543,13 @@ def find_root_in_tower(f, max_degree, size_limit=None):
         kwargs = {"size_limit": size_limit} if size_limit else {}
         ext = make_field(base.p, base.k * j, **kwargs)
         fe = f.map_coefficients(ext)
-        for x in ext.enumerate_elements():
-            if fe.eval(x) == 0:
-                return x, ext, j
+        x = kernels.first_zero(
+            MultivariatePolynomial(1, ext, {(i,): c for i, c in enumerate(fe.coeffs)})
+        )
+        if x is not None:
+            if fe.eval(x) != 0:
+                raise InternalContradiction(f"root search returned a non-root {x}")
+            return x, ext, j
     return None
 
 

@@ -1,9 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+from ffgeom import cli
 from ffgeom.cli import EXIT_NO_POINT, EXIT_OK, EXIT_PRECONDITION, run
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -100,6 +104,32 @@ def test_rerun_byte_identical(name, argv, expected_code):
     assert first == second
 
 
+def golden(name):
+    """(expected exit code, stdout, stderr) of a golden case."""
+    argv, code = {n: (a, c) for n, a, c in GOLDEN_CASES}[name]
+    with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+        return argv, (code, fh.read(), "")
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ffgeom.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reused_across_requests():
+    cli._parser.cache_clear()
+    bad = ["avoid", "affine", "--field", "4", "--nope"]
+    assert invoke(bad) == fresh_process(bad)
+    for name in ("avoid_affine_f4", "curve_point_conic_f5"):
+        argv, expected = golden(name)
+        assert invoke(argv) == expected
+    assert cli._parser.cache_info().misses == 1
+
+
 class TestExitCodes:
     def test_parse_error_is_precondition(self):
         code, _, err = invoke(["avoid", "affine", "--field", "3", "--poly", "x0 +"])
@@ -113,6 +143,14 @@ class TestExitCodes:
     def test_unknown_flag(self):
         code, _, err = invoke(["field", "info", "--nope"])
         assert code == EXIT_PRECONDITION
+
+    @pytest.mark.parametrize("spec", ["1000000000039", "4294967296",
+                                      "1000000000000000000000000000057^1", "3^100000000"])
+    def test_huge_field_fails_fast(self, spec):
+        start = time.perf_counter()
+        code, _, err = invoke(["field", "info", "--field", spec])
+        assert code == EXIT_PRECONDITION and "exceeds limit" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_subcommand(self):
         code, _, _ = invoke([])

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from ffgeom.errors import (
     NotPrime,
     SizeLimitExceeded,
 )
-from ffgeom.fields import embed, make_field
+from ffgeom import kernels
+from ffgeom.fields import FiniteField, _is_prime, embed, make_field
 
 from conftest import PRIME_POWERS_64, field_for
 
@@ -100,6 +103,63 @@ class TestArithmetic:
         for a in range(q):
             for b in range(q):
                 assert fld.mul(a, b) == fld._mul_slow(a, b)
+
+
+def sequential_dlog(fld):
+    """Reference discrete-log tables: g^0, g^1, ... one _mul_slow at a time."""
+    g = fld.generator()
+    exp = [0] * (fld.q - 1)
+    log = [0] * fld.q
+    cur = 1
+    for i in range(fld.q - 1):
+        exp[i] = cur
+        log[cur] = i
+        cur = fld._mul_slow(cur, g)
+    return log, exp
+
+
+def prime_powers_up_to(bound):
+    for p in range(2, bound + 1):
+        if _is_prime(p):
+            k = 1
+            while p ** k <= bound:
+                yield p, k
+                k += 1
+
+
+class TestDiscreteLogTables:
+    def test_match_sequential_reference(self):
+        for p, k in prime_powers_up_to(4096):
+            fld = FiniteField(p, k)  # uncached: the tables are freed after the check
+            log, exp = sequential_dlog(fld)
+            assert fld._dlog == (log, exp), (p, k)
+            logt, expt, digits, pvec = kernels.field_tables(fld)
+            assert logt.tolist() == log and expt.tolist() == exp, (p, k)
+            assert pvec.tolist() == [p ** i for i in range(k)], (p, k)
+            # in-range digits that re-encode to a are the coordinates of a
+            assert ((digits >= 0) & (digits < p)).all(), (p, k)
+            assert np.array_equal(digits @ pvec, np.arange(fld.q)), (p, k)
+
+    @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
+    def test_largest_tables(self, p, k):
+        fld = FiniteField(p, k)
+        q, g = fld.q, fld.generator()
+        logt, expt, _, _ = fld.tables
+        assert np.array_equal(logt[expt], np.arange(q - 1))
+        assert fld._mul_slow(expt[q - 2], g) == 1  # g^(q-1) = 1
+        for i in random.Random(q).sample(range(q - 2), 200):
+            assert expt[i + 1] == fld._mul_slow(int(expt[i]), g)
+
+    def test_no_tables_above_limit(self):
+        fld = FiniteField(2, 17)
+        assert fld.tables is None and fld._dlog is None
+        assert fld.mul(fld.inv(5), 5) == 1
+
+    @pytest.mark.parametrize("p,k,gen", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 4), (5, 1, 2)])
+    def test_golden_generators_unchanged(self, p, k, gen):
+        fld = make_field(p, k)
+        assert fld.generator() == gen
+        assert fld._dlog[1][1 % (fld.q - 1)] == gen  # exp[i] = g^i
 
 
 class TestEnumeration:

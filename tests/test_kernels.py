@@ -1,43 +1,14 @@
+import functools
 import random
 
 import numpy as np
 import pytest
 
-from ffgeom import kernels
+from ffgeom import fields, kernels
 from ffgeom.fields import make_field
 from ffgeom.polynomials import MultivariatePolynomial, parse_polynomial
 
 from conftest import field_for, random_poly
-
-
-@pytest.fixture
-def force_backend(monkeypatch):
-    def _set(value):
-        if value is None:
-            monkeypatch.delenv("FFGEOM_NUMBA", raising=False)
-        else:
-            monkeypatch.setenv("FFGEOM_NUMBA", value)
-
-    return _set
-
-
-class TestBackendSelection:
-    def test_flag_zero_forces_numpy(self, force_backend):
-        force_backend("0")
-        assert kernels.backend() == "numpy"
-
-    def test_flag_one_requires_numba(self, force_backend):
-        force_backend("1")
-        if kernels._HAVE_NUMBA:
-            assert kernels.backend() == "numba"
-        else:
-            with pytest.raises(RuntimeError):
-                kernels.backend()
-
-    def test_unset_auto(self, force_backend):
-        force_backend(None)
-        expected = "numba" if kernels._HAVE_NUMBA else "numpy"
-        assert kernels.backend() == expected
 
 
 class TestDecode:
@@ -59,28 +30,14 @@ class TestDecode:
 
 class TestGridEval:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-    def test_matches_pointwise_eval(self, q, force_backend):
+    def test_matches_pointwise_eval(self, q):
         rng = random.Random(300 + q)
         fld = field_for(q)
         for _ in range(20):
             nvars = rng.randint(1, 3)
             poly = random_poly(rng, fld, nvars, 4)
             reference = kernels._grid_eval_python(poly, q ** nvars)
-            for flag in ("0", None):
-                force_backend(flag)
-                assert np.array_equal(kernels.grid_eval(poly), reference)
-
-    def test_backends_agree(self, force_backend):
-        rng = random.Random(11)
-        for q in (3, 4, 9):
-            fld = field_for(q)
-            for _ in range(10):
-                poly = random_poly(rng, fld, 3, 5)
-                force_backend("0")
-                via_numpy = kernels.grid_eval(poly)
-                force_backend(None)
-                via_auto = kernels.grid_eval(poly)
-                assert np.array_equal(via_numpy, via_auto)
+            assert np.array_equal(kernels.grid_eval(poly), reference)
 
     def test_zero_polynomial(self):
         z = MultivariatePolynomial(2, make_field(3))
@@ -114,3 +71,36 @@ class TestTables:
                 assert prod == fld.mul(a, b)
         # digit decomposition inverts the encoding
         assert np.array_equal(digits @ pvec, np.arange(q))
+
+    def test_new_field_object_builds_its_own_tables(self, monkeypatch):
+        # a private cache, so the shared field objects outlive the clear
+        cached = functools.lru_cache(maxsize=None)(fields._make_field_cached.__wrapped__)
+        monkeypatch.setattr(fields, "_make_field_cached", cached)
+        first = make_field(5, 2)
+        tables = kernels.field_tables(first)
+        assert kernels.field_tables(first) is tables
+        cached.cache_clear()
+        second = make_field(5, 2)
+        assert second is not first and "tables" not in vars(second)
+        rebuilt = kernels.field_tables(second)
+        assert rebuilt is not tables
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, tables))
+
+
+class TestFirstZero:
+    def test_matches_pointwise_scan(self):
+        rng = random.Random(17)
+        for q in (2, 4, 7, 9):
+            fld = field_for(q)
+            for _ in range(20):
+                poly = random_poly(rng, fld, rng.randint(1, 2), 3)
+                values = [poly.eval(kernels.decode_point(t, q, poly.nvars))
+                          for t in range(q ** poly.nvars)]
+                expected = values.index(0) if 0 in values else None
+                assert kernels.first_zero(poly) == expected
+
+    def test_scalar_scan_above_table_limit(self):
+        fld = make_field(2, 17)
+        assert not kernels.kernel_capable(fld)
+        poly = parse_polynomial("x0 + [1,0,1]", fld)  # root 1 + g^2, encoded 5
+        assert kernels.first_zero(poly) == 5

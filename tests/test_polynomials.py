@@ -2,9 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ffgeom.errors import BothZero, ParseError, ZeroPolynomial
+from ffgeom import kernels
+from ffgeom.errors import BothZero, InternalContradiction, ParseError, ZeroPolynomial
 from ffgeom.fields import make_field
 from ffgeom.polynomials import (
     MultivariatePolynomial,
@@ -326,6 +327,50 @@ class TestRootTower:
                 smaller = make_field(fld.p, fld.k * i)
                 fe = f.map_coefficients(smaller)
                 assert all(fe.eval(x) != 0 for x in smaller.enumerate_elements())
+
+
+def _scan_tower(f, max_degree):
+    """Reference root search: Horner's rule at every element, in order."""
+    for j in range(1, max_degree + 1):
+        ext = make_field(f.field.p, f.field.k * j)
+        fe = f.map_coefficients(ext)
+        for x in ext.enumerate_elements():
+            if fe.eval(x) == 0:
+                return x, ext, j
+    return None
+
+
+@st.composite
+def _tower_cases(draw):
+    """(f, max_degree) over F_7, F_11 or F_13, deg f <= 5, max_degree <= 3."""
+    fld = make_field(draw(st.sampled_from([7, 11, 13])))
+    deg = draw(st.integers(1, 5))
+    coeffs = draw(st.lists(st.integers(0, fld.q - 1), min_size=deg, max_size=deg))
+    lead = draw(st.integers(1, fld.q - 1))
+    return UnivariatePolynomial(coeffs + [lead], fld), draw(st.integers(1, 3))
+
+
+def _irreducible(p, k):
+    """The modulus of F_{p^k}: irreducible of degree k over F_p, so it has no
+    root in F_{p^j} for j < k."""
+    return UnivariatePolynomial(make_field(p, k).modulus, make_field(p))
+
+
+class TestRootSearchKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_tower_cases())
+    @example((_irreducible(7, 4), 3))
+    @example((_irreducible(11, 5), 3))
+    @example((_irreducible(13, 4), 3))
+    def test_matches_scalar_scan(self, case):
+        f, max_degree = case
+        assert find_root_in_tower(f, max_degree) == _scan_tower(f, max_degree)
+
+    def test_non_root_from_kernel_is_caught(self, monkeypatch):
+        monkeypatch.setattr(kernels, "first_zero", lambda poly: 0)
+        f = UnivariatePolynomial([1, 0, 1], F3)  # x^2 + 1, nonzero at 0
+        with pytest.raises(InternalContradiction):
+            find_root_in_tower(f, 2)
 
 
 class TestSubstitution:
