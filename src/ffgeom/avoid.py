@@ -6,13 +6,15 @@ threshold that makes the inductive construction succeed (q > deg for affine,
 q >= deg for projective, q > m*deg for the Grassmannian), and otherwise
 downgrades to an exhaustive scan with an explicit mode flag, so small-field
 boundary cases report NoPointExists instead of erroring.
+
+The exhaustive paths (the fallbacks, the oracle, and the curve-point
+listing) share one chart enumerator, :func:`charts`, and one chunked scan,
+:func:`kernels.hits`.
 """
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from math import comb
-
-import numpy as np
 
 from . import kernels
 from .errors import (
@@ -148,6 +150,7 @@ class AvoidanceResult:
     mode: str  # GUARANTEED or EXHAUSTIVE
     point: object = None  # tuple / ProjectivePoint / GrassmannianPoint
     trace: list = dc_field(default_factory=list)
+    value: int = None  # the section at the point, checked nonzero
 
     @property
     def found(self):
@@ -169,10 +172,23 @@ def plucker(matrix, field):
     return tuple(out)
 
 
-def _verify_found(poly, value):
-    # soundness check on every Found return
+def _section_coords(point):
+    """The coordinates a section is evaluated at: the Pluecker vector of a
+    Grassmannian point, the coordinates of any other point."""
+    if isinstance(point, GrassmannianPoint):
+        return point.plucker
+    if isinstance(point, ProjectivePoint):
+        return point.coords
+    return tuple(point)
+
+
+def _verify_found(poly, point, mode, trace=()):
+    """The Found result for ``point``, after the soundness check every Found
+    return goes through: the section must not vanish there."""
+    value = poly.eval(_section_coords(point))
     if value == 0:
         raise InternalContradiction("returned point does not avoid the divisor")
+    return AvoidanceResult(FOUND, mode, point, list(trace), value)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +205,10 @@ def avoid_affine(d, fld):
     if d.kind != AFFINE:
         raise ValueError("expected an affine hypersurface")
     poly = d.poly.map_coefficients(fld)
-    (n,) = d.params
     if fld.q > poly.total_degree():
         point, trace = _affine_recurse(poly, fld)
-        value = poly.eval(point)
-        _verify_found(poly, value)
-        return AvoidanceResult(FOUND, GUARANTEED, tuple(point), trace)
-    return _affine_fallback(poly, fld, n)
+        return _verify_found(poly, tuple(point), GUARANTEED, trace)
+    return _fallback(d, fld)
 
 
 def _affine_recurse(poly, fld):
@@ -225,15 +238,6 @@ def _affine_recurse(poly, fld):
     return point, trace
 
 
-def _affine_fallback(poly, fld, n):
-    values = kernels.grid_eval(poly)
-    nz = np.nonzero(values)[0]
-    if nz.size == 0:
-        return AvoidanceResult(NO_POINT, EXHAUSTIVE)
-    point = kernels.decode_point(int(nz[0]), fld.q, n)
-    return AvoidanceResult(FOUND, EXHAUSTIVE, point)
-
-
 # ---------------------------------------------------------------------------
 # projective
 
@@ -248,14 +252,10 @@ def avoid_projective(d, fld):
     if d.kind != PROJECTIVE:
         raise ValueError("expected a projective hypersurface")
     poly = d.poly.map_coefficients(fld)
-    (n,) = d.params
     if fld.q >= poly.total_degree():
         coords, trace = _projective_recurse(poly, fld)
-        pt = ProjectivePoint(coords, fld)
-        value = poly.eval(pt.coords)
-        _verify_found(poly, value)
-        return AvoidanceResult(FOUND, GUARANTEED, pt, trace)
-    return _projective_fallback(poly, fld, n)
+        return _verify_found(poly, ProjectivePoint(coords, fld), GUARANTEED, trace)
+    return _fallback(d, fld)
 
 
 def _p1_points(fld):
@@ -293,39 +293,12 @@ def _projective_recurse(poly, fld):
 
 def projective_points(fld, n):
     """All points of P^n(fld) in canonical order (leading 1 index ascending,
-    trailing coordinates in grid order)."""
+    trailing coordinates in grid order), one at a time: the per-point
+    reference for :func:`charts`."""
     for lead in range(n + 1):
         rest = n - lead
         for tail in product(fld.enumerate_elements(), repeat=rest):
             yield ProjectivePoint((0,) * lead + (1,) + tail, fld)
-
-
-def _projective_fallback(poly, fld, n):
-    q = fld.q
-    for lead in range(n + 1):
-        rest = n - lead
-        # chart: zeros, then 1, then free coordinates
-        reps = [
-            MultivariatePolynomial.constant(0, max(rest, 1), fld)
-            for _ in range(lead)
-        ]
-        reps.append(MultivariatePolynomial.constant(1, max(rest, 1), fld))
-        for i in range(rest):
-            reps.append(MultivariatePolynomial.variable(i, rest, fld))
-        chart_poly = poly.substitute(reps)
-        if rest == 0:
-            value = chart_poly.eval([0] * chart_poly.nvars)
-            if value:
-                pt = ProjectivePoint((0,) * lead + (1,), fld)
-                return AvoidanceResult(FOUND, EXHAUSTIVE, pt)
-            continue
-        values = kernels.grid_eval(chart_poly)
-        nz = np.nonzero(values)[0]
-        if nz.size:
-            tail = kernels.decode_point(int(nz[0]), q, rest)
-            pt = ProjectivePoint((0,) * lead + (1,) + tail, fld)
-            return AvoidanceResult(FOUND, EXHAUSTIVE, pt)
-    return AvoidanceResult(NO_POINT, EXHAUSTIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +312,44 @@ def plucker_variable_names(m, n):
     ]
 
 
-def _cell_minors(m, n, fld):
-    """Minors of [I_m | A] as polynomials in the m*(n-m) cell coordinates."""
-    nfree = m * (n - m)
+def _cells(m, n):
+    """Schubert cells of Grass(m, n) in lexicographic pivot order, each as
+    (pivot columns, free entries (row, column) in grid order)."""
+    for pivots in combinations(range(n), m):
+        free = [
+            (i, j)
+            for i in range(m)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivots
+        ]
+        yield pivots, free
+
+
+def _echelon(pivots, free, n, values, zero=0, one=1):
+    """The cell's reduced row-echelon matrix with ``values`` in its free
+    entries."""
+    rows = [[zero] * n for _ in pivots]
+    for i, j in enumerate(pivots):
+        rows[i][j] = one
+    for (i, j), v in zip(free, values):
+        rows[i][j] = v
+    return rows
+
+
+def _pullback(poly, n, pivots, free):
+    """The section restricted to one Schubert cell: ``poly`` at the
+    symbolic minors of the cell's echelon matrix, a polynomial in the
+    cell's free entries."""
+    fld = poly.field
+    m, k = len(pivots), len(free)
     P = MultivariatePolynomial
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            if j < m:
-                row.append(P.constant(1 if j == i else 0, nfree, fld))
-            else:
-                row.append(P.variable(i * (n - m) + (j - m), nfree, fld))
-        entries.append(row)
-    minors = []
-    for cols in combinations(range(n), m):
-        sub = [[entries[i][j] for j in cols] for i in range(m)]
-        minors.append(det_poly(sub, nfree, fld))
-    return minors
+    variables = [P.variable(v, k, fld) for v in range(k)]
+    rows = _echelon(pivots, free, n, variables, P.constant(0, k, fld), P.constant(1, k, fld))
+    minors = [
+        det_poly([[rows[i][j] for j in cols] for i in range(m)], k, fld)
+        for cols in combinations(range(n), m)
+    ]
+    return poly.substitute(minors)
 
 
 def grass_cell_pullback(d):
@@ -365,23 +358,12 @@ def grass_cell_pullback(d):
     if d.kind != GRASSMANNIAN:
         raise ValueError("expected a Grassmannian hypersurface")
     m, n = d.params
-    fld = d.poly.field
-    minors = _cell_minors(m, n, fld)
-    pulled = d.poly.substitute(minors)
+    pulled = _pullback(d.poly, n, *next(_cells(m, n)))
     if pulled.is_zero():
         raise CellContained("section vanishes identically on the dense cell")
     if pulled.total_degree() > m * d.degree:
         raise InternalContradiction("cell pullback exceeds degree m * deg")
     return pulled
-
-
-def _cell_matrix(m, n, point, fld):
-    rows = []
-    for i in range(m):
-        row = [1 if j == i else 0 for j in range(m)]
-        row += [point[i * (n - m) + (j - m)] for j in range(m, n)]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def avoid_grassmannian(d, fld):
@@ -403,20 +385,17 @@ def avoid_grassmannian(d, fld):
         inner = avoid_affine(cell, fld)
         if not (inner.found and inner.mode == GUARANTEED):
             raise InternalContradiction("guaranteed cell search did not find a point")
-        matrix = _cell_matrix(m, n, inner.point, fld)
-        gp = GrassmannianPoint(matrix, fld)
-        _verify_found(poly, poly.eval(gp.plucker))
-        return AvoidanceResult(FOUND, GUARANTEED, gp, inner.trace)
-    for gp in grassmannian_points(fld, m, n):
-        if poly.eval(gp.plucker):
-            return AvoidanceResult(FOUND, EXHAUSTIVE, gp)
-    return AvoidanceResult(NO_POINT, EXHAUSTIVE)
+        pivots, free = next(_cells(m, n))
+        gp = GrassmannianPoint(_echelon(pivots, free, n, inner.point), fld)
+        return _verify_found(poly, gp, GUARANTEED, inner.trace)
+    return _fallback(dd, fld)
 
 
 def grassmannian_points(fld, m, n):
     """All points of Grass(m,n)(fld), one reduced row-echelon representative
     each; cells in lexicographic pivot-column order, free entries in grid
-    order."""
+    order.  Built one at a time: the per-point reference for
+    :func:`charts`."""
     for pivots in combinations(range(n), m):
         free_positions = []
         for i in range(m):
@@ -444,48 +423,69 @@ def avoid(d, fld):
     return avoid_grassmannian(d, fld)
 
 
+def _grass_shape(d):
+    """(m, n) with the ambient space of ``d`` as Grass(m, n): P^n is
+    Grass(1, n+1)."""
+    if d.kind == PROJECTIVE:
+        return 1, d.params[0] + 1
+    return d.params
+
+
 def ambient_point_count(d, fld):
+    if d.kind == AFFINE:
+        (n,) = d.params
+        return fld.q ** n
+    return sum(fld.q ** len(free) for _, free in _cells(*_grass_shape(d)))
+
+
+def charts(d, fld):
+    """Charts covering the ambient space of ``d`` over ``fld``, as pairs
+    (section on the chart, builder of the point at a chart grid index).
+
+    Affine space is one chart.  Each Schubert cell of Grass(m, n), with P^n
+    as Grass(1, n+1), gives the section pulled back to the cell.  Cells
+    come in lexicographic pivot order with free entries in grid order, the
+    order of :func:`projective_points` and :func:`grassmannian_points`, so
+    scanning the charts in turn lists the points in canonical order.
+    """
+    poly = d.poly.map_coefficients(fld)
     q = fld.q
     if d.kind == AFFINE:
         (n,) = d.params
-        return q ** n
-    if d.kind == PROJECTIVE:
-        (n,) = d.params
-        return (q ** (n + 1) - 1) // (q - 1)
-    m, n = d.params
-    count = 0
-    for pivots in combinations(range(n), m):
-        free = sum(
-            1
-            for i in range(m)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
-        )
-        count += q ** free
-    return count
+        yield poly, lambda t: kernels.decode_point(t, q, n)
+        return
+    m, n = _grass_shape(d)
+    for pivots, free in _cells(m, n):
+
+        def build(t, pivots=pivots, free=free):
+            rows = _echelon(pivots, free, n, kernels.decode_point(t, q, len(free)))
+            if d.kind == PROJECTIVE:
+                return ProjectivePoint(rows[0], fld)
+            return GrassmannianPoint(rows, fld)
+
+        yield _pullback(poly, n, pivots, free), build
 
 
-def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT):
-    """Complete list of avoiding points, canonical order.  Brute force;
-    independent of the algorithmic searches above."""
+def _check_budget(d, fld, limit):
     total = ambient_point_count(d, fld)
     if total > limit:
         raise SpaceTooLarge(f"{total} ambient points exceeds limit {limit}")
-    poly = d.poly.map_coefficients(fld) if d.poly.field != fld else d.poly
-    out = []
-    if d.kind == AFFINE:
-        (n,) = d.params
-        values = kernels.grid_eval(poly)
-        for t in np.nonzero(values)[0]:
-            out.append(kernels.decode_point(int(t), fld.q, n))
-    elif d.kind == PROJECTIVE:
-        (n,) = d.params
-        for pt in projective_points(fld, n):
-            if poly.eval(pt.coords):
-                out.append(pt)
-    else:
-        m, n = d.params
-        for gp in grassmannian_points(fld, m, n):
-            if poly.eval(gp.plucker):
-                out.append(gp)
-    return out
+
+
+def _fallback(d, fld):
+    """First avoiding point in canonical order, or NoPointExists; bounded by
+    the oracle's default budget."""
+    _check_budget(d, fld, DEFAULT_ORACLE_LIMIT)
+    poly = d.poly.map_coefficients(fld)
+    for chart, build in charts(d, fld):
+        t = next(kernels.hits(chart), None)
+        if t is not None:
+            return _verify_found(poly, build(t), EXHAUSTIVE)
+    return AvoidanceResult(NO_POINT, EXHAUSTIVE)
+
+
+def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT):
+    """Complete list of avoiding points, canonical order.  Brute force over
+    every chart; independent of the guaranteed searches above."""
+    _check_budget(d, fld, limit)
+    return [build(t) for chart, build in charts(d, fld) for t in kernels.hits(chart)]

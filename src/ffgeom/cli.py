@@ -99,11 +99,13 @@ def _parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="field inspection")
+    p.set_defaults(handler=_cmd_field_info)
     fs = p.add_subparsers(dest="action", required=True)
     pi = fs.add_parser("info")
     pi.add_argument("--field", required=True)
 
     p = sub.add_parser("avoid", help="point off a hypersurface")
+    p.set_defaults(handler=_cmd_avoid)
     av = p.add_subparsers(dest="ambient", required=True)
     pa = av.add_parser("affine")
     pa.add_argument("--field", required=True)
@@ -120,6 +122,7 @@ def _parser():
     pg.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("oracle", help="exhaustive listing of avoiding points")
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("--kind", choices=[AFFINE, PROJECTIVE, "grass"], required=True)
     p.add_argument("--field", required=True)
     p.add_argument("--poly", required=True)
@@ -131,14 +134,15 @@ def _parser():
     p.add_argument("--max-listed", type=int, default=1000)
 
     p = sub.add_parser("curve", help="plane-curve point search")
+    p.set_defaults(handler=_cmd_curve_point)
     cs = p.add_subparsers(dest="action", required=True)
     cp = cs.add_parser("point")
     cp.add_argument("--curve", required=True)
     cp.add_argument("--avoid", required=True)
     cp.add_argument("--field", required=True)
-    cp.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("bound", help="rank and extension-degree bounds")
+    p.set_defaults(handler=_cmd_bound)
     bs = p.add_subparsers(dest="action", required=True)
     bm = bs.add_parser("m")
     bm.add_argument("--n", type=int, required=True)
@@ -159,6 +163,7 @@ def _parser():
     bp.add_argument("--moduli-dim", type=int, default=1)
 
     p = sub.add_parser("p1", help="genus-0 semistability lab")
+    p.set_defaults(handler=_cmd_p1)
     ps = p.add_subparsers(dest="action", required=True)
     pv = ps.add_parser("verify")
     pv.add_argument("--type", required=True)
@@ -229,13 +234,10 @@ def _cmd_avoid(args, out):
     if result.found:
         doc["point"] = _point_json(result.point, fld)
         doc["trace"] = _trace_json(result.trace, fld)
-        if isinstance(result.point, GrassmannianPoint):
-            value = surf.poly.map_coefficients(fld).eval(result.point.plucker)
-        elif isinstance(result.point, ProjectivePoint):
-            value = surf.poly.map_coefficients(fld).eval(result.point.coords)
-        else:
-            value = surf.poly.map_coefficients(fld).eval(result.point)
-        doc["verified"] = {"value_at_point": _elt(fld, value), "nonzero": value != 0}
+        doc["verified"] = {
+            "value_at_point": _elt(fld, result.value),
+            "nonzero": result.value != 0,
+        }
         _emit(doc, out)
         return EXIT_OK
     doc["verified"] = {"exhaustive_scan": True}
@@ -284,11 +286,6 @@ def _cmd_curve_point(args, out):
         "orbit": [_point_json(p, k2) for p in result.orbit],
         "verified": result.flags,
     }
-    if args.verify:
-        flags = curvepoint.verify_on_curve(result, curve, divisor)
-        if not all(flags.values()):
-            raise InternalContradiction(f"re-verification failed: {flags}")
-        doc["verified"] = flags
     _emit(doc, out)
     return EXIT_OK
 
@@ -396,19 +393,7 @@ def run(argv, out=None, err=None):
         print(f"error: {exc}", file=err)
         return EXIT_PRECONDITION
     try:
-        if args.command == "field":
-            return _cmd_field_info(args, out)
-        if args.command == "avoid":
-            return _cmd_avoid(args, out)
-        if args.command == "oracle":
-            return _cmd_oracle(args, out)
-        if args.command == "curve":
-            return _cmd_curve_point(args, out)
-        if args.command == "bound":
-            return _cmd_bound(args, out)
-        if args.command == "p1":
-            return _cmd_p1(args, out)
-        raise AssertionError("unreachable")
+        return args.handler(args, out)
     except InternalContradiction as exc:
         print(f"internal error: {exc}", file=err)
         return EXIT_INTERNAL

@@ -11,12 +11,14 @@ import importlib
 from dataclasses import dataclass
 from itertools import islice
 
+from . import kernels
 from .avoid import (
     GUARANTEED,
     PROJECTIVE,
     Hypersurface,
     ProjectivePoint,
     avoid_projective,
+    charts,
     projective_points,
 )
 from .errors import (
@@ -373,29 +375,11 @@ def verify_on_curve(result, curve, divisor):
 
 
 def enumerate_curve_points(curve, fld):
-    """All points of the curve over ``fld``, canonical order (brute force)."""
-    import numpy as np
-
-    from . import kernels
-
-    f = curve.poly.map_coefficients(fld)
-    P = MultivariatePolynomial
-    out = []
-    # chart (1 : y : z)
-    chart = f.substitute(
-        [P.constant(1, 2, fld), P.variable(0, 2, fld), P.variable(1, 2, fld)]
-    )
-    values = kernels.grid_eval(chart)
-    for t in np.nonzero(values == 0)[0]:
-        y, z = kernels.decode_point(int(t), fld.q, 2)
-        out.append(ProjectivePoint((1, y, z), fld))
-    # chart (0 : 1 : z)
-    chart = f.substitute(
-        [P.constant(0, 1, fld), P.constant(1, 1, fld), P.variable(0, 1, fld)]
-    )
-    values = kernels.grid_eval(chart)
-    for t in np.nonzero(values == 0)[0]:
-        out.append(ProjectivePoint((0, 1, int(t)), fld))
-    if f.eval((0, 0, 1)) == 0:
-        out.append(ProjectivePoint((0, 0, 1), fld))
-    return out
+    """All points of the curve over ``fld``, canonical order (brute force):
+    the zeros of the curve's form over the charts of P^2."""
+    plane = Hypersurface(curve.poly.map_coefficients(fld), PROJECTIVE, (2,))
+    return [
+        build(t)
+        for chart, build in charts(plane, fld)
+        for t in kernels.hits(chart, zero=True)
+    ]

@@ -4,13 +4,16 @@ The hot loop of the exhaustive oracles evaluates one sparse polynomial at
 every point of F_q^n in canonical order (last variable varying fastest).
 Multiplication goes through the field's discrete-log tables, addition
 through digitwise arithmetic mod p, so the same tables serve prime fields
-and towers.  Fields above ``_DLOG_LIMIT`` have no tables and are evaluated
-point by point.
+and towers.  Scans go through :func:`hits`, which evaluates the grid in
+chunks and stops when its caller does.  Fields above ``_DLOG_LIMIT`` have no
+tables and are evaluated point by point.
 """
 
 import numpy as np
 
 from .fields import _DLOG_LIMIT
+
+_CHUNK = 2 ** 16  # grid points per grid_eval call in hits: O(chunk) memory
 
 
 def kernel_capable(field):
@@ -24,8 +27,9 @@ def field_tables(field):
     return field.tables
 
 
-def grid_eval(poly):
-    """Values of ``poly`` at all q^nvars points, canonical order.
+def grid_eval(poly, start=0, stop=None):
+    """Values of ``poly`` at grid points ``start .. stop-1`` (default: all
+    q^nvars points), canonical order.
 
     Point t has coordinates x_i = (t // q^(nvars-1-i)) % q.  Returns an
     int64 array of encoded field elements.
@@ -33,20 +37,22 @@ def grid_eval(poly):
     field = poly.field
     n = poly.nvars
     p, q = field.p, field.q
-    npoints = q ** n
+    if stop is None:
+        stop = q ** n
     if n == 0 or not kernel_capable(field):
-        return _grid_eval_python(poly, npoints)
+        return _grid_eval_python(poly, stop, start)
+    size = stop - start
     terms = poly.sorted_terms()
     if not terms:
-        return np.zeros(npoints, dtype=np.int64)
+        return np.zeros(size, dtype=np.int64)
     logt, expt, digits, pvec = field_tables(field)
     qm1 = max(q - 1, 1)
-    idx = np.arange(npoints, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
     coords = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
-    acc = np.zeros((npoints, field.k), dtype=np.int64)
+    acc = np.zeros((size, field.k), dtype=np.int64)
     for exps, c in terms:
-        logval = np.full(npoints, logt[c], dtype=np.int64)
-        alive = np.ones(npoints, dtype=bool)
+        logval = np.full(size, logt[c], dtype=np.int64)
+        alive = np.ones(size, dtype=bool)
         for x, e in zip(coords, exps):
             if e:
                 alive &= x != 0
@@ -56,34 +62,33 @@ def grid_eval(poly):
     return acc @ pvec
 
 
-def _grid_eval_python(poly, npoints):
-    field = poly.field
-    q = field.q
-    n = poly.nvars
-    out = np.zeros(npoints, dtype=np.int64)
-    if n == 0:
-        out[:] = poly.eval([])
-        return out
-    for t in range(npoints):
-        out[t] = poly.eval(decode_point(t, q, n))
-    return out
+def _grid_eval_python(poly, stop, start=0):
+    q, n = poly.field.q, poly.nvars
+    return np.array(
+        [poly.eval(decode_point(t, q, n)) for t in range(start, stop)], dtype=np.int64
+    )
+
+
+def hits(poly, zero=False):
+    """Ascending grid indices (canonical order) where ``poly`` is nonzero,
+    or where it vanishes when ``zero`` is set.
+
+    The grid is evaluated in chunks of at most ``_CHUNK`` points, so a
+    caller that stops at the first hit evaluates one chunk.  Fields without
+    tables are evaluated one point at a time.
+    """
+    total = poly.field.q ** poly.nvars
+    chunk = _CHUNK if kernel_capable(poly.field) else 1
+    for start in range(0, total, chunk):
+        values = grid_eval(poly, start, min(start + chunk, total))
+        for t in np.flatnonzero(values == 0 if zero else values):
+            yield start + int(t)
 
 
 def first_zero(poly):
     """Index of the first grid point (canonical order) where ``poly``
-    vanishes, or None.
-
-    Table-capable fields take one vectorized :func:`grid_eval`; larger
-    fields are scanned point by point, stopping at the first zero.
-    """
-    q, n = poly.field.q, poly.nvars
-    if kernel_capable(poly.field):
-        zeros = np.flatnonzero(grid_eval(poly) == 0)
-        return int(zeros[0]) if zeros.size else None
-    for t in range(q ** n):
-        if poly.eval(decode_point(t, q, n)) == 0:
-            return t
-    return None
+    vanishes, or None."""
+    return next(hits(poly, zero=True), None)
 
 
 def decode_point(t, q, n):

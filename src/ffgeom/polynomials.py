@@ -529,7 +529,7 @@ def sylvester_resultant(f, g):
     return det_scalar(mat, fld)
 
 
-def find_root_in_tower(f, max_degree, size_limit=None):
+def find_root_in_tower(f, max_degree):
     """Scan F_{q^j} for j = 1..max_degree for the first root of ``f``.
 
     Each F_{q^j} is searched by :func:`kernels.first_zero`, and its answer
@@ -540,8 +540,7 @@ def find_root_in_tower(f, max_degree, size_limit=None):
         raise ZeroPolynomial("root search needs a nonconstant polynomial")
     base = f.field
     for j in range(1, max_degree + 1):
-        kwargs = {"size_limit": size_limit} if size_limit else {}
-        ext = make_field(base.p, base.k * j, **kwargs)
+        ext = make_field(base.p, base.k * j)
         fe = f.map_coefficients(ext)
         x = kernels.first_zero(
             MultivariatePolynomial(1, ext, {(i,): c for i, c in enumerate(fe.coeffs)})

@@ -1,5 +1,7 @@
 import importlib
 import random
+import tracemalloc
+from itertools import product
 from math import comb
 
 import pytest
@@ -15,6 +17,7 @@ from ffgeom.avoid import (
     GrassmannianPoint,
     Hypersurface,
     ProjectivePoint,
+    _section_coords,
     ambient_point_count,
     avoid,
     avoid_affine,
@@ -27,6 +30,7 @@ from ffgeom.avoid import (
     plucker_variable_names,
     projective_points,
 )
+from ffgeom import kernels
 from ffgeom.errors import (
     CellContained,
     InternalContradiction,
@@ -376,3 +380,99 @@ class TestOracle:
                     assert res.point == oracle[0]
                 else:
                     assert res.point in oracle or tuple(res.point) in oracle
+
+
+def _per_point_oracle(d, fld):
+    """The oracle's listing built one point at a time from the reference
+    enumerations, independent of the charts and the kernel."""
+    poly = d.poly.map_coefficients(fld)
+    if d.kind == AFFINE:
+        (n,) = d.params
+        grid = product(fld.enumerate_elements(), repeat=n)
+        return [pt for pt in grid if poly.eval(pt)]
+    if d.kind == PROJECTIVE:
+        (n,) = d.params
+        return [pt for pt in projective_points(fld, n) if poly.eval(pt.coords)]
+    m, n = d.params
+    return [gp for gp in grassmannian_points(fld, m, n) if poly.eval(gp.plucker)]
+
+
+def _shapes(q):
+    """(kind, params, variables) of the ambient spaces compared: P^n ends
+    on the zero-variable chart (0:...:0:1); Grass(2,5) only where its
+    listing stays small."""
+    for n in (1, 2, 3):
+        yield AFFINE, (n,), n
+        yield PROJECTIVE, (n,), n + 1
+    for m, n in ((1, 3), (2, 4), (3, 4)) + (((2, 5),) if q <= 3 else ()):
+        yield GRASSMANNIAN, (m, n), comb(n, m)
+
+
+class TestSharedCharts:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_oracle_and_fallback_match_per_point_reference(self, q):
+        rng = random.Random(1300 + q)
+        fld = field_for(q)
+        for kind, params, nvars in _shapes(q):
+            for _ in range(3):
+                if kind == AFFINE:
+                    poly = random_poly(rng, fld, nvars, 2 * q)
+                else:
+                    deg = rng.randint(1, q + 1)
+                    poly = random_homogeneous_poly(rng, fld, nvars, deg)
+                    if kind == PROJECTIVE and rng.random() < 0.5:
+                        # nonzero at (0:...:0:1), so the last chart lists a point
+                        last = [0] * (nvars - 1) + [deg]
+                        poly = poly + MultivariatePolynomial(nvars, fld, {tuple(last): 1})
+                        if poly.is_zero():
+                            continue
+                d = Hypersurface(poly, kind, params)
+                reference = _per_point_oracle(d, fld)
+                assert exhaustive_oracle(d, fld) == reference
+                res = avoid(d, fld)
+                assert res.found == bool(reference)
+                if res.found:
+                    assert res.value == poly.eval(_section_coords(res.point)) != 0
+                    if res.mode == EXHAUSTIVE:
+                        assert res.point == reference[0]
+
+    def test_no_point_grassmannian(self):
+        # the Pluecker relation vanishes on all of Grass(2,4)
+        d = Hypersurface(parse_polynomial("x0*x5 + x1*x4 + x2*x3", F2, 6), GRASSMANNIAN, (2, 4))
+        assert exhaustive_oracle(d, F2) == [] == _per_point_oracle(d, F2)
+        assert avoid(d, F2).outcome == NO_POINT
+
+    @pytest.mark.parametrize("kind,text,params,nvars,bad", [
+        (AFFINE, "x0*x1 + 1", (2,), 2, 3),  # index 3 is (1,1)
+        (PROJECTIVE, "x0*x1*(x0+x1)", (1,), 2, 0),  # (1:0)
+        (GRASSMANNIAN, "x0*x5", (2, 4), 6, 0),  # [I_2 | 0], where p23 = 0
+    ])
+    def test_fallback_point_on_hypersurface_is_caught(self, monkeypatch, kind, text,
+                                                      params, nvars, bad):
+        # the soundness check runs on fallback results too, under python -O
+        d = Hypersurface(parse_polynomial(text, F2, nvars), kind, params)
+        monkeypatch.setattr(kernels, "hits", lambda poly, zero=False: iter([bad]))
+        with pytest.raises(InternalContradiction):
+            avoid(d, F2)
+
+    def test_first_hit_fallback_evaluates_one_chunk(self, monkeypatch):
+        requested = []
+        grid_eval = kernels.grid_eval
+
+        def recording(poly, start=0, stop=None):
+            values = grid_eval(poly, start, stop)
+            requested.append(len(values))
+            return values
+
+        monkeypatch.setattr(kernels, "grid_eval", recording)
+        d = affine("x0*x1 + 1", F2, 20)  # degree 2 = q: the fallback, hit at 0
+        kernels.field_tables(F2)  # built once per field, outside the measured scan
+        tracemalloc.start()
+        try:
+            res = avoid_affine(d, F2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.mode == EXHAUSTIVE and res.point == (0,) * 20
+        assert 0 < sum(requested) <= 2 ** 16
+        assert peak < 32 * 2 ** 20

@@ -56,7 +56,7 @@ GOLDEN_CASES = [
         "curve_point_conic_f5",
         [
             "curve", "point", "--curve", "x0*x1 + 2*x2^2", "--avoid", "x2",
-            "--field", "5", "--verify",
+            "--field", "5",
         ],
         EXIT_OK,
     ),
@@ -149,6 +149,18 @@ class TestExitCodes:
     def test_huge_field_fails_fast(self, spec):
         start = time.perf_counter()
         code, _, err = invoke(["field", "info", "--field", spec])
+        assert code == EXIT_PRECONDITION and "exceeds limit" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["avoid", "affine", "--field", "2", "--vars", "40", "--poly", "x0*x1"],
+        ["avoid", "projective", "--field", "2", "--dim", "40", "--poly", "x0*x1*x2"],
+        ["avoid", "grass", "--field", "2", "--m", "2", "--n", "20", "--poly", "x0"],
+    ], ids=["affine", "projective", "grass"])
+    def test_oversized_fallback_fails_fast(self, argv):
+        # q <= degree sends each to the exhaustive fallback, over ~10^11+ points
+        start = time.perf_counter()
+        code, _, err = invoke(argv)
         assert code == EXIT_PRECONDITION and "exceeds limit" in err
         assert time.perf_counter() - start < 1.0
 

@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -104,3 +105,33 @@ class TestFirstZero:
         assert not kernels.kernel_capable(fld)
         poly = parse_polynomial("x0 + [1,0,1]", fld)  # root 1 + g^2, encoded 5
         assert kernels.first_zero(poly) == 5
+
+
+class TestHits:
+    @pytest.mark.parametrize("q,n", [(2, 17), (3, 11)])
+    def test_matches_whole_grid(self, q, n):
+        # grids of 2 and 2.7 chunks, so chunk edges fall inside them
+        rng = random.Random(40 + q)
+        fld = field_for(q)
+        for _ in range(3):
+            poly = random_poly(rng, fld, n, 3)
+            values = kernels.grid_eval(poly)
+            assert list(kernels.hits(poly)) == np.flatnonzero(values).tolist()
+            assert list(kernels.hits(poly, zero=True)) == np.flatnonzero(values == 0).tolist()
+
+    @pytest.mark.parametrize("text,zero,first", [
+        ("x0", False, 2 ** 16),
+        ("x0 + 1", True, 2 ** 16),
+        ("*".join(f"x{i}" for i in range(1, 17)), False, 2 ** 16 - 1),
+        ("*".join(f"x{i}" for i in range(1, 17)) + " + 1", True, 2 ** 16 - 1),
+    ])
+    def test_first_hit_at_chunk_edge(self, text, zero, first):
+        poly = parse_polynomial(text, make_field(2), 17)
+        assert next(kernels.hits(poly, zero=zero)) == first
+        values = kernels.grid_eval(poly)
+        assert np.flatnonzero(values == 0 if zero else values)[0] == first
+
+    def test_point_scan_above_table_limit(self):
+        fld = make_field(2, 17)
+        poly = parse_polynomial("x0 + [1,0,1]", fld)  # zero only at 5
+        assert list(islice(kernels.hits(poly), 6)) == [0, 1, 2, 3, 4, 6]
