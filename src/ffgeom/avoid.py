@@ -12,6 +12,7 @@ listing) share one chart enumerator, :func:`charts`, and one chunked scan,
 :func:`kernels.hits`.
 """
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from math import comb
@@ -25,7 +26,11 @@ from .errors import (
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from .polynomials import MultivariatePolynomial, det_poly, det_scalar, rank_and_det
+from .polynomials import MultivariatePolynomial, UnivariatePolynomial, minors
+
+# The perfbench tracer wraps avoid.det_poly and avoid.det_scalar by name, and
+# curvepoint looks det_scalar up here; neither is used in this module.
+from .polynomials import det_poly, det_scalar  # noqa: F401
 
 DEFAULT_ORACLE_LIMIT = 10 ** 7
 
@@ -163,13 +168,10 @@ def plucker(matrix, field):
     n = len(matrix[0])
     if not (1 <= m < n):
         raise ValueError("need 1 <= m < n")
-    if rank_and_det(matrix, field)[0] < m:
+    ms = minors(matrix, field.add, field.sub, field.mul, field.neg)
+    if not ms:
         raise RankDeficient("matrix rows are linearly dependent")
-    out = []
-    for cols in combinations(range(n), m):
-        sub = [[matrix[i][j] for j in cols] for i in range(m)]
-        out.append(det_scalar(sub, field))
-    return tuple(out)
+    return tuple(ms.get(cols, 0) for cols in combinations(range(n), m))
 
 
 def _section_coords(point):
@@ -221,15 +223,8 @@ def _affine_recurse(poly, fld):
     phis = poly.decompose_top_variable(var)
     sub_point, sub_trace = _affine_recurse(phis[-1], fld)
     # univariate in the chosen variable
-    coeffs = [phi.eval(sub_point) for phi in phis]
-    choice = None
-    for x in fld.enumerate_elements():
-        acc = 0
-        for c in reversed(coeffs):
-            acc = fld.add(fld.mul(acc, x), c)
-        if acc:
-            choice = x
-            break
+    restricted = UnivariatePolynomial([phi.eval(sub_point) for phi in phis], fld)
+    choice = next((x for x in fld.enumerate_elements() if restricted.eval(x)), None)
     if choice is None:  # q > t guarantees a choice
         raise InternalContradiction("degree bound violated in the affine recursion")
     point = list(sub_point[:var]) + [choice] + list(sub_point[var:])
@@ -258,18 +253,12 @@ def avoid_projective(d, fld):
     return _fallback(d, fld)
 
 
-def _p1_points(fld):
-    for y in fld.enumerate_elements():
-        yield (1, y)
-    yield (0, 1)
-
-
 def _projective_recurse(poly, fld):
     n = poly.nvars - 1
     if n == 1:
-        for coords in _p1_points(fld):
-            if poly.eval(coords):
-                return list(coords), [("point", coords)]
+        for point in projective_points(fld, 1):
+            if poly.eval(point.coords):
+                return list(point.coords), [("point", point.coords)]
         raise InternalContradiction("degree bound violated in the base case")
     one_var = MultivariatePolynomial  # alias for brevity
     for lam in fld.enumerate_elements():
@@ -294,11 +283,13 @@ def _projective_recurse(poly, fld):
 def projective_points(fld, n):
     """All points of P^n(fld) in canonical order (leading 1 index ascending,
     trailing coordinates in grid order), one at a time: the per-point
-    reference for :func:`charts`."""
+    reference for :func:`charts`.  The tails are decoded from grid indices
+    because ``itertools.product`` would first copy all q elements."""
+    q = fld.q
     for lead in range(n + 1):
         rest = n - lead
-        for tail in product(fld.enumerate_elements(), repeat=rest):
-            yield ProjectivePoint((0,) * lead + (1,) + tail, fld)
+        for t in range(q ** rest):
+            yield ProjectivePoint((0,) * lead + (1,) + kernels.decode_point(t, q, rest), fld)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +335,10 @@ def _pullback(poly, n, pivots, free):
     m, k = len(pivots), len(free)
     P = MultivariatePolynomial
     variables = [P.variable(v, k, fld) for v in range(k)]
-    rows = _echelon(pivots, free, n, variables, P.constant(0, k, fld), P.constant(1, k, fld))
-    minors = [
-        det_poly([[rows[i][j] for j in cols] for i in range(m)], k, fld)
-        for cols in combinations(range(n), m)
-    ]
-    return poly.substitute(minors)
+    zero = P.constant(0, k, fld)
+    rows = _echelon(pivots, free, n, variables, zero, P.constant(1, k, fld))
+    ms = minors(rows, operator.add, operator.sub, operator.mul, operator.neg)
+    return poly.substitute([ms.get(cols, zero) for cols in combinations(range(n), m)])
 
 
 def grass_cell_pullback(d):

@@ -7,6 +7,7 @@ computed by repeated multiplication, never floating point.
 """
 
 from dataclasses import dataclass, asdict
+from decimal import Decimal
 from math import factorial, gcd, lcm
 
 from .errors import InvalidRank
@@ -63,9 +64,15 @@ def popa_n(r):
     return (r * r + 1 + 3) // 4
 
 
-def _sci(x):
-    """Scientific-notation string for an arbitrary-precision integer."""
-    s = str(x)
+def _digits(x):
+    """Exact decimal string of an integer of any size: str() refuses more
+    than sys.get_int_max_str_digits() digits, the decimal module does not."""
+    return str(Decimal(x))
+
+
+def _sci(s):
+    """Scientific-notation string for the decimal digits ``s`` of an
+    integer."""
     if len(s) <= 6:
         return s
     mantissa = s[0] + "." + s[1:6]
@@ -97,9 +104,9 @@ class BoundReport:
 
     def as_json_dict(self):
         out = asdict(self)
-        out["R"] = str(self.R)
-        out["R_scientific"] = _sci(self.R)
-        out["R_lcm_variant"] = str(self.R_lcm_variant)
+        out["R"] = _digits(self.R)
+        out["R_scientific"] = _sci(out["R"])
+        out["R_lcm_variant"] = _digits(self.R_lcm_variant)
         return out
 
 

@@ -192,6 +192,8 @@ def _hypersurface_from_args(args, kind):
         poly = parse_polynomial(args.poly, fld, nvars)
         return Hypersurface(poly, PROJECTIVE, (nvars - 1,)), fld
     m, n = args.m, args.n
+    if m is None or n is None:
+        raise ValueError("a Grassmannian needs --m and --n")
     poly = parse_polynomial(args.poly, fld, comb(n, m))
     return Hypersurface(poly, GRASSMANNIAN, (m, n)), fld
 
@@ -246,6 +248,8 @@ def _cmd_avoid(args, out):
 
 
 def _cmd_oracle(args, out):
+    if args.max_listed < 0:
+        raise ValueError(f"--max-listed must be >= 0, got {args.max_listed}")
     kind = GRASSMANNIAN if args.kind == "grass" else args.kind
     surf, fld = _hypersurface_from_args(args, kind)
     points = exhaustive_oracle(surf, fld, limit=args.limit)

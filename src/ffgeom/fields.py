@@ -8,7 +8,6 @@ the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
 """
 
 from functools import lru_cache, cached_property
-from math import isqrt
 
 import numpy as np
 
@@ -28,20 +27,9 @@ DEFAULT_SIZE_LIMIT = 2 ** 20
 _DLOG_LIMIT = 2 ** 16
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n):
+    """Distinct prime factors of n in ascending order, by trial division
+    (none for n < 2); n is prime exactly when the list is [n]."""
     out = []
     d = 2
     while d * d <= n:
@@ -49,10 +37,36 @@ def _prime_factors(n):
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out
+
+
+def _poly_divmod(num, den, p):
+    """Quotient and remainder of ``num`` by ``den`` in F_p[t], as digit
+    lists, low degree first; the last digit of ``den`` must be nonzero."""
+    rem = list(num)
+    dd = len(den) - 1
+    lead_inv = pow(den[dd], -1, p)
+    quo = [0] * max(len(rem) - dd, 1)
+    for i in range(len(rem) - 1 - dd, -1, -1):
+        c = rem[i + dd]
+        if c:
+            f = c * lead_inv % p
+            quo[i] = f
+            # digit i + dd cancels and is never read again
+            for j in range(dd):
+                rem[i + j] = (rem[i + j] - f * den[j]) % p
+    return quo, rem[:dd]
+
+
+def _strip(digits):
+    """``digits`` without its trailing zeros."""
+    end = len(digits)
+    while end and not digits[end - 1]:
+        end -= 1
+    return digits[:end]
 
 
 class FiniteField:
@@ -64,7 +78,7 @@ class FiniteField:
     def __init__(self, p, k, size_limit=DEFAULT_SIZE_LIMIT):
         if p > size_limit:  # checked before the trial division of p
             raise SizeLimitExceeded(f"p = {p} exceeds limit {size_limit}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise SizeLimitExceeded("degree must be >= 1")
@@ -88,18 +102,6 @@ class FiniteField:
         k = len(coeffs) - 1
         if k == 1:
             return True
-
-        def divides(div):
-            # synthetic long division, returns True when remainder is zero
-            rem = list(coeffs)
-            dd = len(div) - 1
-            for i in range(len(rem) - 1, dd - 1, -1):
-                c = rem[i]
-                if c:
-                    for j in range(dd + 1):
-                        rem[i - dd + j] = (rem[i - dd + j] - c * div[j]) % p
-            return all(c == 0 for c in rem[:dd])
-
         for deg in range(1, k // 2 + 1):
             for m in range(p ** deg):
                 div = []
@@ -108,7 +110,7 @@ class FiniteField:
                     div.append(mm % p)
                     mm //= p
                 div.append(1)
-                if divides(div):
+                if not any(_poly_divmod(coeffs, div, p)[1]):
                     return False
         return True
 
@@ -262,34 +264,14 @@ class FiniteField:
         if tabs is not None:
             log, exp = tabs
             return exp[-log[a] % (self.q - 1)]
-        # extended Euclid in F_p[t] between the element and the modulus
+        # extended Euclid in F_p[t] between the element and the modulus; the
+        # modulus is irreducible, so no remainder vanishes before a constant
         p = self.p
-
-        def pdeg(c):
-            for i in range(len(c) - 1, -1, -1):
-                if c[i]:
-                    return i
-            return -1
-
-        def pdivmod(num, den):
-            num = list(num)
-            dd = pdeg(den)
-            lead_inv = pow(den[dd], -1, p)
-            quo = [0] * (max(len(num) - dd, 1))
-            for i in range(pdeg(num), dd - 1, -1):
-                c = num[i]
-                if c:
-                    f = (c * lead_inv) % p
-                    quo[i - dd] = f
-                    for j in range(dd + 1):
-                        num[i - dd + j] = (num[i - dd + j] - f * den[j]) % p
-            return quo, num
-
-        r0, r1 = list(self.modulus), self.coords(a)
+        r0, r1 = list(self.modulus), _strip(self.coords(a))
         s0, s1 = [0], [1]
-        while pdeg(r1) > 0:
-            quo, rem = pdivmod(r0, r1)
-            r0, r1 = r1, rem
+        while len(r1) > 1:
+            quo, rem = _poly_divmod(r0, r1, p)
+            r0, r1 = r1, _strip(rem)
             # s0 - quo*s1
             ns = list(s0) + [0] * max(0, len(quo) + len(s1) - 1 - len(s0))
             for i, qc in enumerate(quo):
@@ -410,13 +392,12 @@ def parse_field_spec(spec, size_limit=DEFAULT_SIZE_LIMIT):
         raise NotPrime(f"{q} is not a prime power")
     if q > size_limit:
         raise SizeLimitExceeded(f"p^k = {q} exceeds limit {size_limit}")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    k, rest = 0, q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
+    p, k = factors[0], 1
+    while p ** k < q:
+        k += 1
     return make_field(p, k, size_limit=size_limit)
 
 

@@ -9,6 +9,9 @@ The text format accepted by :func:`parse_polynomial`:
     parenthesized subexpression.  Whitespace is insignificant.
 """
 
+import operator
+from bisect import bisect_left
+
 from . import kernels
 from .errors import (
     ArityMismatch,
@@ -62,6 +65,9 @@ class MultivariatePolynomial:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def total_degree(self):
         """Total degree; -1 for the zero polynomial."""
@@ -373,30 +379,39 @@ def poly_gcd(f, g):
     return f.monic()
 
 
-def _det_generic(matrix, zero, add, sub, mul, is_zero):
-    """Cofactor-expansion determinant; entries from any commutative ring."""
-    n = len(matrix)
-    if n == 0:
-        return None
-    if n == 1:
-        return matrix[0][0]
+def minors(rows, add, sub, mul, neg):
+    """Every nonzero maximal minor of a matrix with at least one row, as
+    {ascending column tuple: value}.  Entries come from any commutative
+    ring given by its operations, in which zero is the one falsy element:
+    field elements with the field's operations, polynomials with the
+    :mod:`operator` ones.
 
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return matrix[rows[0]][cols[0]]
-        r = rows[0]
-        acc = zero
-        sign = 1
-        for idx, c in enumerate(cols):
-            a = matrix[r][c]
-            if not is_zero(a):
-                minor = rec(rows[1:], cols[:idx] + cols[idx + 1:])
-                term = mul(a, minor)
-                acc = add(acc, term) if sign > 0 else sub(acc, term)
-            sign = -sign
-        return acc
-
-    return rec(tuple(range(n)), tuple(range(n)))
+    The minors are the coordinates of the exterior product
+    r_0 ^ ... ^ r_{m-1} of the rows, expanded one row at a time: wedging
+    e_S (S ascending, |S| = s) with e_c puts c at position i of S with the
+    sign (-1)^(s-i) of the s - i transpositions that move it there.  The
+    result is empty exactly when the rows are linearly dependent.
+    """
+    wedge = {(c,): a for c, a in enumerate(rows[0]) if a}
+    for row in rows[1:]:
+        entries = [(c, a) for c, a in enumerate(row) if a]
+        nxt = {}
+        for cols, v in wedge.items():
+            s = len(cols)
+            for c, a in entries:
+                i = bisect_left(cols, c)
+                if i < s and cols[i] == c:
+                    continue
+                key = cols[:i] + (c,) + cols[i:]
+                term = mul(v, a)
+                odd = (s - i) & 1
+                cur = nxt.get(key)
+                if cur is None:
+                    nxt[key] = neg(term) if odd else term
+                else:
+                    nxt[key] = sub(cur, term) if odd else add(cur, term)
+        wedge = {cols: v for cols, v in nxt.items() if v}
+    return wedge
 
 
 def rank_and_det(matrix, field):
@@ -482,19 +497,12 @@ def interpolate(xs, ys, field):
 
 
 def det_poly(matrix, nvars, field):
-    """Determinant of a matrix of MultivariatePolynomial entries, by
-    cofactors; only the small symbolic minors of the Grassmannian cell use
-    it."""
-    zero = MultivariatePolynomial(nvars, field)
-    d = _det_generic(
-        matrix,
-        zero,
-        lambda a, b: a + b,
-        lambda a, b: a - b,
-        lambda a, b: a * b,
-        lambda a: a.is_zero(),
-    )
-    return zero if d is None else d
+    """Determinant of a square matrix of MultivariatePolynomial entries: its
+    one maximal minor.  The expansion costs about n * 2^n products, so only
+    small symbolic matrices use it."""
+    full = tuple(range(len(matrix)))
+    ms = minors(matrix, operator.add, operator.sub, operator.mul, operator.neg)
+    return ms.get(full, MultivariatePolynomial(nvars, field))
 
 
 def sylvester_matrix(fc, gc, m, n):

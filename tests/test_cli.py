@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -188,6 +189,19 @@ class TestExitCodes:
         )
         assert code == EXIT_PRECONDITION
 
+    def test_oracle_grass_without_shape(self):
+        code, out, err = invoke(["oracle", "--kind", "grass", "--field", "2", "--poly", "x0"])
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "--m and --n" in err
+
+    def test_oracle_negative_max_listed(self):
+        code, out, err = invoke(
+            ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0",
+             "--vars", "3", "--max-listed", "-1"]
+        )
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "--max-listed" in err
+
 
 class TestSchema:
     def test_avoid_schema(self):
@@ -233,3 +247,23 @@ class TestSchema:
         doc = json.loads(stdout)
         assert isinstance(doc["R"], str)
         assert int(doc["R"]) % doc["rank_f1"] == 0
+
+    def test_pipeline_R_beyond_int_str_limit(self):
+        # r = 1: n = rbar = 1; M = 200 * ceil(log2(max(2 * 200 + 1, 5))) = 1800,
+        # and 1800! has 5080 digits, more than str() converts by default
+        code, stdout, _ = invoke(
+            ["bound", "pipeline", "--g", "1", "--r", "1", "--d", "1",
+             "--alpha", "200", "--beta", "5"]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(stdout)
+        R = 1 * 1 * math.factorial(1800)
+        digits = doc["R"]
+        assert doc["M"] == 1800 and digits.isdigit()
+        value = 0
+        for i in range(0, len(digits), 1000):  # int() refuses the whole string
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == R
+        lead = R // 10 ** (len(digits) - 6)
+        assert doc["R_scientific"] == f"{lead // 10 ** 5}.{lead % 10 ** 5:05d}e+{len(digits) - 1}"

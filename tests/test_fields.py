@@ -11,7 +11,7 @@ from ffgeom.errors import (
     SizeLimitExceeded,
 )
 from ffgeom import kernels
-from ffgeom.fields import FiniteField, _is_prime, embed, make_field
+from ffgeom.fields import FiniteField, _prime_factors, embed, make_field
 
 from conftest import PRIME_POWERS_64, field_for
 
@@ -120,7 +120,7 @@ def sequential_dlog(fld):
 
 def prime_powers_up_to(bound):
     for p in range(2, bound + 1):
-        if _is_prime(p):
+        if _prime_factors(p) == [p]:
             k = 1
             while p ** k <= bound:
                 yield p, k

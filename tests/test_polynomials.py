@@ -10,9 +10,11 @@ from ffgeom.fields import make_field
 from ffgeom.polynomials import (
     MultivariatePolynomial,
     UnivariatePolynomial,
+    det_poly,
     det_scalar,
     find_root_in_tower,
     interpolate,
+    minors,
     parse_polynomial,
     poly_gcd,
     rank_and_det,
@@ -222,17 +224,17 @@ ELIMINATION_FIELDS = [make_field(2), make_field(2, 2), make_field(7), make_field
 
 
 @st.composite
-def _matrices(draw, square):
-    """(field, matrix) with at most 6 rows and columns; about half the time
-    one row is overwritten with a combination of the others, which makes a
-    square matrix singular."""
+def _matrices(draw, square, max_rows=6):
+    """(field, matrix) with at most ``max_rows`` rows and 6 columns; about
+    half the time one row is overwritten with a combination of the others,
+    which makes a square matrix singular."""
     fld = draw(st.sampled_from(ELIMINATION_FIELDS))
-    nrows = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, max_rows))
     ncols = nrows if square else draw(st.integers(1, 6))
     element = st.integers(0, fld.q - 1)
     row = st.lists(element, min_size=ncols, max_size=ncols)
     rows = [draw(row) for _ in range(nrows)]
-    if nrows > 1 and draw(st.booleans()):
+    if draw(st.booleans()):  # with one row, the combination is a zero row
         target = draw(st.integers(0, nrows - 1))
         combo = [0] * ncols
         for i, row in enumerate(rows):
@@ -269,6 +271,46 @@ class TestElimination:
         before = [list(r) for r in mat]
         det_scalar(mat, make_field(7))
         assert mat == before
+
+
+def _field_minors(mat, fld):
+    return minors(mat, fld.add, fld.sub, fld.mul, fld.neg)
+
+
+class TestMinors:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_matrices(square=False, max_rows=4))
+    def test_match_det_scalar_on_every_column_set(self, case):
+        fld, mat = case
+        m, n = len(mat), len(mat[0])
+        expected = {}
+        for cols in combinations(range(n), m):
+            d = det_scalar([[row[j] for j in cols] for row in mat], fld)
+            if d:
+                expected[cols] = d
+        assert _field_minors(mat, fld) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_matrices(square=False, max_rows=4))
+    def test_empty_exactly_when_rank_deficient(self, case):
+        fld, mat = case
+        assert (not _field_minors(mat, fld)) == (rank_and_det(mat, fld)[0] < len(mat))
+
+    def test_det_poly_commutes_with_evaluation(self, rng):
+        for fld in ELIMINATION_FIELDS:
+            zero = MultivariatePolynomial(2, fld)
+            for size in range(1, 6):
+                for _ in range(4):
+                    mat = [
+                        [random_poly(rng, fld, 2, 2) if rng.random() < 0.8 else zero
+                         for _ in range(size)]
+                        for _ in range(size)
+                    ]
+                    det = det_poly(mat, 2, fld)
+                    for _ in range(6):
+                        x = (rng.randrange(fld.q), rng.randrange(fld.q))
+                        at = [[e.eval(x) for e in row] for row in mat]
+                        assert det.eval(x) == det_scalar(at, fld)
 
 
 class TestInterpolate:
