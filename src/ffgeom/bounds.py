@@ -10,7 +10,11 @@ from dataclasses import dataclass, asdict
 from decimal import Decimal
 from math import factorial, gcd, lcm
 
-from .errors import InvalidRank
+from .errors import InvalidRank, SizeLimitExceeded
+
+# largest M for which rank_pipeline computes M! and lcm(1..M) (~0.1 s);
+# M = 24 000 takes ~0.5 s, and M grows linearly in alpha
+MAX_M = 10 ** 4
 
 GENERAL = "general"
 INFINITE = "infinite"
@@ -130,6 +134,8 @@ def rank_pipeline(g, r, d, moduli_alpha, moduli_beta, field_mode=GENERAL,
     n = popa_n(r)
     rank_f1 = n * rbar
     M = bound_M(BoundInputs(moduli_dim, moduli_alpha, moduli_beta, field_mode, char))
+    if M > MAX_M:
+        raise SizeLimitExceeded(f"M = {M} exceeds limit {MAX_M}")
     R = rank_f1 * factorial(M)
     R_lcm = rank_f1 * lcm(*range(1, M + 1)) if M >= 1 else rank_f1
     return BoundReport(

@@ -91,75 +91,66 @@ def _emit(doc, stream):
     stream.write("\n")
 
 
+def _shared(flags, **kwargs):
+    """A parent parser declaring each of ``flags`` with ``kwargs``."""
+    parent = _Parser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
 @lru_cache(maxsize=None)
 def _parser():
     """The argument parser, built once per process: building it costs far
     more than a parse, and a parse leaves it unchanged."""
     top = _Parser(prog="ffgeom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    field = _shared(("--field",), required=True)
+    poly = _shared(("--poly",), required=True)
+    nvars = _shared(("--vars",), type=int, default=None)
+    dim = _shared(("--dim",), type=int, default=None)
+    # a Grassmannian without --m/--n is rejected by _hypersurface_from_args
+    shape = _shared(("--m", "--n"), type=int, default=None)
 
     p = sub.add_parser("field", help="field inspection")
     p.set_defaults(handler=_cmd_field_info)
     fs = p.add_subparsers(dest="action", required=True)
-    pi = fs.add_parser("info")
-    pi.add_argument("--field", required=True)
+    fs.add_parser("info", parents=[field])
 
     p = sub.add_parser("avoid", help="point off a hypersurface")
     p.set_defaults(handler=_cmd_avoid)
     av = p.add_subparsers(dest="ambient", required=True)
-    pa = av.add_parser("affine")
-    pa.add_argument("--field", required=True)
-    pa.add_argument("--poly", required=True)
-    pa.add_argument("--vars", type=int, default=None)
-    pp = av.add_parser("projective")
-    pp.add_argument("--field", required=True)
-    pp.add_argument("--poly", required=True)
-    pp.add_argument("--dim", type=int, default=None)
-    pg = av.add_parser("grass")
-    pg.add_argument("--field", required=True)
-    pg.add_argument("--poly", required=True)
-    pg.add_argument("--m", type=int, required=True)
-    pg.add_argument("--n", type=int, required=True)
+    av.add_parser("affine", parents=[field, poly, nvars])
+    av.add_parser("projective", parents=[field, poly, dim])
+    av.add_parser("grass", parents=[field, poly, shape])
 
-    p = sub.add_parser("oracle", help="exhaustive listing of avoiding points")
+    p = sub.add_parser("oracle", help="exhaustive listing of avoiding points",
+                       parents=[field, poly, nvars, dim, shape])
     p.set_defaults(handler=_cmd_oracle)
     p.add_argument("--kind", choices=[AFFINE, PROJECTIVE, "grass"], required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--vars", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--max-listed", type=int, default=1000)
 
     p = sub.add_parser("curve", help="plane-curve point search")
     p.set_defaults(handler=_cmd_curve_point)
     cs = p.add_subparsers(dest="action", required=True)
-    cp = cs.add_parser("point")
+    cp = cs.add_parser("point", parents=[field])
     cp.add_argument("--curve", required=True)
     cp.add_argument("--avoid", required=True)
-    cp.add_argument("--field", required=True)
 
+    degree = _shared(("--alpha", "--beta"), type=int, required=True)
+    degree.add_argument("--mode", choices=[bounds.GENERAL, bounds.INFINITE, bounds.CHAR_P],
+                        default=bounds.GENERAL)
+    degree.add_argument("--p", type=int, default=None)
     p = sub.add_parser("bound", help="rank and extension-degree bounds")
     p.set_defaults(handler=_cmd_bound)
     bs = p.add_subparsers(dest="action", required=True)
-    bm = bs.add_parser("m")
+    bm = bs.add_parser("m", parents=[degree])
     bm.add_argument("--n", type=int, required=True)
-    bm.add_argument("--alpha", type=int, required=True)
-    bm.add_argument("--beta", type=int, required=True)
-    bm.add_argument("--mode", choices=[bounds.GENERAL, bounds.INFINITE, bounds.CHAR_P],
-                    default=bounds.GENERAL)
-    bm.add_argument("--p", type=int, default=None)
-    bp = bs.add_parser("pipeline")
+    bp = bs.add_parser("pipeline", parents=[degree])
     bp.add_argument("--g", type=int, required=True)
     bp.add_argument("--r", type=int, required=True)
     bp.add_argument("--d", type=int, required=True)
-    bp.add_argument("--alpha", type=int, required=True)
-    bp.add_argument("--beta", type=int, required=True)
-    bp.add_argument("--mode", choices=[bounds.GENERAL, bounds.INFINITE, bounds.CHAR_P],
-                    default=bounds.GENERAL)
-    bp.add_argument("--p", type=int, default=None)
     bp.add_argument("--moduli-dim", type=int, default=1)
 
     p = sub.add_parser("p1", help="genus-0 semistability lab")
@@ -178,17 +169,24 @@ def _parser():
     return top
 
 
+def _positive(value, flag):
+    """``value`` of an optional size flag, which must be >= 1 when given."""
+    if value is not None and value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _hypersurface_from_args(args, kind):
     fld = parse_field_spec(args.field)
     if kind == AFFINE:
-        nvars = args.vars if args.vars else max(count_variables(args.poly), 1)
+        nvars = _positive(args.vars, "--vars")
+        if nvars is None:
+            nvars = max(count_variables(args.poly), 1)
         poly = parse_polynomial(args.poly, fld, nvars)
         return Hypersurface(poly, AFFINE, (nvars,)), fld
     if kind == PROJECTIVE:
-        if args.dim is not None:
-            nvars = args.dim + 1
-        else:
-            nvars = max(count_variables(args.poly), 2)
+        dim = _positive(args.dim, "--dim")
+        nvars = dim + 1 if dim is not None else max(count_variables(args.poly), 2)
         poly = parse_polynomial(args.poly, fld, nvars)
         return Hypersurface(poly, PROJECTIVE, (nvars - 1,)), fld
     m, n = args.m, args.n

@@ -43,6 +43,15 @@ def _prime_factors(n):
     return out
 
 
+def _base_p(m, p, k):
+    """The k lowest base-p digits of m, lowest first."""
+    out = []
+    for _ in range(k):
+        out.append(m % p)
+        m //= p
+    return out
+
+
 def _poly_divmod(num, den, p):
     """Quotient and remainder of ``num`` by ``den`` in F_p[t], as digit
     lists, low degree first; the last digit of ``den`` must be nonzero."""
@@ -61,12 +70,12 @@ def _poly_divmod(num, den, p):
     return quo, rem[:dd]
 
 
-def _strip(digits):
-    """``digits`` without its trailing zeros."""
-    end = len(digits)
-    while end and not digits[end - 1]:
+def _strip(coeffs):
+    """``coeffs`` without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
         end -= 1
-    return digits[:end]
+    return coeffs[:end]
 
 
 class FiniteField:
@@ -90,9 +99,6 @@ class FiniteField:
         self.k = k
         self.q = q
         self.modulus = None if k == 1 else self._find_modulus(p, k)
-        if self.modulus is not None:
-            # reduction of g^j for j = k .. 2k-2, as digit vectors
-            self._red = self._reduction_rows()
 
     # -- construction helpers -------------------------------------------
 
@@ -100,17 +106,9 @@ class FiniteField:
     def _poly_is_irreducible(coeffs, p):
         """Trial division of a monic polynomial (dense, low-to-high) over F_p."""
         k = len(coeffs) - 1
-        if k == 1:
-            return True
         for deg in range(1, k // 2 + 1):
             for m in range(p ** deg):
-                div = []
-                mm = m
-                for _ in range(deg):
-                    div.append(mm % p)
-                    mm //= p
-                div.append(1)
-                if not any(_poly_divmod(coeffs, div, p)[1]):
+                if not any(_poly_divmod(coeffs, _base_p(m, p, deg) + [1], p)[1]):
                     return False
         return True
 
@@ -118,33 +116,10 @@ class FiniteField:
     def _find_modulus(cls, p, k):
         """First irreducible monic degree-k polynomial, constant digit fastest."""
         for m in range(p ** k):
-            coeffs = []
-            mm = m
-            for _ in range(k):
-                coeffs.append(mm % p)
-                mm //= p
-            coeffs.append(1)
+            coeffs = _base_p(m, p, k) + [1]
             if cls._poly_is_irreducible(coeffs, p):
                 return tuple(coeffs)
         raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-    def _reduction_rows(self):
-        p, k = self.p, self.k
-        rows = []
-        # g^k = -(modulus minus leading term)
-        cur = [(-c) % p for c in self.modulus[:k]]
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] * k
-            carry = cur[k - 1]
-            for i in range(k - 1):
-                nxt[i + 1] = cur[i]
-            if carry:
-                for i in range(k):
-                    nxt[i] = (nxt[i] + carry * rows[0][i]) % p
-            rows.append(tuple(nxt))
-            cur = nxt
-        return rows
 
     # -- identity ---------------------------------------------------------
 
@@ -161,11 +136,7 @@ class FiniteField:
 
     def coords(self, a):
         """Coordinate vector of length k over F_p, constant coordinate first."""
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _base_p(a, self.p, self.k)
 
     def from_coords(self, coords):
         if len(coords) > self.k:
@@ -195,27 +166,34 @@ class FiniteField:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
+        """a + b for ints or int64 arrays of encodings (never changed in place):
+        mod p in prime fields, XOR in characteristic 2, else digit by digit."""
         p = self.p
+        if self.k == 1:
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
         out = 0
         mult = 1
         for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
+            out = out + ((a + b) % p) * mult
+            a = a // p
+            b = b // p
             mult *= p
         return out
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
+        """Negation by the same rules as :meth:`add`."""
         p = self.p
+        if self.k == 1:
+            return (-a) % p
+        if p == 2:
+            return a
         out = 0
         mult = 1
         for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
+            out = out + ((-a) % p) * mult
+            a = a // p
             mult *= p
         return out
 
@@ -232,15 +210,14 @@ class FiniteField:
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        # reduce degrees >= k
-        digits = prod[:k]
-        for j in range(k, 2 * k - 1):
+        # subtract multiples of the monic modulus, top degree first
+        mod = self.modulus
+        for j in range(2 * k - 2, k - 1, -1):
             c = prod[j]
             if c:
-                row = self._red[j - k]
-                for i in range(k):
-                    digits[i] = (digits[i] + c * row[i]) % p
-        return self.from_coords(digits)
+                for i, m in zip(range(j - k, j), mod):
+                    prod[i] = (prod[i] - c * m) % p
+        return self.from_coords(prod[:k])
 
     def mul(self, a, b):
         if self.k == 1:
@@ -285,8 +262,8 @@ class FiniteField:
             s0, s1 = s1, ns
         c = r1[0]  # nonzero constant since modulus is irreducible
         cinv = pow(c, -1, p)
-        digits = [(cinv * (s1[i] if i < len(s1) else 0)) % p for i in range(self.k)]
-        return self.from_coords(digits)
+        return self.from_coords([(cinv * (s1[i] if i < len(s1) else 0)) % p
+                                 for i in range(self.k)])
 
     def pow(self, a, e):
         if e < 0:
@@ -312,15 +289,14 @@ class FiniteField:
 
     @cached_property
     def tables(self):
-        """Discrete-log tables ``(log, exp, digits, pvec)`` as int64 arrays,
-        or None above ``_DLOG_LIMIT``.
+        """Discrete-log tables ``(log, exp)`` as int64 arrays, or None above
+        ``_DLOG_LIMIT``.
 
-        ``exp[i]`` encodes g^i for the generator g, ``log`` inverts ``exp``
-        (``log[0]`` is 0 and meaningless), row ``a`` of ``digits`` holds the
-        coordinates of ``a`` and ``digits @ pvec`` re-encodes them.  The
-        coordinates of g^0 .. g^(m-1) double to g^0 .. g^(2m-1) with one
-        product by the matrix of multiplication by g^m, so the build takes
-        about log2(q) matrix products instead of q scalar multiplications.
+        ``exp[i]`` encodes g^i for the generator g and ``log`` inverts
+        ``exp`` (``log[0]`` is 0 and meaningless).  The coordinates of
+        g^0 .. g^(m-1) double to g^0 .. g^(2m-1) with one product by the
+        matrix of multiplication by g^m, so the build takes about log2(q)
+        matrix products instead of q scalar multiplications.
         """
         p, k, q = self.p, self.k, self.q
         if q > _DLOG_LIMIT:
@@ -334,14 +310,10 @@ class FiniteField:
                            dtype=np.int64)
             block = np.vstack([block, (block @ mat) % p])
             gm = self._mul_slow(gm, gm)
-        block = block[: q - 1]
-        pvec = p ** np.arange(k, dtype=np.int64)
-        exp = block @ pvec
+        exp = block[: q - 1] @ p ** np.arange(k, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
-        digits = np.zeros((q, k), dtype=np.int64)
-        digits[exp] = block
-        return log, exp, digits, pvec
+        return log, exp
 
     @cached_property
     def _dlog(self):
@@ -433,7 +405,7 @@ def embed(a, sub, sup):
     """Image of ``a`` under the canonical embedding of ``sub`` into ``sup``."""
     powers = _embedding_powers(sub, sup)
     if powers is None:
-        # identity or prime-subfield case: digits carry over directly
+        # identity or prime-subfield case: coordinates carry over directly
         return a
     out = 0
     for c, gp in zip(sub.coords(a), powers):

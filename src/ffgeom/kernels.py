@@ -2,9 +2,9 @@
 
 The hot loop of the exhaustive oracles evaluates one sparse polynomial at
 every point of F_q^n in canonical order (last variable varying fastest).
-Multiplication goes through the field's discrete-log tables, addition
-through digitwise arithmetic mod p, so the same tables serve prime fields
-and towers.  Scans go through :func:`hits`, which evaluates the grid in
+Multiplication goes through the field's discrete-log tables and addition
+through :meth:`FiniteField.add`, the rule scalar arithmetic uses, applied
+to whole arrays.  Scans go through :func:`hits`, which evaluates the grid in
 chunks and stops when its caller does.  Fields above ``_DLOG_LIMIT`` have no
 tables and are evaluated point by point.
 """
@@ -22,8 +22,8 @@ def kernel_capable(field):
 
 
 def field_tables(field):
-    """The field's kernel tables ``(logt, expt, digits, pvec)``, built once
-    per field object (see :attr:`FiniteField.tables`)."""
+    """The field's kernel tables ``(logt, expt)``, built once per field
+    object (see :attr:`FiniteField.tables`)."""
     return field.tables
 
 
@@ -36,30 +36,26 @@ def grid_eval(poly, start=0, stop=None):
     """
     field = poly.field
     n = poly.nvars
-    p, q = field.p, field.q
+    q = field.q
     if stop is None:
         stop = q ** n
     if n == 0 or not kernel_capable(field):
         return _grid_eval_python(poly, stop, start)
     size = stop - start
-    terms = poly.sorted_terms()
-    if not terms:
-        return np.zeros(size, dtype=np.int64)
-    logt, expt, digits, pvec = field_tables(field)
-    qm1 = max(q - 1, 1)
+    logt, expt = field_tables(field)
     idx = np.arange(start, stop, dtype=np.int64)
     coords = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
-    acc = np.zeros((size, field.k), dtype=np.int64)
-    for exps, c in terms:
+    acc = np.zeros(size, dtype=np.int64)
+    for exps, c in poly.sorted_terms():
         logval = np.full(size, logt[c], dtype=np.int64)
         alive = np.ones(size, dtype=bool)
         for x, e in zip(coords, exps):
             if e:
                 alive &= x != 0
                 logval += e * logt[x]  # log[0] garbage masked by `alive`
-        val = np.where(alive, expt[logval % qm1], 0)
-        acc = (acc + digits[val]) % p
-    return acc @ pvec
+        val = np.where(alive, expt[logval % (q - 1)], 0)
+        acc = field.add(acc, val)
+    return acc
 
 
 def _grid_eval_python(poly, stop, start=0):

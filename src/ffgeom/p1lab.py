@@ -7,8 +7,13 @@ can be checked exhaustively inside a finite search box.
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
-from .errors import InternalContradiction
+from .errors import InternalContradiction, SpaceTooLarge
+
+# cohomology evaluations a partner search or criterion scan may make,
+# counted before it starts (~15 us each)
+MAX_EVALUATIONS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,24 @@ def splitting_types(rank_max, coeff_bound):
             yield SplittingType(parts)
 
 
+def type_count(rank_max, coeff_bound):
+    """Number of types :func:`splitting_types` yields, summed by rank with
+    ``comb``; the sum stops once it passes ``MAX_EVALUATIONS``."""
+    width = 2 * coeff_bound + 1
+    count = 0
+    for rank in range(1, rank_max + 1):
+        if width < 1 or count > MAX_EVALUATIONS:
+            break
+        count += comb(width + rank - 1, rank)
+    return count
+
+
+def _check_budget(evaluations, what):
+    if evaluations > MAX_EVALUATIONS:
+        raise SpaceTooLarge(f"{what} needs more than {MAX_EVALUATIONS} "
+                            "cohomology evaluations")
+
+
 def find_partner(e, search_bound, rank_bound):
     """First splitting type F (canonical order) inside the box with
     rank <= rank_bound and coefficients in [-search_bound, search_bound]
@@ -91,6 +114,7 @@ def find_partner(e, search_bound, rank_bound):
     Analytically a partner exists iff all parts of E are equal (then
     O(-a-1) works), so any box with search_bound >= |a|+1 suffices.
     """
+    _check_budget(type_count(rank_bound, search_bound), "the partner box")
     for f in splitting_types(rank_bound, search_bound):
         dims = cohomology_dims(tensor(e, f))
         if dims.h0 == 0 and dims.h1 == 0:
@@ -121,6 +145,8 @@ def verify_criterion(rank_max, coeff_bound, search_bound, rank_bound):
     coeff_bound + 1 so the analytic partner lies inside the box."""
     if search_bound < coeff_bound + 1:
         raise ValueError("search_bound must be >= coeff_bound + 1")
+    _check_budget(type_count(rank_max, coeff_bound) * type_count(rank_bound, search_bound),
+                  "the scan")
     report = CriterionReport(rank_max, coeff_bound, search_bound, rank_bound)
     for e in splitting_types(rank_max, coeff_bound):
         report.total_types += 1

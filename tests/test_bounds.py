@@ -6,13 +6,14 @@ from ffgeom.bounds import (
     CHAR_P,
     GENERAL,
     INFINITE,
+    MAX_M,
     BoundInputs,
     bound_M,
     ceil_log,
     popa_n,
     rank_pipeline,
 )
-from ffgeom.errors import InvalidRank
+from ffgeom.errors import InvalidRank, SizeLimitExceeded
 
 
 class TestInputs:
@@ -143,3 +144,9 @@ class TestPipeline:
         gen = rank_pipeline(2, 2, 1, 2, 5, field_mode=GENERAL)
         assert inf.M == 2 and chp.M == 2 and gen.M == 6
         assert inf.R <= chp.R <= gen.R
+
+    def test_M_budget(self):
+        # over infinite fields M = alpha
+        assert rank_pipeline(2, 2, 1, MAX_M, 1, field_mode=INFINITE).M == MAX_M
+        with pytest.raises(SizeLimitExceeded):
+            rank_pipeline(2, 2, 1, MAX_M + 1, 1, field_mode=INFINITE)

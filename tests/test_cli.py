@@ -165,6 +165,30 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION and "exceeds limit" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--vars", "0"], "--vars"),
+        (["avoid", "projective", "--field", "2", "--poly", "1", "--dim", "0"], "--dim"),
+        (["avoid", "affine", "--field", "2", "--poly", "1", "--vars", "-1"], "--vars"),
+    ], ids=["vars-0", "dim-0", "vars-negative"])
+    def test_size_flag_below_one(self, argv, flag):
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert flag in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "pipeline", "--g", "2", "--r", "2", "--d", "1",
+         "--alpha", "10000", "--beta", "5"],
+        ["p1", "scan", "--rank-max", "5", "--coeff-bound", "3"],
+        ["p1", "verify", "--type=0,1", "--search-bound", "20", "--rank-bound", "4"],
+        ["p1", "scan", "--rank-max", "1000000000", "--coeff-bound", "1000000000"],
+    ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge"])
+    def test_over_budget_fails_fast(self, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "exceeds limit" in err or "more than" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_missing_subcommand(self):
         code, _, _ = invoke([])
         assert code == EXIT_PRECONDITION

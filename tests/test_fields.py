@@ -1,7 +1,9 @@
 import random
+from itertools import takewhile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ffgeom.errors import (
     DivisionByZero,
@@ -11,7 +13,7 @@ from ffgeom.errors import (
     SizeLimitExceeded,
 )
 from ffgeom import kernels
-from ffgeom.fields import FiniteField, _prime_factors, embed, make_field
+from ffgeom.fields import DEFAULT_SIZE_LIMIT, FiniteField, _prime_factors, embed, make_field
 
 from conftest import PRIME_POWERS_64, field_for
 
@@ -105,6 +107,74 @@ class TestArithmetic:
                 assert fld.mul(a, b) == fld._mul_slow(a, b)
 
 
+def _primes_up_to(n):
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+_PRIMES = _primes_up_to(DEFAULT_SIZE_LIMIT)
+# primes p with p^k <= 2^20, by degree k
+_PRIMES_BY_DEGREE = {
+    k: tuple(takewhile(lambda p, k=k: p ** k <= DEFAULT_SIZE_LIMIT, _PRIMES))
+    for k in range(1, DEFAULT_SIZE_LIMIT.bit_length())
+}
+
+
+@st.composite
+def _field_operands(draw):
+    """A field F_{p^k} with q <= 2^20, two elements and two lists of elements."""
+    k = draw(st.integers(1, max(_PRIMES_BY_DEGREE)))
+    fld = make_field(draw(st.sampled_from(_PRIMES_BY_DEGREE[k])), k)
+    element = st.integers(0, fld.q - 1)
+    vector = st.lists(element, min_size=1, max_size=8)
+    xs = draw(vector)
+    ys = draw(st.lists(element, min_size=len(xs), max_size=len(xs)))
+    return fld, draw(element), draw(element), xs, ys
+
+
+def _ref_add(fld, a, b):
+    """Sum computed coordinate by coordinate over F_p."""
+    return fld.from_coords([x + y for x, y in zip(fld.coords(a), fld.coords(b))])
+
+
+def _ref_neg(fld, a):
+    return fld.from_coords([-x for x in fld.coords(a)])
+
+
+class TestAdditionRule:
+    """``add``/``sub``/``neg`` against a coordinate-wise reference, on ints
+    and on int64 arrays of encodings (the grid kernel's operands)."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_field_operands())
+    @example((make_field(3, 2), 5, 7, [8, 4], [1, 8]))
+    @example((make_field(2, 3), 5, 6, [7, 1], [3, 1]))
+    @example((make_field(1048573), 1048572, 3, [1048572], [2]))
+    def test_scalar_and_array_match_reference(self, case):
+        fld, a, b, xs, ys = case
+        assert fld.add(a, b) == _ref_add(fld, a, b)
+        assert fld.neg(a) == _ref_neg(fld, a)
+        assert fld.sub(a, b) == _ref_add(fld, a, _ref_neg(fld, b))
+        xa = np.array(xs, dtype=np.int64)
+        ya = np.array(ys, dtype=np.int64)
+        results = {
+            "add": (fld.add(xa, ya), [_ref_add(fld, x, y) for x, y in zip(xs, ys)]),
+            "sub": (fld.sub(xa, ya),
+                    [_ref_add(fld, x, _ref_neg(fld, y)) for x, y in zip(xs, ys)]),
+            "neg": (fld.neg(xa), [_ref_neg(fld, x) for x in xs]),
+            "add scalar": (fld.add(xa, b), [_ref_add(fld, x, b) for x in xs]),
+        }
+        for name, (got, expected) in results.items():
+            assert isinstance(got, np.ndarray), name
+            assert got.tolist() == expected, name
+        # the operands are left as they were
+        assert xa.tolist() == xs and ya.tolist() == ys
+
+
 def sequential_dlog(fld):
     """Reference discrete-log tables: g^0, g^1, ... one _mul_slow at a time."""
     g = fld.generator()
@@ -133,18 +203,14 @@ class TestDiscreteLogTables:
             fld = FiniteField(p, k)  # uncached: the tables are freed after the check
             log, exp = sequential_dlog(fld)
             assert fld._dlog == (log, exp), (p, k)
-            logt, expt, digits, pvec = kernels.field_tables(fld)
+            logt, expt = kernels.field_tables(fld)
             assert logt.tolist() == log and expt.tolist() == exp, (p, k)
-            assert pvec.tolist() == [p ** i for i in range(k)], (p, k)
-            # in-range digits that re-encode to a are the coordinates of a
-            assert ((digits >= 0) & (digits < p)).all(), (p, k)
-            assert np.array_equal(digits @ pvec, np.arange(fld.q)), (p, k)
 
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
     def test_largest_tables(self, p, k):
         fld = FiniteField(p, k)
         q, g = fld.q, fld.generator()
-        logt, expt, _, _ = fld.tables
+        logt, expt = fld.tables
         assert np.array_equal(logt[expt], np.arange(q - 1))
         assert fld._mul_slow(expt[q - 2], g) == 1  # g^(q-1) = 1
         for i in random.Random(q).sample(range(q - 2), 200):

@@ -65,13 +65,11 @@ class TestTables:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
     def test_tables_consistent_with_field_mul(self, q):
         fld = field_for(q)
-        logt, expt, digits, pvec = kernels.field_tables(fld)
+        logt, expt = kernels.field_tables(fld)
         for a in range(1, q):
             for b in range(1, q):
                 prod = expt[(logt[a] + logt[b]) % (q - 1)]
                 assert prod == fld.mul(a, b)
-        # digit decomposition inverts the encoding
-        assert np.array_equal(digits @ pvec, np.arange(q))
 
     def test_new_field_object_builds_its_own_tables(self, monkeypatch):
         # a private cache, so the shared field objects outlive the clear

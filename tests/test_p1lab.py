@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from ffgeom.errors import SpaceTooLarge
 from ffgeom.p1lab import (
+    MAX_EVALUATIONS,
     SplittingType,
     cohomology_dims,
     find_partner,
@@ -11,6 +13,7 @@ from ffgeom.p1lab import (
     slope,
     splitting_types,
     tensor,
+    type_count,
     verify_criterion,
 )
 
@@ -114,3 +117,28 @@ class TestCriterion:
         assert report.ok
         # rank-1 types are always semistable; rank-2 balanced ones too
         assert report.semistable_count == 3 + 3
+
+
+class TestBudget:
+    def test_type_count_matches_enumeration(self):
+        for rank_max in range(-1, 6):
+            for coeff_bound in range(-2, 5):
+                expected = sum(1 for _ in splitting_types(rank_max, coeff_bound))
+                assert type_count(rank_max, coeff_bound) == expected
+
+    def test_type_count_stops_past_budget(self):
+        assert MAX_EVALUATIONS < type_count(10 ** 9, 0) <= MAX_EVALUATIONS + 1
+        assert type_count(10 ** 9, 10 ** 9) > MAX_EVALUATIONS
+
+    @pytest.mark.parametrize("rank_max,coeff_bound", [(4, 2), (3, 3)])
+    def test_default_scans_fit(self, rank_max, coeff_bound):
+        # p1 scan's defaults: search bound coeff_bound + 1, rank bound rank_max
+        box = type_count(rank_max, coeff_bound + 1)
+        assert type_count(rank_max, coeff_bound) * box <= MAX_EVALUATIONS
+
+    def test_over_budget_raises_before_scanning(self):
+        with pytest.raises(SpaceTooLarge):
+            find_partner(SplittingType([0, 1]), 20, 4)
+        with pytest.raises(SpaceTooLarge):
+            verify_criterion(5, 3, 4, 5)
+        assert find_partner(SplittingType([0, 0]), 5, 3) == SplittingType([-1])
