@@ -456,9 +456,9 @@ def charts(d, fld):
 
 
 def _check_budget(d, fld, limit):
-    total = ambient_point_count(d, fld)
-    if total > limit:
-        raise SpaceTooLarge(f"{total} ambient points exceeds limit {limit}")
+    # the count itself can pass the digits that str() converts
+    if ambient_point_count(d, fld) > limit:
+        raise SpaceTooLarge(f"ambient point count exceeds limit {limit}")
 
 
 def _fallback(d, fld):

@@ -5,6 +5,11 @@ encoding of its coordinate vector (c_0, ..., c_{k-1}) over F_p with respect to
 the power basis 1, g, ..., g^{k-1} of the generator g, constant coordinate in
 the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
 ``range(q)`` enumerates the field in canonical order.
+
+Every field up to the size limit has one pair of discrete-log tables
+(:attr:`FiniteField.tables`), built on first use.  The grid kernel
+multiplies through them in every field, and scalar arithmetic in extension
+fields; prime fields multiply scalars mod p.
 """
 
 from functools import lru_cache, cached_property
@@ -22,9 +27,9 @@ from .errors import (
 
 DEFAULT_SIZE_LIMIT = 2 ** 20
 
-# Discrete-log tables are only built for fields this small; larger fields fall
-# back to direct polynomial arithmetic and have no grid kernel.
-_DLOG_LIMIT = 2 ** 16
+# table entries written per vectorised step of the doubling build: O(rows * k)
+# scratch memory at any field size
+_TABLE_ROWS = 2 ** 16
 
 
 def _prime_factors(n):
@@ -68,14 +73,6 @@ def _poly_divmod(num, den, p):
             for j in range(dd):
                 rem[i + j] = (rem[i + j] - f * den[j]) % p
     return quo, rem[:dd]
-
-
-def _strip(coeffs):
-    """``coeffs`` without its trailing zeros."""
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
-    return coeffs[:end]
 
 
 class FiniteField:
@@ -224,46 +221,16 @@ class FiniteField:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        tabs = self._dlog
-        if tabs is not None:
-            log, exp = tabs
-            return exp[(log[a] + log[b]) % (self.q - 1)]
-        return self._mul_slow(a, b)
+        log, exp = self._dlog
+        return exp[(log[a] + log[b]) % (self.q - 1)]
 
     def inv(self, a):
-        """Multiplicative inverse: a table lookup when the discrete-log tables
-        exist, else an extended gcd with the modulus."""
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, -1, self.p)
-        tabs = self._dlog
-        if tabs is not None:
-            log, exp = tabs
-            return exp[-log[a] % (self.q - 1)]
-        # extended Euclid in F_p[t] between the element and the modulus; the
-        # modulus is irreducible, so no remainder vanishes before a constant
-        p = self.p
-        r0, r1 = list(self.modulus), _strip(self.coords(a))
-        s0, s1 = [0], [1]
-        while len(r1) > 1:
-            quo, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, _strip(rem)
-            # s0 - quo*s1
-            ns = list(s0) + [0] * max(0, len(quo) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(quo):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            idx = i + j
-                            if idx >= len(ns):
-                                ns.extend([0] * (idx + 1 - len(ns)))
-                            ns[idx] = (ns[idx] - qc * sc) % p
-            s0, s1 = s1, ns
-        c = r1[0]  # nonzero constant since modulus is irreducible
-        cinv = pow(c, -1, p)
-        return self.from_coords([(cinv * (s1[i] if i < len(s1) else 0)) % p
-                                 for i in range(self.k)])
+        log, exp = self._dlog
+        return exp[-log[a] % (self.q - 1)]
 
     def pow(self, a, e):
         if e < 0:
@@ -289,37 +256,46 @@ class FiniteField:
 
     @cached_property
     def tables(self):
-        """Discrete-log tables ``(log, exp)`` as int64 arrays, or None above
-        ``_DLOG_LIMIT``.
+        """Discrete-log tables ``(log, exp)`` as int64 arrays, 16 bytes per
+        element.
 
         ``exp[i]`` encodes g^i for the generator g and ``log`` inverts
-        ``exp`` (``log[0]`` is 0 and meaningless).  The coordinates of
-        g^0 .. g^(m-1) double to g^0 .. g^(2m-1) with one product by the
-        matrix of multiplication by g^m, so the build takes about log2(q)
-        matrix products instead of q scalar multiplications.
+        ``exp`` (``log[0]`` is 0 and meaningless).  The entries g^0 ..
+        g^(m-1) double to g^0 .. g^(2m-1) by multiplying by g^m, an F_p-linear
+        map of the coordinates, so the build takes about log2(q) vectorised
+        steps instead of q scalar multiplications.  Each step reads and
+        writes ``exp`` in runs of at most ``_TABLE_ROWS`` entries.
         """
         p, k, q = self.p, self.k, self.q
-        if q > _DLOG_LIMIT:
-            return None
-        block = np.zeros((1, k), dtype=np.int64)
-        block[0, 0] = 1
-        gm = self.generator()  # g^m, m = len(block)
-        while len(block) < q - 1:
-            # row i: coordinates of x^i * g^m, x the power-basis root
-            mat = np.array([self.coords(self._mul_slow(p ** i, gm)) for i in range(k)],
-                           dtype=np.int64)
-            block = np.vstack([block, (block @ mat) % p])
+        exp = np.empty(q - 1, dtype=np.int64)
+        exp[0] = 1
+        pw = p ** np.arange(k, dtype=np.int64)
+        m, gm = 1, self.generator()  # gm = g^m
+        while m < q - 1:
+            # images of the power basis 1, x, ..., x^(k-1) under a -> a * g^m
+            images = [self._mul_slow(p ** i, gm) for i in range(k)]
+            mat = np.array([self.coords(c) for c in images], dtype=np.int64)
+            n = min(m, q - 1 - m)
+            for start in range(0, n, _TABLE_ROWS):
+                run = exp[start:min(start + _TABLE_ROWS, n)]
+                if p == 2:  # XOR the images of the set bits
+                    out = np.zeros_like(run)
+                    for i, c in enumerate(images):
+                        out ^= -((run >> i) & 1) & c
+                else:
+                    out = (run[:, None] // pw % p) @ mat % p @ pw
+                exp[m + start:m + start + len(run)] = out
+            m += n
             gm = self._mul_slow(gm, gm)
-        exp = block[: q - 1] @ p ** np.arange(k, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         return log, exp
 
     @cached_property
     def _dlog(self):
-        """``(log, exp)`` of :attr:`tables` as lists, for scalar lookups."""
-        tabs = self.tables
-        return None if tabs is None else (tabs[0].tolist(), tabs[1].tolist())
+        """:attr:`tables` as memoryviews, whose items are Python ints, for
+        scalar lookups without a second copy of the tables."""
+        return tuple(memoryview(t) for t in self.tables)
 
     def generator(self):
         """First element (enumeration order) generating the multiplicative group."""

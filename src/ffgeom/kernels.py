@@ -4,21 +4,23 @@ The hot loop of the exhaustive oracles evaluates one sparse polynomial at
 every point of F_q^n in canonical order (last variable varying fastest).
 Multiplication goes through the field's discrete-log tables and addition
 through :meth:`FiniteField.add`, the rule scalar arithmetic uses, applied
-to whole arrays.  Scans go through :func:`hits`, which evaluates the grid in
-chunks and stops when its caller does.  Fields above ``_DLOG_LIMIT`` have no
-tables and are evaluated point by point.
+to whole arrays.  Every field has tables, so one kernel serves every field
+up to the size limit.  Scans go through :func:`hits`, which evaluates the
+grid in chunks and stops when its caller does.
 """
 
 import numpy as np
 
-from .fields import _DLOG_LIMIT
-
-_CHUNK = 2 ** 16  # grid points per grid_eval call in hits: O(chunk) memory
+# grid points per grid_eval call in hits: O(chunk) memory.  A scan that stops
+# at its first hit evaluates one chunk, and a working set of a few MB is
+# reused by the allocator instead of faulted in again on every call.
+_CHUNK = 2 ** 14
 
 
 def kernel_capable(field):
-    """Whether table-driven kernels can serve this field."""
-    return field.q <= _DLOG_LIMIT
+    """Whether the kernel can serve this field: always, since every field
+    builds tables."""
+    return True
 
 
 def field_tables(field):
@@ -39,8 +41,6 @@ def grid_eval(poly, start=0, stop=None):
     q = field.q
     if stop is None:
         stop = q ** n
-    if n == 0 or not kernel_capable(field):
-        return _grid_eval_python(poly, stop, start)
     size = stop - start
     logt, expt = field_tables(field)
     idx = np.arange(start, stop, dtype=np.int64)
@@ -70,13 +70,11 @@ def hits(poly, zero=False):
     or where it vanishes when ``zero`` is set.
 
     The grid is evaluated in chunks of at most ``_CHUNK`` points, so a
-    caller that stops at the first hit evaluates one chunk.  Fields without
-    tables are evaluated one point at a time.
+    caller that stops at the first hit evaluates one chunk.
     """
     total = poly.field.q ** poly.nvars
-    chunk = _CHUNK if kernel_capable(poly.field) else 1
-    for start in range(0, total, chunk):
-        values = grid_eval(poly, start, min(start + chunk, total))
+    for start in range(0, total, _CHUNK):
+        values = grid_eval(poly, start, min(start + _CHUNK, total))
         for t in np.flatnonzero(values == 0 if zero else values):
             yield start + int(t)
 

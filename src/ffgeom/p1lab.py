@@ -12,7 +12,8 @@ from math import comb
 from .errors import InternalContradiction, SpaceTooLarge
 
 # cohomology evaluations a partner search or criterion scan may make,
-# counted before it starts (~15 us each)
+# counted before it starts (~15 us each; a partner search counts each
+# evaluation once per part of E, since it sums rank E x rank F line bundles)
 MAX_EVALUATIONS = 10 ** 5
 
 
@@ -114,7 +115,7 @@ def find_partner(e, search_bound, rank_bound):
     Analytically a partner exists iff all parts of E are equal (then
     O(-a-1) works), so any box with search_bound >= |a|+1 suffices.
     """
-    _check_budget(type_count(rank_bound, search_bound), "the partner box")
+    _check_budget(type_count(rank_bound, search_bound) * e.rank, "the partner box")
     for f in splitting_types(rank_bound, search_bound):
         dims = cohomology_dims(tensor(e, f))
         if dims.h0 == 0 and dims.h1 == 0:

@@ -189,6 +189,26 @@ class TestExitCodes:
         assert "exceeds limit" in err or "more than" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        ["avoid", "affine", "--field", "7", "--vars", "6000", "--poly", "x0^7"],
+        ["oracle", "--kind", "affine", "--field", "7", "--vars", "6000", "--poly", "x0"],
+    ], ids=["avoid", "oracle"])
+    def test_budget_message_past_str_digit_limit(self, argv):
+        # 7^6000 has 5071 digits, more than str() converts by default
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "ambient point count exceeds limit 10000000" in err
+
+    @pytest.mark.parametrize("parts", [1001, 3001])
+    def test_partner_budget_counts_parts(self, parts):
+        # the default box has 363 types, so at most 275 parts fit the budget
+        argv = ["p1", "verify", "--type=" + ",".join(["1"] + ["0"] * (parts - 1))]
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "more than" in err
+        assert time.perf_counter() - start < 0.1
+
     def test_missing_subcommand(self):
         code, _, _ = invoke([])
         assert code == EXIT_PRECONDITION

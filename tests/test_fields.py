@@ -202,11 +202,12 @@ class TestDiscreteLogTables:
         for p, k in prime_powers_up_to(4096):
             fld = FiniteField(p, k)  # uncached: the tables are freed after the check
             log, exp = sequential_dlog(fld)
-            assert fld._dlog == (log, exp), (p, k)
+            assert tuple(map(list, fld._dlog)) == (log, exp), (p, k)
             logt, expt = kernels.field_tables(fld)
             assert logt.tolist() == log and expt.tolist() == exp, (p, k)
 
-    @pytest.mark.parametrize("p,k", [(2, 16), (3, 10)])
+    @pytest.mark.parametrize("p,k", [(2, 16), (3, 10), (2, 17), (2, 20), (3, 12), (31, 4),
+                                     (1048573, 1)])
     def test_largest_tables(self, p, k):
         fld = FiniteField(p, k)
         q, g = fld.q, fld.generator()
@@ -216,10 +217,13 @@ class TestDiscreteLogTables:
         for i in random.Random(q).sample(range(q - 2), 200):
             assert expt[i + 1] == fld._mul_slow(int(expt[i]), g)
 
-    def test_no_tables_above_limit(self):
-        fld = FiniteField(2, 17)
-        assert fld.tables is None and fld._dlog is None
-        assert fld.mul(fld.inv(5), 5) == 1
+    @pytest.mark.parametrize("p,k", [(2, 17), (3, 11)])
+    def test_inverse_above_two_to_the_sixteen(self, p, k):
+        fld = FiniteField(p, k)
+        assert fld.tables is not None
+        for a in random.Random(fld.q).sample(range(1, fld.q), 200):
+            b = fld.inv(a)
+            assert fld.mul(b, a) == 1 and fld._mul_slow(b, a) == 1
 
     @pytest.mark.parametrize("p,k,gen", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 4), (5, 1, 2)])
     def test_golden_generators_unchanged(self, p, k, gen):

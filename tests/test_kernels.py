@@ -1,13 +1,19 @@
 import functools
 import random
+import time
 from itertools import islice
 
 import numpy as np
 import pytest
 
 from ffgeom import fields, kernels
-from ffgeom.fields import make_field
-from ffgeom.polynomials import MultivariatePolynomial, parse_polynomial
+from ffgeom.fields import FiniteField, make_field
+from ffgeom.polynomials import (
+    MultivariatePolynomial,
+    UnivariatePolynomial,
+    find_root_in_tower,
+    parse_polynomial,
+)
 
 from conftest import field_for, random_poly
 
@@ -100,15 +106,32 @@ class TestFirstZero:
 
     def test_scalar_scan_above_table_limit(self):
         fld = make_field(2, 17)
-        assert not kernels.kernel_capable(fld)
         poly = parse_polynomial("x0 + [1,0,1]", fld)  # root 1 + g^2, encoded 5
         assert kernels.first_zero(poly) == 5
+
+    def test_rootless_above_two_to_the_sixteen(self):
+        # x^2 + x + 1 has its roots in F_4, which F_2^17 does not contain
+        fld = FiniteField(2, 17)  # uncached: the timing includes the table build
+        poly = parse_polynomial("x0^2 + x0 + 1", fld)
+        start = time.perf_counter()
+        assert kernels.first_zero(poly) is None
+        assert time.perf_counter() - start < 2.0
+        f = UnivariatePolynomial([1, 1, 1], fld)
+        start = time.perf_counter()
+        assert find_root_in_tower(f, 1) is None
+        assert time.perf_counter() - start < 2.0
+
+
+# over F_2 in 17 variables, x_{16-b} first leaves 0 at the first chunk edge
+# 2^b, and the product of the b lowest variables first hits 1 just before it
+_CHUNK_BITS = kernels._CHUNK.bit_length() - 1
+_LOW_PRODUCT = "*".join(f"x{i}" for i in range(17 - _CHUNK_BITS, 17))
 
 
 class TestHits:
     @pytest.mark.parametrize("q,n", [(2, 17), (3, 11)])
     def test_matches_whole_grid(self, q, n):
-        # grids of 2 and 2.7 chunks, so chunk edges fall inside them
+        # grids of 8 and 10.8 chunks, so chunk edges fall inside them
         rng = random.Random(40 + q)
         fld = field_for(q)
         for _ in range(3):
@@ -118,10 +141,10 @@ class TestHits:
             assert list(kernels.hits(poly, zero=True)) == np.flatnonzero(values == 0).tolist()
 
     @pytest.mark.parametrize("text,zero,first", [
-        ("x0", False, 2 ** 16),
-        ("x0 + 1", True, 2 ** 16),
-        ("*".join(f"x{i}" for i in range(1, 17)), False, 2 ** 16 - 1),
-        ("*".join(f"x{i}" for i in range(1, 17)) + " + 1", True, 2 ** 16 - 1),
+        (f"x{16 - _CHUNK_BITS}", False, kernels._CHUNK),
+        (f"x{16 - _CHUNK_BITS} + 1", True, kernels._CHUNK),
+        (_LOW_PRODUCT, False, kernels._CHUNK - 1),
+        (_LOW_PRODUCT + " + 1", True, kernels._CHUNK - 1),
     ])
     def test_first_hit_at_chunk_edge(self, text, zero, first):
         poly = parse_polynomial(text, make_field(2), 17)
