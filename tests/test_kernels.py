@@ -122,10 +122,12 @@ class TestFirstZero:
         assert time.perf_counter() - start < 2.0
 
 
-# over F_2 in 17 variables, x_{16-b} first leaves 0 at the first chunk edge
-# 2^b, and the product of the b lowest variables first hits 1 just before it
+# over F_2 in 17 variables, x_{16-m} first leaves 0 at 2^m, and the product of
+# the m lowest variables first hits 1 just before it; 2^m is a chunk edge for
+# every m at least the chunk's b bits, checked here at m = b and m = 16
 _CHUNK_BITS = kernels._CHUNK.bit_length() - 1
 _LOW_PRODUCT = "*".join(f"x{i}" for i in range(17 - _CHUNK_BITS, 17))
+_PRODUCT_16 = "*".join(f"x{i}" for i in range(1, 17))
 
 
 class TestHits:
@@ -141,6 +143,10 @@ class TestHits:
             assert list(kernels.hits(poly, zero=True)) == np.flatnonzero(values == 0).tolist()
 
     @pytest.mark.parametrize("text,zero,first", [
+        ("x0", False, 2 ** 16),
+        ("x0 + 1", True, 2 ** 16),
+        (_PRODUCT_16, False, 2 ** 16 - 1),
+        (_PRODUCT_16 + " + 1", True, 2 ** 16 - 1),
         (f"x{16 - _CHUNK_BITS}", False, kernels._CHUNK),
         (f"x{16 - _CHUNK_BITS} + 1", True, kernels._CHUNK),
         (_LOW_PRODUCT, False, kernels._CHUNK - 1),
