@@ -41,6 +41,27 @@ GOLDEN_CASES = [
         EXIT_OK,
     ),
     (
+        "oracle_affine_f4",
+        ["oracle", "--kind", "affine", "--field", "4", "--poly", "x0*x1+x0+1"],
+        EXIT_OK,
+    ),
+    (
+        "oracle_grass_f3_truncated",
+        [
+            "oracle", "--kind", "grass", "--field", "3", "--poly", "x0*x5",
+            "--m", "2", "--n", "4", "--max-listed", "3",
+        ],
+        EXIT_OK,
+    ),
+    (
+        "oracle_projective_f5_unlisted",
+        [
+            "oracle", "--kind", "projective", "--field", "5", "--poly", "x0*x1",
+            "--max-listed", "0",
+        ],
+        EXIT_OK,
+    ),
+    (
         "bound_m_spot",
         ["bound", "m", "--n", "1", "--alpha", "2", "--beta", "5"],
         EXIT_OK,
