@@ -14,7 +14,7 @@ listing) share one chart enumerator, :func:`charts`, and one chunked scan,
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from . import kernels
@@ -248,36 +248,46 @@ def avoid_projective(d, fld):
         raise ValueError("expected a projective hypersurface")
     poly = d.poly.map_coefficients(fld)
     if fld.q >= poly.total_degree():
-        coords, trace = _projective_recurse(poly, fld)
+        coords, trace = _projective_search(poly, fld)
         return _verify_found(poly, ProjectivePoint(coords, fld), GUARANTEED, trace)
     return _fallback(d, fld)
 
 
-def _projective_recurse(poly, fld):
-    n = poly.nvars - 1
-    if n == 1:
-        for point in projective_points(fld, 1):
-            if poly.eval(point.coords):
-                return list(point.coords), [("point", point.coords)]
+def _projective_search(poly, fld):
+    """Coordinates and trace of the guaranteed projective search: one pencil
+    member per level down to P^1, in a loop, so the depth of the call stack
+    does not grow with the dimension."""
+    members = []
+    while poly.nvars > 2:
+        poly, member = _pencil_member(poly, fld)
+        members.append(member)
+    base = next((pt.coords for pt in projective_points(fld, 1) if poly.eval(pt.coords)), None)
+    if base is None:
         raise InternalContradiction("degree bound violated in the base case")
-    one_var = MultivariatePolynomial  # alias for brevity
+    coords = list(base)
+    for member in reversed(members):
+        if member == "inf":
+            coords = [coords[0], 0] + coords[1:]
+        else:
+            coords = [fld.mul(member, coords[0])] + coords
+    return coords, [("pencil", member) for member in members] + [("point", base)]
+
+
+def _pencil_member(poly, fld):
+    """``(restricted, member)``: the section on the first member of the
+    coordinate pencil x0 = lam*x1 (then x1 = 0, member "inf") where it is
+    not identically zero, in the member's n-1 variables."""
+    P = MultivariatePolynomial
     for lam in fld.enumerate_elements():
         # x0 := lam * x1, leaving variables x1..xn reindexed to 0..n-1
-        rep = one_var.variable(0, poly.nvars - 1, fld).scale(lam)
-        restricted = poly.eliminate(0, rep)
-        if restricted.is_zero():
-            continue
-        sub_coords, sub_trace = _projective_recurse(restricted, fld)
-        coords = [fld.mul(lam, sub_coords[0])] + sub_coords
-        return coords, [("pencil", lam)] + sub_trace
+        restricted = poly.eliminate(0, P.variable(0, poly.nvars - 1, fld).scale(lam))
+        if not restricted.is_zero():
+            return restricted, lam
     # member at infinity: x1 := 0
-    rep = one_var.constant(0, poly.nvars - 1, fld)
-    restricted = poly.eliminate(1, rep)
+    restricted = poly.eliminate(1, P.constant(0, poly.nvars - 1, fld))
     if restricted.is_zero():
         raise InternalContradiction("degree bound violated in the pencil")
-    sub_coords, sub_trace = _projective_recurse(restricted, fld)
-    coords = [sub_coords[0], 0] + sub_coords[1:]
-    return coords, [("pencil", "inf")] + sub_trace
+    return restricted, "inf"
 
 
 def projective_points(fld, n):
@@ -380,26 +390,6 @@ def avoid_grassmannian(d, fld):
     return _fallback(dd, fld)
 
 
-def grassmannian_points(fld, m, n):
-    """All points of Grass(m,n)(fld), one reduced row-echelon representative
-    each; cells in lexicographic pivot-column order, free entries in grid
-    order.  Built one at a time: the per-point reference for
-    :func:`charts`."""
-    for pivots in combinations(range(n), m):
-        free_positions = []
-        for i in range(m):
-            for j in range(pivots[i] + 1, n):
-                if j not in pivots:
-                    free_positions.append((i, j))
-        for values in product(fld.enumerate_elements(), repeat=len(free_positions)):
-            matrix = [[0] * n for _ in range(m)]
-            for i, pc in enumerate(pivots):
-                matrix[i][pc] = 1
-            for (i, j), v in zip(free_positions, values):
-                matrix[i][j] = v
-            yield GrassmannianPoint(matrix, fld)
-
-
 # ---------------------------------------------------------------------------
 # dispatch and oracle
 
@@ -433,9 +423,10 @@ def charts(d, fld):
 
     Affine space is one chart.  Each Schubert cell of Grass(m, n), with P^n
     as Grass(1, n+1), gives the section pulled back to the cell.  Cells
-    come in lexicographic pivot order with free entries in grid order, the
-    order of :func:`projective_points` and :func:`grassmannian_points`, so
-    scanning the charts in turn lists the points in canonical order.
+    come in lexicographic pivot order with free entries in grid order (the
+    order of :func:`projective_points`, and for Grass(m, n) the canonical
+    order of reduced row-echelon matrices), so scanning the charts in turn
+    lists the points in canonical order.
     """
     poly = d.poly.map_coefficients(fld)
     q = fld.q
@@ -467,14 +458,22 @@ def _fallback(d, fld):
     _check_budget(d, fld, DEFAULT_ORACLE_LIMIT)
     poly = d.poly.map_coefficients(fld)
     for chart, build in charts(d, fld):
-        t = next(kernels.hits(chart), None)
-        if t is not None:
-            return _verify_found(poly, build(t), EXHAUSTIVE)
+        found = next(kernels.hits(chart), None)
+        if found is not None:
+            return _verify_found(poly, build(int(found[0])), EXHAUSTIVE)
     return AvoidanceResult(NO_POINT, EXHAUSTIVE)
 
 
-def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT):
-    """Complete list of avoiding points, canonical order.  Brute force over
-    every chart; independent of the guaranteed searches above."""
+def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
+    """``(count, points)``: the number of avoiding points and the first
+    ``max_listed`` of them (all of them when None), canonical order.  Brute
+    force over every chart, independent of the guaranteed searches above;
+    hits are counted chunk by chunk, and only listed points are built."""
     _check_budget(d, fld, limit)
-    return [build(t) for chart, build in charts(d, fld) for t in kernels.hits(chart)]
+    count, points = 0, []
+    for chart, build in charts(d, fld):
+        for found in kernels.hits(chart):
+            count += len(found)
+            room = len(found) if max_listed is None else max_listed - len(points)
+            points.extend(build(t) for t in found[:room].tolist())
+    return count, points

@@ -53,42 +53,102 @@ def _field_json(fld):
     }
 
 
-def _elt(fld, a):
-    return fld.coords(a)
+class _Coordinates(dict):
+    """Coordinate vectors of a field's elements, each built once: a memo
+    that lives for one request.  A document shares one tuple per element,
+    and :func:`_emit` renders each tuple once per nesting depth."""
+
+    def __init__(self, fld):
+        super().__init__()
+        self.fld = fld
+
+    def __missing__(self, a):
+        vec = self[a] = tuple(self.fld.coords(a))
+        return vec
 
 
-def _point_json(point, fld):
+def _point_json(point, elt):
+    """A point as JSON, its coordinates read from the memo ``elt``."""
     if isinstance(point, ProjectivePoint):
         return {
             "kind": "projective",
-            "coordinates": [_elt(fld, c) for c in point.coords],
+            "coordinates": [elt[c] for c in point.coords],
         }
     if isinstance(point, GrassmannianPoint):
         return {
             "kind": "grassmannian",
-            "matrix": [[_elt(fld, c) for c in row] for row in point.matrix],
-            "plucker": [_elt(fld, c) for c in point.plucker],
+            "matrix": [[elt[c] for c in row] for row in point.matrix],
+            "plucker": [elt[c] for c in point.plucker],
         }
-    return {"kind": "affine", "coordinates": [_elt(fld, c) for c in point]}
+    return {"kind": "affine", "coordinates": [elt[c] for c in point]}
 
 
-def _trace_json(trace, fld):
+def _trace_json(trace, elt):
     out = []
     for step in trace or []:
         kind, value = step
         label = f"x{kind}" if isinstance(kind, int) else str(kind)
         if isinstance(value, int):
-            out.append({"step": label, "value": _elt(fld, value)})
+            out.append({"step": label, "value": elt[value]})
         elif isinstance(value, tuple):
-            out.append({"step": label, "value": [_elt(fld, v) for v in value]})
+            out.append({"step": label, "value": [elt[v] for v in value]})
         else:
             out.append({"step": label, "value": str(value)})
     return out
 
 
 def _emit(doc, stream):
-    json.dump(doc, stream, indent=2)
+    """Write ``doc`` and a newline, byte for byte as ``json.dump(doc,
+    stream, indent=2)`` would; every key must be a string."""
+    _write(doc, 0, stream.write, {})
     stream.write("\n")
+
+
+def _write(value, depth, write, rendered):
+    """Write the indented JSON text of ``value`` at nesting ``depth``.
+
+    The document and its values are written item by item, and deeper
+    values whole: the long listings of a document are its values, so the
+    text held at once is about one listed item."""
+    if depth > 1 or not value or not isinstance(value, (dict, list)):
+        write(_text(value, depth, rendered))
+        return
+    is_dict = isinstance(value, dict)
+    inner = "\n" + "  " * (depth + 1)
+    sep = ("{" if is_dict else "[") + inner
+    for key, item in value.items() if is_dict else enumerate(value):
+        write(f"{sep}{json.dumps(key)}: " if is_dict else sep)
+        _write(item, depth + 1, write, rendered)
+        sep = "," + inner
+    write("\n" + "  " * depth + ("}" if is_dict else "]"))
+
+
+def _text(value, depth, rendered):
+    """The indented JSON text of ``value`` at nesting ``depth``.
+
+    Keys and scalars go through :func:`json.dumps`.  The text of a tuple
+    is kept in ``rendered`` by its identity and depth: tuples are the
+    shared coordinate vectors (see :class:`_Coordinates`), rendered once
+    per depth, and the document holds each of them, so no identity is
+    reused while it is written."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, tuple):
+        key = (id(value), depth)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = _text(list(value), depth, rendered)
+        return text
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {_text(v, depth + 1, rendered)}" for k, v in value.items())
+        brackets = "{}"
+    else:
+        items = (_text(v, depth + 1, rendered) for v in value)
+        brackets = "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def _shared(flags, **kwargs):
@@ -202,7 +262,7 @@ def _cmd_field_info(args, out):
         "subcommand": "field info",
         "inputs_echo": {"field": args.field},
         "field": _field_json(fld),
-        "generator": _elt(fld, fld.generator()),
+        "generator": fld.coords(fld.generator()),
     }
     _emit(doc, out)
     return EXIT_OK
@@ -232,10 +292,11 @@ def _cmd_avoid(args, out):
             name: list(cols) for name, cols in plucker_variable_names(args.m, args.n)
         }
     if result.found:
-        doc["point"] = _point_json(result.point, fld)
-        doc["trace"] = _trace_json(result.trace, fld)
+        elt = _Coordinates(fld)
+        doc["point"] = _point_json(result.point, elt)
+        doc["trace"] = _trace_json(result.trace, elt)
         doc["verified"] = {
-            "value_at_point": _elt(fld, result.value),
+            "value_at_point": elt[result.value],
             "nonzero": result.value != 0,
         }
         _emit(doc, out)
@@ -250,17 +311,20 @@ def _cmd_oracle(args, out):
         raise ValueError(f"--max-listed must be >= 0, got {args.max_listed}")
     kind = GRASSMANNIAN if args.kind == "grass" else args.kind
     surf, fld = _hypersurface_from_args(args, kind)
-    points = exhaustive_oracle(surf, fld, limit=args.limit)
+    count, points = exhaustive_oracle(
+        surf, fld, limit=args.limit, max_listed=args.max_listed
+    )
+    elt = _Coordinates(fld)
     doc = {
         "subcommand": "oracle",
         "inputs_echo": {"field": args.field, "poly": args.poly, "kind": args.kind},
         "ambient_points": ambient_point_count(surf, fld),
-        "avoiding_count": len(points),
-        "points": [_point_json(p, fld) for p in points[: args.max_listed]],
-        "truncated": len(points) > args.max_listed,
+        "avoiding_count": count,
+        "points": [_point_json(p, elt) for p in points],
+        "truncated": count > args.max_listed,
     }
     _emit(doc, out)
-    return EXIT_OK if points else EXIT_NO_POINT
+    return EXIT_OK if count else EXIT_NO_POINT
 
 
 def _cmd_curve_point(args, out):
@@ -271,6 +335,7 @@ def _cmd_curve_point(args, out):
     divisor = curvepoint.CurveDivisor(gpoly)
     result = curvepoint.point_off_divisor(curve, divisor, fld)
     k2 = result.k2
+    elt1, elt2 = _Coordinates(fld), _Coordinates(k2)
     doc = {
         "subcommand": "curve point",
         "inputs_echo": {
@@ -282,10 +347,10 @@ def _cmd_curve_point(args, out):
         "k1": _field_json(result.k1),
         "k2": _field_json(k2),
         "extension_degree": result.ext_degree,
-        "point": _point_json(result.point, k2),
-        "projection_center": _point_json(result.center, fld),
-        "fiber_parameter": _point_json(result.fiber_parameter, fld),
-        "orbit": [_point_json(p, k2) for p in result.orbit],
+        "point": _point_json(result.point, elt2),
+        "projection_center": _point_json(result.center, elt1),
+        "fiber_parameter": _point_json(result.fiber_parameter, elt1),
+        "orbit": [_point_json(p, elt2) for p in result.orbit],
         "verified": result.flags,
     }
     _emit(doc, out)

@@ -381,5 +381,6 @@ def enumerate_curve_points(curve, fld):
     return [
         build(t)
         for chart, build in charts(plane, fld)
-        for t in kernels.hits(chart, zero=True)
+        for found in kernels.hits(chart, zero=True)
+        for t in found.tolist()
     ]

@@ -66,23 +66,28 @@ def _grid_eval_python(poly, stop, start=0):
 
 
 def hits(poly, zero=False):
-    """Ascending grid indices (canonical order) where ``poly`` is nonzero,
-    or where it vanishes when ``zero`` is set.
+    """Grid indices (canonical order) where ``poly`` is nonzero, or where it
+    vanishes when ``zero`` is set: one ascending int64 array of absolute
+    indices per chunk that has any.
 
     The grid is evaluated in chunks of at most ``_CHUNK`` points, so a
-    caller that stops at the first hit evaluates one chunk.
+    caller that stops at the first array evaluates only the chunks up to
+    its first hit, and a caller that counts never holds more than a chunk.
     """
     total = poly.field.q ** poly.nvars
     for start in range(0, total, _CHUNK):
         values = grid_eval(poly, start, min(start + _CHUNK, total))
-        for t in np.flatnonzero(values == 0 if zero else values):
-            yield start + int(t)
+        found = np.flatnonzero(values == 0 if zero else values)
+        if len(found):
+            found += start
+            yield found
 
 
 def first_zero(poly):
     """Index of the first grid point (canonical order) where ``poly``
     vanishes, or None."""
-    return next(hits(poly, zero=True), None)
+    found = next(hits(poly, zero=True), None)
+    return None if found is None else int(found[0])
 
 
 def decode_point(t, q, n):

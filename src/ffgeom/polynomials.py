@@ -239,19 +239,27 @@ class MultivariatePolynomial:
         """Substitute a polynomial in the *remaining* variables for ``var``
         and drop that variable, reindexing the ones above it down by one.
 
-        ``replacement`` must be a polynomial in nvars-1 variables.
+        ``replacement`` must be a polynomial in nvars-1 variables.  Each
+        term maps directly: its exponents without ``var``, times a cached
+        power of the replacement, so the cost is linear in nvars per term.
         """
-        n = self.nvars
-        reps = []
-        for i in range(n):
-            if i == var:
-                reps.append(replacement)
-            else:
-                j = i if i < var else i - 1
-                reps.append(
-                    MultivariatePolynomial.variable(j, n - 1, self.field)
-                )
-        return self.substitute(reps)
+        if replacement.nvars != self.nvars - 1:
+            raise ArityMismatch("replacement needs one variable fewer")
+        if replacement.field != self.field:
+            raise FieldMismatch("replacement over another field")
+        fld = self.field
+        powers = {}
+
+        def terms():
+            for exps, c in self.terms.items():
+                e = exps[var]
+                if e not in powers:
+                    powers[e] = replacement ** e
+                rest = exps[:var] + exps[var + 1:]
+                for pe, pc in powers[e].terms.items():
+                    yield tuple(map(operator.add, rest, pe)), fld.mul(c, pc)
+
+        return MultivariatePolynomial(self.nvars - 1, fld, terms())
 
     def decompose_top_variable(self, var):
         """Coefficients (phi_0, ..., phi_t) of powers of ``var``, each in

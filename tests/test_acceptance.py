@@ -132,10 +132,10 @@ def test_criterion_3_oracle_agreement():
     f2 = field_for(2)
     neg = parse_polynomial("x0*x1*(x0+x1)", f2, 2)
     d_aff = Hypersurface(neg, AFFINE, (2,))
-    ok &= exhaustive_oracle(d_aff, f2) == []
+    ok &= exhaustive_oracle(d_aff, f2) == (0, [])
     ok &= not avoid(d_aff, f2).found
     d_proj = Hypersurface(neg, PROJECTIVE, (1,))
-    ok &= exhaustive_oracle(d_proj, f2) == []
+    ok &= exhaustive_oracle(d_proj, f2) == (0, [])
     ok &= not avoid(d_proj, f2).found
 
     for q in (2, 3, 4, 5, 7):
@@ -158,7 +158,7 @@ def test_criterion_3_oracle_agreement():
                 poly = random_homogeneous_poly(rng, fld, 6, rng.randint(1, 2))
                 d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
             res = avoid(d, fld)
-            oracle = exhaustive_oracle(d, fld, limit=10 ** 5)
+            _, oracle = exhaustive_oracle(d, fld, limit=10 ** 5)
             ok &= res.found == bool(oracle)
             if res.found:
                 if d.kind == AFFINE:

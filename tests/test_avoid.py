@@ -1,9 +1,12 @@
 import importlib
 import random
+import sys
+import time
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from ffgeom.avoid import (
@@ -25,7 +28,6 @@ from ffgeom.avoid import (
     avoid_projective,
     exhaustive_oracle,
     grass_cell_pullback,
-    grassmannian_points,
     plucker,
     plucker_variable_names,
     projective_points,
@@ -48,6 +50,7 @@ F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F7 = make_field(7)
 F9 = make_field(3, 2)
 
 
@@ -57,6 +60,23 @@ def affine(text, fld, n):
 
 def projective(text, fld, n):
     return Hypersurface(parse_polynomial(text, fld, n + 1), PROJECTIVE, (n,))
+
+
+def grassmannian_points(fld, m, n):
+    """All points of Grass(m,n)(fld), one reduced row-echelon representative
+    each; cells in lexicographic pivot-column order, free entries in grid
+    order.  Built one at a time: the per-point reference for the charts."""
+    for pivots in combinations(range(n), m):
+        free_positions = [
+            (i, j) for i in range(m) for j in range(pivots[i] + 1, n) if j not in pivots
+        ]
+        for values in product(fld.enumerate_elements(), repeat=len(free_positions)):
+            matrix = [[0] * n for _ in range(m)]
+            for i, pc in enumerate(pivots):
+                matrix[i][pc] = 1
+            for (i, j), v in zip(free_positions, values):
+                matrix[i][j] = v
+            yield GrassmannianPoint(matrix, fld)
 
 
 class TestHypersurfaceValidation:
@@ -197,6 +217,23 @@ class TestProjective:
             assert res.outcome == FOUND and res.mode == GUARANTEED
             assert poly.eval(res.point.coords) != 0
 
+    def test_high_dimension_is_fast(self):
+        # each pencil level maps the terms directly, not through n fresh
+        # variables: --dim 400 took ~4 s when every level built them
+        d = projective("x0^7", F7, 400)
+        start = time.perf_counter()
+        res = avoid_projective(d, F7)
+        assert time.perf_counter() - start < 1.5
+        assert res.mode == GUARANTEED
+        assert res.point.coords == (1,) * 400 + (0,)
+        assert res.trace == [("pencil", 1)] * 399 + [("point", (1, 0))]
+
+    def test_dimension_above_recursion_limit(self):
+        # one pencil level per dimension, in a loop: no RecursionError
+        n = sys.getrecursionlimit() + 10
+        res = avoid_projective(projective("x0^7", F7, n), F7)
+        assert res.point.coords == (1,) * n + (0,)
+
     def test_fallback_agrees_with_oracle(self, rng):
         fld = F2
         for _ in range(40):
@@ -204,7 +241,7 @@ class TestProjective:
             poly = random_homogeneous_poly(rng, fld, n + 1, 3)
             d = Hypersurface(poly, PROJECTIVE, (n,))
             res = avoid_projective(d, fld)
-            oracle = exhaustive_oracle(d, fld)
+            _, oracle = exhaustive_oracle(d, fld)
             if oracle:
                 assert res.outcome == FOUND and res.point == oracle[0]
             else:
@@ -305,7 +342,7 @@ class TestGrassmannian:
             poly = random_homogeneous_poly(rng, F2, 6, rng.randint(1, 2))
             d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
             res = avoid_grassmannian(d, F2)
-            oracle = exhaustive_oracle(d, F2)
+            _, oracle = exhaustive_oracle(d, F2)
             if oracle:
                 assert res.outcome == FOUND
                 assert res.point == oracle[0]
@@ -334,17 +371,17 @@ class TestOracle:
     def test_counts_projective_example(self):
         # x0*x1*x2 on P^2(F_3): points with all coordinates nonzero
         d = projective("x0*x1*x2", F3, 2)
-        pts = exhaustive_oracle(d, F3)
-        assert len(pts) == 4
+        count, pts = exhaustive_oracle(d, F3)
+        assert count == len(pts) == 4
         assert pts[0] == ProjectivePoint((1, 1, 1), F3)
 
     def test_negative_control_affine(self):
         d = affine("x0*x1*(x0+x1)", F2, 2)
-        assert exhaustive_oracle(d, F2) == []
+        assert exhaustive_oracle(d, F2) == (0, [])
 
     def test_negative_control_projective(self):
         d = projective("x0*x1*(x0+x1)", F2, 1)
-        assert exhaustive_oracle(d, F2) == []
+        assert exhaustive_oracle(d, F2) == (0, [])
 
     def test_limit(self):
         d = affine("x0 + 1", F5, 12)
@@ -373,7 +410,7 @@ class TestOracle:
                 poly = random_homogeneous_poly(rng, fld, n + 1, rng.randint(1, 4))
                 d = Hypersurface(poly, PROJECTIVE, (n,))
             res = avoid(d, fld)
-            oracle = exhaustive_oracle(d, fld)
+            _, oracle = exhaustive_oracle(d, fld)
             assert res.found == bool(oracle)
             if res.found:
                 if res.mode == EXHAUSTIVE:
@@ -428,7 +465,7 @@ class TestSharedCharts:
                             continue
                 d = Hypersurface(poly, kind, params)
                 reference = _per_point_oracle(d, fld)
-                assert exhaustive_oracle(d, fld) == reference
+                assert exhaustive_oracle(d, fld) == (len(reference), reference)
                 res = avoid(d, fld)
                 assert res.found == bool(reference)
                 if res.found:
@@ -436,10 +473,52 @@ class TestSharedCharts:
                     if res.mode == EXHAUSTIVE:
                         assert res.point == reference[0]
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_listing_cut_matches_per_point_reference(self, q):
+        rng = random.Random(1400 + q)
+        fld = field_for(q)
+        for kind, params, nvars in _shapes(q):
+            if kind == AFFINE:
+                poly = random_poly(rng, fld, nvars, 2 * q)
+            else:
+                poly = random_homogeneous_poly(rng, fld, nvars, rng.randint(1, q + 1))
+            d = Hypersurface(poly, kind, params)
+            reference = _per_point_oracle(d, fld)
+            c = len(reference)
+            for max_listed in sorted({0, 1, max(c - 1, 0), c, c + 1}) + [None]:
+                count, points = exhaustive_oracle(d, fld, max_listed=max_listed)
+                assert count == c
+                assert points == reference[:max_listed]
+
+    def test_listing_that_starts_in_the_second_chunk(self):
+        # over F_2 in b+1 variables, x0 is 1 from index 2^b on: the hits of
+        # x0*(x_b + 1) are the even indices of the second chunk
+        bits = kernels._CHUNK.bit_length() - 1
+        d = affine(f"x0*(x{bits} + 1)", F2, bits + 1)
+        reference = _per_point_oracle(d, F2)
+        c = len(reference)
+        assert c == kernels._CHUNK // 2
+        assert reference[0] == (1,) + (0,) * bits
+        for max_listed in (0, 1, c - 1, c, c + 1, None):
+            count, points = exhaustive_oracle(d, F2, max_listed=max_listed)
+            assert count == c
+            assert points == reference[:max_listed]
+
+    def test_oracle_builds_only_listed_points(self, monkeypatch):
+        avoid_module = importlib.import_module("ffgeom.avoid")
+        calls = []
+        plucker_fn = avoid_module.plucker
+        monkeypatch.setattr(avoid_module, "plucker",
+                            lambda matrix, fld: calls.append(1) or plucker_fn(matrix, fld))
+        d = Hypersurface(parse_polynomial("x0*x5", F3, 6), GRASSMANNIAN, (2, 4))
+        count, points = exhaustive_oracle(d, F3, max_listed=3)
+        assert count > 3 and len(points) == len(calls) == 3
+
     def test_no_point_grassmannian(self):
         # the Pluecker relation vanishes on all of Grass(2,4)
         d = Hypersurface(parse_polynomial("x0*x5 + x1*x4 + x2*x3", F2, 6), GRASSMANNIAN, (2, 4))
-        assert exhaustive_oracle(d, F2) == [] == _per_point_oracle(d, F2)
+        assert exhaustive_oracle(d, F2) == (0, [])
+        assert _per_point_oracle(d, F2) == []
         assert avoid(d, F2).outcome == NO_POINT
 
     @pytest.mark.parametrize("kind,text,params,nvars,bad", [
@@ -451,7 +530,7 @@ class TestSharedCharts:
                                                       params, nvars, bad):
         # the soundness check runs on fallback results too, under python -O
         d = Hypersurface(parse_polynomial(text, F2, nvars), kind, params)
-        monkeypatch.setattr(kernels, "hits", lambda poly, zero=False: iter([bad]))
+        monkeypatch.setattr(kernels, "hits", lambda poly, zero=False: iter([np.array([bad])]))
         with pytest.raises(InternalContradiction):
             avoid(d, F2)
 

@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffgeom import cli
 from ffgeom.cli import EXIT_NO_POINT, EXIT_OK, EXIT_PRECONDITION, run
@@ -140,6 +141,58 @@ def fresh_process(argv):
     proc = subprocess.run([sys.executable, "-m", "ffgeom.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _emitted(doc):
+    buf = io.StringIO()
+    cli._emit(doc, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
+def test_writer_matches_json_dump_on_goldens(name):
+    with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    assert _emitted(doc) == json.dumps(doc, indent=2) + "\n" == text
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+    | st.floats() | st.text()
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_DOCS)
+def test_writer_matches_json_dump(doc):
+    assert _emitted(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(_SCALARS, max_size=3), _DOCS)
+def test_writer_matches_json_dump_on_shared_lists(vec, doc):
+    # one tuple held at several depths and several times at one depth, as
+    # the coordinate memos make it, and a list held the same ways
+    tup = tuple(vec)
+    shared = {"a": tup, "b": [tup, tup, [tup, (tup, doc)]], "c": {"d": tup, "e": vec},
+              "f": [vec, vec, [vec]], "g": doc}
+    assert _emitted(shared) == json.dumps(shared, indent=2) + "\n"
+
+
+def test_coordinate_memo_shares_one_list_per_element():
+    fld = cli.parse_field_spec("9")
+    elt = cli._Coordinates(fld)
+    point = cli._point_json((3, 4, 3), elt)
+    first, second, third = point["coordinates"]
+    assert first is third
+    assert list(first) == fld.coords(3) and list(second) == fld.coords(4)
+    assert len(elt) == 2
 
 
 def test_parser_reused_across_requests():

@@ -1,7 +1,6 @@
 import functools
 import random
 import time
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -139,8 +138,15 @@ class TestHits:
         for _ in range(3):
             poly = random_poly(rng, fld, n, 3)
             values = kernels.grid_eval(poly)
-            assert list(kernels.hits(poly)) == np.flatnonzero(values).tolist()
-            assert list(kernels.hits(poly, zero=True)) == np.flatnonzero(values == 0).tolist()
+            for zero, expected in ((False, values != 0), (True, values == 0)):
+                arrays = list(kernels.hits(poly, zero=zero))
+                assert all(a.dtype == np.int64 and len(a) for a in arrays)
+                # one array per chunk that has a hit
+                chunks = {int(t) // kernels._CHUNK for t in np.flatnonzero(expected)}
+                assert [int(a[0]) // kernels._CHUNK for a in arrays] == sorted(chunks)
+                assert all(a[-1] // kernels._CHUNK == a[0] // kernels._CHUNK for a in arrays)
+                joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+                assert joined.tolist() == np.flatnonzero(expected).tolist()
 
     @pytest.mark.parametrize("text,zero,first", [
         ("x0", False, 2 ** 16),
@@ -154,11 +160,11 @@ class TestHits:
     ])
     def test_first_hit_at_chunk_edge(self, text, zero, first):
         poly = parse_polynomial(text, make_field(2), 17)
-        assert next(kernels.hits(poly, zero=zero)) == first
+        assert next(kernels.hits(poly, zero=zero))[0] == first
         values = kernels.grid_eval(poly)
         assert np.flatnonzero(values == 0 if zero else values)[0] == first
 
     def test_point_scan_above_table_limit(self):
         fld = make_field(2, 17)
         poly = parse_polynomial("x0 + [1,0,1]", fld)  # zero only at 5
-        assert list(islice(kernels.hits(poly), 6)) == [0, 1, 2, 3, 4, 6]
+        assert next(kernels.hits(poly))[:6].tolist() == [0, 1, 2, 3, 4, 6]
