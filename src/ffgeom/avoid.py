@@ -214,22 +214,27 @@ def avoid_affine(d, fld):
 
 
 def _affine_recurse(poly, fld):
-    n = poly.nvars
-    used = poly.variables_used()
-    if not used:
-        # nonzero constant: the all-zero point works
-        return [0] * n, []
-    var = max(used)
-    phis = poly.decompose_top_variable(var)
-    sub_point, sub_trace = _affine_recurse(phis[-1], fld)
-    # univariate in the chosen variable
-    restricted = UnivariatePolynomial([phi.eval(sub_point) for phi in phis], fld)
-    choice = next((x for x in fld.enumerate_elements() if restricted.eval(x)), None)
-    if choice is None:  # q > t guarantees a choice
-        raise InternalContradiction("degree bound violated in the affine recursion")
-    point = list(sub_point[:var]) + [choice] + list(sub_point[var:])
-    trace = [(i if i < var else i + 1, v) for i, v in sub_trace]
-    trace.append((var, choice))
+    """Point and trace of the guaranteed affine induction, in a loop, so the
+    depth of the call stack does not grow with the number of variables:
+    descend through the top coefficients of the highest occurring variables
+    to a nonzero constant, then choose one value per level on the way back."""
+    levels = []
+    while used := poly.variables_used():
+        var = max(used)
+        phis = poly.decompose_top_variable(var)
+        levels.append((var, phis))
+        poly = phis[-1]
+    # nonzero constant: the all-zero point works
+    point, trace = [0] * poly.nvars, []
+    for var, phis in reversed(levels):
+        # univariate in the chosen variable
+        restricted = UnivariatePolynomial([phi.eval(point) for phi in phis], fld)
+        choice = next((x for x in fld.enumerate_elements() if restricted.eval(x)), None)
+        if choice is None:  # q > t guarantees a choice
+            raise InternalContradiction("degree bound violated in the affine recursion")
+        point = point[:var] + [choice] + point[var:]
+        trace = [(i if i < var else i + 1, v) for i, v in trace]
+        trace.append((var, choice))
     return point, trace
 
 

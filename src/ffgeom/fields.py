@@ -357,18 +357,13 @@ def _embedding_powers(sub, sup):
         return None
     if sub.k == 1:
         return None
-    # image of sub's generator: first root of sub's modulus in sup
-    img = None
-    for x in sup.enumerate_elements():
-        acc = 0
-        xp = 1
-        for c in sub.modulus:
-            if c:
-                acc = sup.add(acc, sup.mul(c, xp))
-            xp = sup.mul(xp, x)
-        if acc == 0:
-            img = x
-            break
+    # image of sub's generator: first root of sub's modulus in sup, found by
+    # the grid kernel (imported here: polynomials imports this module)
+    from .kernels import first_zero
+    from .polynomials import MultivariatePolynomial
+
+    img = first_zero(MultivariatePolynomial(
+        1, sup, {(i,): c for i, c in enumerate(sub.modulus) if c}))
     if img is None:
         raise NoEmbedding("modulus has no root in the larger field")  # unreachable
     powers = [1]

@@ -9,12 +9,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
+
 from .errors import InternalContradiction, SpaceTooLarge
 
-# cohomology evaluations a partner search or criterion scan may make,
-# counted before it starts (~15 us each; a partner search counts each
-# evaluation once per part of E, since it sums rank E x rank F line bundles)
-MAX_EVALUATIONS = 10 ** 5
+# line bundles a partner search or criterion scan may sum, counted before it
+# starts: the sum of rank E over the types E it checks times the sum of
+# rank F over the box, which is the number of entries its degree arrays hold
+MAX_LINE_BUNDLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,57 @@ def splitting_types(rank_max, coeff_bound):
             yield SplittingType(parts)
 
 
-def type_count(rank_max, coeff_bound):
-    """Number of types :func:`splitting_types` yields, summed by rank with
-    ``comb``; the sum stops once it passes ``MAX_EVALUATIONS``."""
+def line_bundle_count(rank_max, coeff_bound):
+    """Sum of the ranks of the types :func:`splitting_types` yields, summed
+    by rank with ``comb``; the sum stops once it passes ``MAX_LINE_BUNDLES``."""
     width = 2 * coeff_bound + 1
     count = 0
     for rank in range(1, rank_max + 1):
-        if width < 1 or count > MAX_EVALUATIONS:
+        if width < 1 or count > MAX_LINE_BUNDLES:
             break
-        count += comb(width + rank - 1, rank)
+        count += rank * comb(width + rank - 1, rank)
     return count
 
 
-def _check_budget(evaluations, what):
-    if evaluations > MAX_EVALUATIONS:
-        raise SpaceTooLarge(f"{what} needs more than {MAX_EVALUATIONS} "
-                            "cohomology evaluations")
+def _check_budget(line_bundles, what):
+    if line_bundles > MAX_LINE_BUNDLES:
+        raise SpaceTooLarge(f"{what} needs more than {MAX_LINE_BUNDLES} line bundles")
+
+
+def _box(rank_bound, search_bound):
+    """The partner box in canonical order, one ``(parts, degrees)`` pair per
+    rank r: an int64 array of shape (n_r, r) whose rows are the types F of
+    rank r, and their degrees, summed apart from the array."""
+    blocks = {}
+    for f in splitting_types(rank_bound, search_bound):
+        blocks.setdefault(f.rank, []).append(f)
+    return [
+        (np.array([f.parts for f in fs], dtype=np.int64),
+         np.array([f.degree for f in fs], dtype=np.int64))
+        for fs in blocks.values()
+    ]
+
+
+def _first_partner(e, box):
+    """First F of ``box`` (rank blocks in order) with H^0(E (x) F) =
+    H^1(E (x) F) = 0, or None.  Each rank block is evaluated as one
+    (n_r, rank E, r) array of the degrees a_i + b_j, and every row is
+    checked against the Euler characteristic deg E*r + deg F*rank E +
+    rank E*r before a row is taken."""
+    a = np.array(e.parts, dtype=np.int64)
+    s = len(a)
+    for parts, degrees in box:
+        r = parts.shape[1]
+        chi = a[:, None] + parts[:, None, :]
+        chi += 1  # h0 - h1 of each line bundle O(d) is d + 1
+        h0 = np.maximum(chi, 0).sum(axis=(1, 2))
+        h1 = -np.minimum(chi, 0).sum(axis=(1, 2))
+        if not np.array_equal(h0 - h1, e.degree * r + degrees * s + s * r):
+            raise InternalContradiction("Euler characteristic mismatch")
+        hits = np.flatnonzero((h0 == 0) & (h1 == 0))
+        if len(hits):
+            return SplittingType(parts[hits[0]].tolist())
+    return None
 
 
 def find_partner(e, search_bound, rank_bound):
@@ -115,12 +152,12 @@ def find_partner(e, search_bound, rank_bound):
     Analytically a partner exists iff all parts of E are equal (then
     O(-a-1) works), so any box with search_bound >= |a|+1 suffices.
     """
-    _check_budget(type_count(rank_bound, search_bound) * e.rank, "the partner box")
-    for f in splitting_types(rank_bound, search_bound):
-        dims = cohomology_dims(tensor(e, f))
-        if dims.h0 == 0 and dims.h1 == 0:
-            return f
-    return None
+    _check_budget(e.rank * line_bundle_count(rank_bound, search_bound), "the partner box")
+    if max(map(abs, e.parts)) > search_bound + 1:
+        # a + b = -1 needs |b| >= |a| - 1 > search_bound; this also keeps
+        # parts past int64 out of the arrays
+        return None
+    return _first_partner(e, _box(rank_bound, search_bound))
 
 
 @dataclass
@@ -146,13 +183,14 @@ def verify_criterion(rank_max, coeff_bound, search_bound, rank_bound):
     coeff_bound + 1 so the analytic partner lies inside the box."""
     if search_bound < coeff_bound + 1:
         raise ValueError("search_bound must be >= coeff_bound + 1")
-    _check_budget(type_count(rank_max, coeff_bound) * type_count(rank_bound, search_bound),
-                  "the scan")
+    _check_budget(line_bundle_count(rank_max, coeff_bound)
+                  * line_bundle_count(rank_bound, search_bound), "the scan")
+    box = _box(rank_bound, search_bound)
     report = CriterionReport(rank_max, coeff_bound, search_bound, rank_bound)
     for e in splitting_types(rank_max, coeff_bound):
         report.total_types += 1
         ss = is_semistable(e)
-        partner = find_partner(e, search_bound, rank_bound)
+        partner = _first_partner(e, box)
         if ss:
             report.semistable_count += 1
         if partner is not None:

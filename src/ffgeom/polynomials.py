@@ -571,6 +571,10 @@ def find_root_in_tower(f, max_degree):
 # ---------------------------------------------------------------------------
 # text format
 
+# parentheses the parser may nest: it descends four calls per level, so this
+# keeps a parse well inside Python's default recursion limit
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text, nvars, field):
@@ -681,8 +685,24 @@ def count_variables(text):
     return (max(indices) + 1) if indices else 0
 
 
+def _check_nesting(text):
+    """Raise ParseError where the parentheses of ``text`` first nest deeper
+    than ``MAX_NESTING``."""
+    if text.count("(") <= MAX_NESTING:
+        return
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        elif ch == ")":
+            depth -= 1
+
+
 def parse_polynomial(text, field, nvars=None):
     """Parse the package text format into a MultivariatePolynomial."""
+    _check_nesting(text)
     if nvars is None:
         nvars = max(count_variables(text), 1)
     parser = _Parser(text, nvars, field)

@@ -20,6 +20,7 @@ from ffgeom.avoid import (
     GrassmannianPoint,
     Hypersurface,
     ProjectivePoint,
+    _affine_recurse,
     _section_coords,
     ambient_point_count,
     avoid,
@@ -42,7 +43,7 @@ from ffgeom.errors import (
     ZeroPolynomial,
 )
 from ffgeom.fields import make_field
-from ffgeom.polynomials import MultivariatePolynomial, parse_polynomial
+from ffgeom.polynomials import MultivariatePolynomial, UnivariatePolynomial, parse_polynomial
 
 from conftest import field_for, random_homogeneous_poly, random_poly
 
@@ -60,6 +61,22 @@ def affine(text, fld, n):
 
 def projective(text, fld, n):
     return Hypersurface(parse_polynomial(text, fld, n + 1), PROJECTIVE, (n,))
+
+
+def _affine_recurse_reference(poly, fld):
+    """The guaranteed affine induction as a recursion, one call per level."""
+    used = poly.variables_used()
+    if not used:
+        return [0] * poly.nvars, []
+    var = max(used)
+    phis = poly.decompose_top_variable(var)
+    sub_point, sub_trace = _affine_recurse_reference(phis[-1], fld)
+    restricted = UnivariatePolynomial([phi.eval(sub_point) for phi in phis], fld)
+    choice = next(x for x in fld.enumerate_elements() if restricted.eval(x))
+    point = list(sub_point[:var]) + [choice] + list(sub_point[var:])
+    trace = [(i if i < var else i + 1, v) for i, v in sub_trace]
+    trace.append((var, choice))
+    return point, trace
 
 
 def grassmannian_points(fld, m, n):
@@ -177,6 +194,22 @@ class TestAffine:
             for var, val in res.trace:
                 replay[var] = val
             assert tuple(replay) == res.point
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+    def test_loop_matches_recursion(self, q):
+        rng = random.Random(700 + q)
+        fld = field_for(q)
+        for _ in range(40):
+            poly = random_poly(rng, fld, rng.randint(1, 4), min(q - 1, 4))
+            assert _affine_recurse(poly, fld) == _affine_recurse_reference(poly, fld)
+
+    def test_variables_above_recursion_limit(self):
+        # one level per variable, in a loop: no RecursionError
+        n = 1100
+        fld = make_field(1201)
+        res = avoid_affine(affine("*".join(f"x{i}" for i in range(n)), fld, n), fld)
+        assert res.mode == GUARANTEED and res.point == (1,) * n
+        assert res.trace == [(i, 1) for i in range(n)]
 
     def test_deterministic(self, rng):
         for _ in range(20):

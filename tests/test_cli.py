@@ -98,6 +98,22 @@ GOLDEN_CASES = [
         ["p1", "scan", "--rank-max", "2", "--coeff-bound", "1"],
         EXIT_OK,
     ),
+    # the benchmark's two scan slots and a balanced type in the default box
+    (
+        "p1_scan_r4_c2",
+        ["p1", "scan", "--rank-max", "4", "--coeff-bound", "2"],
+        EXIT_OK,
+    ),
+    (
+        "p1_scan_r3_c3",
+        ["p1", "scan", "--rank-max", "3", "--coeff-bound", "3"],
+        EXIT_OK,
+    ),
+    (
+        "p1_verify_balanced_rank3",
+        ["p1", "verify", "--type=-3,-3,-3"],
+        EXIT_OK,
+    ),
 ]
 
 
@@ -255,7 +271,9 @@ class TestExitCodes:
         ["p1", "scan", "--rank-max", "5", "--coeff-bound", "3"],
         ["p1", "verify", "--type=0,1", "--search-bound", "20", "--rank-bound", "4"],
         ["p1", "scan", "--rank-max", "1000000000", "--coeff-bound", "1000000000"],
-    ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge"])
+        # 1 + 2 + ... + 1414 line bundles, one past the budget
+        ["p1", "verify", "--type=0", "--search-bound", "0", "--rank-bound", "1414"],
+    ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414"])
     def test_over_budget_fails_fast(self, argv):
         start = time.perf_counter()
         code, out, err = invoke(argv)
@@ -275,13 +293,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("parts", [1001, 3001])
     def test_partner_budget_counts_parts(self, parts):
-        # the default box has 363 types, so at most 275 parts fit the budget
+        # the default box sums 1001 line bundles, so at most 999 parts fit the budget
         argv = ["p1", "verify", "--type=" + ",".join(["1"] + ["0"] * (parts - 1))]
         start = time.perf_counter()
         code, out, err = invoke(argv)
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert "more than" in err
         assert time.perf_counter() - start < 0.1
+
+    def test_deep_nesting_fails_fast(self):
+        depth = 10000
+        start = time.perf_counter()
+        code, out, err = invoke(["avoid", "affine", "--field", "5",
+                                 "--poly", "(" * depth + "x0" + ")" * depth])
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "nested deeper than" in err
+        assert time.perf_counter() - start < 0.1
+
+    def test_largest_rank_bound_in_budget_returns_fast(self):
+        # 1 + 2 + ... + 1413 line bundles fit the budget; no zero type is a partner
+        start = time.perf_counter()
+        code, out, _ = invoke(["p1", "verify", "--type=0", "--search-bound", "0",
+                               "--rank-bound", "1413"])
+        assert code == EXIT_NO_POINT and json.loads(out)["partner"] is None
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_subcommand(self):
         code, _, _ = invoke([])

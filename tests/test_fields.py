@@ -13,7 +13,14 @@ from ffgeom.errors import (
     SizeLimitExceeded,
 )
 from ffgeom import kernels
-from ffgeom.fields import DEFAULT_SIZE_LIMIT, FiniteField, _prime_factors, embed, make_field
+from ffgeom.fields import (
+    DEFAULT_SIZE_LIMIT,
+    FiniteField,
+    _embedding_powers,
+    _prime_factors,
+    embed,
+    make_field,
+)
 
 from conftest import PRIME_POWERS_64, field_for
 
@@ -302,6 +309,22 @@ class TestEmbedding:
     def test_no_embedding(self):
         with pytest.raises(NoEmbedding):
             embed(1, make_field(2, 2), make_field(2, 3))
+
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 4), (2, 3, 6), (3, 2, 4)])
+    def test_image_matches_scalar_scan(self, p, k, n):
+        sub, sup = make_field(p, k), make_field(p, n)
+
+        def modulus_at(x):
+            acc, xp = 0, 1
+            for c in sub.modulus:
+                acc = sup.add(acc, sup.mul(c, xp))
+                xp = sup.mul(xp, x)
+            return acc
+
+        img = next(x for x in sup.enumerate_elements() if modulus_at(x) == 0)
+        powers = _embedding_powers(sub, sup)
+        assert powers[1] == img
+        assert powers == tuple(sup.pow(img, i) for i in range(k))
 
     def test_tower_compatibility(self):
         f3, f9, f81 = make_field(3), make_field(3, 2), make_field(3, 4)

@@ -1,21 +1,56 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffgeom.errors import SpaceTooLarge
+from ffgeom.errors import InternalContradiction, SpaceTooLarge
 from ffgeom.p1lab import (
-    MAX_EVALUATIONS,
+    MAX_LINE_BUNDLES,
     SplittingType,
+    _box,
+    _first_partner,
     cohomology_dims,
     find_partner,
     is_semistable,
+    line_bundle_count,
     slope,
     splitting_types,
     tensor,
-    type_count,
     verify_criterion,
 )
+
+
+def _find_partner_python(e, search_bound, rank_bound):
+    """Reference partner search: one cohomology evaluation per pair."""
+    for f in splitting_types(rank_bound, search_bound):
+        dims = cohomology_dims(tensor(e, f))
+        if dims.h0 == 0 and dims.h1 == 0:
+            return f
+    return None
+
+
+def _verify_criterion_python(rank_max, coeff_bound, search_bound, rank_bound):
+    """Reference scan: the report fields as a tuple, pair by pair."""
+    total = semistable = partnered = max_rank = 0
+    counterexamples = []
+    for e in splitting_types(rank_max, coeff_bound):
+        total += 1
+        ss = is_semistable(e)
+        partner = _find_partner_python(e, search_bound, rank_bound)
+        semistable += ss
+        if partner is not None:
+            partnered += 1
+            max_rank = max(max_rank, partner.rank)
+        if ss != (partner is not None):
+            counterexamples.append((e, partner))
+    return total, semistable, partnered, max_rank, counterexamples
+
+
+# ranks up to 4 with parts in [-6, 6]; half the draws repeat one part
+_TYPES = st.one_of(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+    st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda ar: [ar[0]] * ar[1]),
+).map(SplittingType)
 
 
 class TestSplittingType:
@@ -100,6 +135,48 @@ class TestPartner:
                 assert large is not None
 
 
+class TestArrayEvaluation:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_TYPES, st.integers(-1, 4), st.integers(0, 4))
+    def test_partner_matches_reference(self, e, search_bound, rank_bound):
+        assert find_partner(e, search_bound, rank_bound) == \
+            _find_partner_python(e, search_bound, rank_bound)
+
+    @pytest.mark.parametrize("args", [
+        (4, 2, 3, 4), (3, 3, 4, 3), (2, 1, 2, 2), (3, 1, 4, 2), (2, 2, 3, 1), (1, 3, 5, 4),
+    ])
+    def test_scan_matches_reference(self, args):
+        report = verify_criterion(*args)
+        assert (report.total_types, report.semistable_count, report.partnered_count,
+                report.max_partner_rank, report.counterexamples) == \
+            _verify_criterion_python(*args)
+
+    def test_huge_parts_have_no_partner(self):
+        # parts past int64 never reach the arrays: no box type can cancel them
+        e = SplittingType([10 ** 30, 10 ** 30])
+        assert find_partner(e, 5, 3) is None
+        assert find_partner(e, 5, 3) == _find_partner_python(e, 5, 3)
+
+    def test_box_in_canonical_order(self):
+        rows = [tuple(row) for parts, _ in _box(3, 2) for row in parts.tolist()]
+        assert rows == [f.parts for f in splitting_types(3, 2)]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_corrupted_degrees_raise(self, rank):
+        # the Euler check compares the arrays with degrees summed apart from
+        # them; it raises, so it holds under python -O as well
+        box = _box(3, 4)
+        box[rank - 1][1][-1] += 1
+        with pytest.raises(InternalContradiction):
+            _first_partner(SplittingType([1, -1]), box)
+
+    def test_corrupted_parts_raise(self):
+        box = _box(2, 4)
+        box[0][0][0, 0] += 1  # a part no longer matches its type's degree
+        with pytest.raises(InternalContradiction):
+            _first_partner(SplittingType([0]), box)
+
+
 class TestCriterion:
     def test_acceptance_instance(self):
         report = verify_criterion(3, 2, 3, 3)
@@ -120,21 +197,33 @@ class TestCriterion:
 
 
 class TestBudget:
-    def test_type_count_matches_enumeration(self):
+    def test_line_bundle_count_matches_enumeration(self):
         for rank_max in range(-1, 6):
             for coeff_bound in range(-2, 5):
-                expected = sum(1 for _ in splitting_types(rank_max, coeff_bound))
-                assert type_count(rank_max, coeff_bound) == expected
+                expected = sum(t.rank for t in splitting_types(rank_max, coeff_bound))
+                assert line_bundle_count(rank_max, coeff_bound) == expected
 
-    def test_type_count_stops_past_budget(self):
-        assert MAX_EVALUATIONS < type_count(10 ** 9, 0) <= MAX_EVALUATIONS + 1
-        assert type_count(10 ** 9, 10 ** 9) > MAX_EVALUATIONS
+    def test_line_bundle_count_stops_past_budget(self):
+        # one type of each rank when the width is 1, so the count is
+        # 1 + 2 + ... + R, which first passes the budget at R = 1414
+        assert line_bundle_count(10 ** 9, 0) == 1414 * 1415 // 2 > MAX_LINE_BUNDLES
+        assert line_bundle_count(10 ** 9, 10 ** 9) > MAX_LINE_BUNDLES
 
     @pytest.mark.parametrize("rank_max,coeff_bound", [(4, 2), (3, 3)])
     def test_default_scans_fit(self, rank_max, coeff_bound):
         # p1 scan's defaults: search bound coeff_bound + 1, rank bound rank_max
-        box = type_count(rank_max, coeff_bound + 1)
-        assert type_count(rank_max, coeff_bound) * box <= MAX_EVALUATIONS
+        box = line_bundle_count(rank_max, coeff_bound + 1)
+        line_bundles = line_bundle_count(rank_max, coeff_bound) * box
+        assert line_bundles == {(4, 2): 485100, (3, 3): 187110}[rank_max, coeff_bound]
+        assert line_bundles <= MAX_LINE_BUNDLES
+
+    def test_default_verify_box_fits_999_parts(self):
+        # p1 verify's default box (search bound 5, rank bound 3) sums 1001
+        # line bundles per part of E
+        assert line_bundle_count(3, 5) == 1001
+        assert find_partner(SplittingType([0] * 999), 5, 3) == SplittingType([-1])
+        with pytest.raises(SpaceTooLarge):
+            find_partner(SplittingType([0] * 1000), 5, 3)
 
     def test_over_budget_raises_before_scanning(self):
         with pytest.raises(SpaceTooLarge):

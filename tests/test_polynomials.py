@@ -15,6 +15,7 @@ from ffgeom.errors import (
 )
 from ffgeom.fields import make_field
 from ffgeom.polynomials import (
+    MAX_NESTING,
     MultivariatePolynomial,
     UnivariatePolynomial,
     det_poly,
@@ -73,6 +74,18 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_polynomial("x0 )", F3)
+
+    def test_nesting_at_limit_parses(self):
+        n = MAX_NESTING
+        assert parse_polynomial("(" * n + "x0+1" + ")" * n, F3) == parse_polynomial("x0+1", F3)
+        # sibling groups do not add up: only the depth counts
+        assert parse_polynomial("(x0)*" * (2 * n) + "1", F3) == parse_polynomial("x0^200", F3)
+
+    def test_nesting_past_limit_raises(self):
+        n = MAX_NESTING + 1
+        with pytest.raises(ParseError) as info:
+            parse_polynomial("(" * n + "x0" + ")" * n, F3)
+        assert info.value.position == MAX_NESTING
 
 
 class TestEval:
