@@ -152,10 +152,11 @@ def find_partner(e, search_bound, rank_bound):
     Analytically a partner exists iff all parts of E are equal (then
     O(-a-1) works), so any box with search_bound >= |a|+1 suffices.
     """
-    _check_budget(e.rank * line_bundle_count(rank_bound, search_bound), "the partner box")
-    if max(map(abs, e.parts)) > search_bound + 1:
-        # a + b = -1 needs |b| >= |a| - 1 > search_bound; this also keeps
-        # parts past int64 out of the arrays
+    box_size = line_bundle_count(rank_bound, search_bound)
+    _check_budget(e.rank * box_size, "the partner box")
+    if box_size == 0 or max(map(abs, e.parts)) > search_bound + 1:
+        # a + b = -1 needs |b| >= |a| - 1 > search_bound; with the box empty
+        # or bounded by the budget, this keeps parts past int64 out of the arrays
         return None
     return _first_partner(e, _box(rank_bound, search_bound))
 
@@ -183,9 +184,11 @@ def verify_criterion(rank_max, coeff_bound, search_bound, rank_bound):
     coeff_bound + 1 so the analytic partner lies inside the box."""
     if search_bound < coeff_bound + 1:
         raise ValueError("search_bound must be >= coeff_bound + 1")
-    _check_budget(line_bundle_count(rank_max, coeff_bound)
-                  * line_bundle_count(rank_bound, search_bound), "the scan")
-    box = _box(rank_bound, search_bound)
+    types_size = line_bundle_count(rank_max, coeff_bound)
+    # an empty box still leaves one step per type E to take
+    _check_budget(types_size * max(line_bundle_count(rank_bound, search_bound), 1),
+                  "the scan")
+    box = _box(rank_bound, search_bound) if types_size else []
     report = CriterionReport(rank_max, coeff_bound, search_bound, rank_bound)
     for e in splitting_types(rank_max, coeff_bound):
         report.total_types += 1

@@ -688,8 +688,6 @@ def count_variables(text):
 def _check_nesting(text):
     """Raise ParseError where the parentheses of ``text`` first nest deeper
     than ``MAX_NESTING``."""
-    if text.count("(") <= MAX_NESTING:
-        return
     depth = 0
     for pos, ch in enumerate(text):
         if ch == "(":

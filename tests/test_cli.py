@@ -273,7 +273,10 @@ class TestExitCodes:
         ["p1", "scan", "--rank-max", "1000000000", "--coeff-bound", "1000000000"],
         # 1 + 2 + ... + 1414 line bundles, one past the budget
         ["p1", "verify", "--type=0", "--search-bound", "0", "--rank-bound", "1414"],
-    ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414"])
+        # an empty box still takes one step per type E
+        ["p1", "scan", "--rank-max", "4", "--coeff-bound", "1000", "--rank-bound", "0"],
+    ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
+            "p1-scan-empty-box"])
     def test_over_budget_fails_fast(self, argv):
         start = time.perf_counter()
         code, out, err = invoke(argv)
@@ -309,6 +312,23 @@ class TestExitCodes:
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert "nested deeper than" in err
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("coeff_args", [
+        ["--rank-max", "0", "--coeff-bound", "0"],
+        ["--rank-max", "4", "--coeff-bound", "-1"],
+    ], ids=["rank-max-0", "coeff-bound-negative"])
+    def test_scan_without_types_returns_fast(self, coeff_args):
+        # no type E to check, so the large box is never built
+        start = time.perf_counter()
+        code, out, _ = invoke(["p1", "scan", *coeff_args,
+                               "--search-bound", "6", "--rank-bound", "40"])
+        assert code == EXIT_OK and json.loads(out)["total_types"] == 0
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_part_with_empty_box_has_no_partner(self):
+        code, out, _ = invoke(["p1", "verify", "--type=" + str(10 ** 20),
+                               "--search-bound", str(10 ** 21), "--rank-bound", "0"])
+        assert code == EXIT_NO_POINT and json.loads(out)["partner"] is None
 
     def test_largest_rank_bound_in_budget_returns_fast(self):
         # 1 + 2 + ... + 1413 line bundles fit the budget; no zero type is a partner

@@ -156,6 +156,8 @@ class TestArrayEvaluation:
         e = SplittingType([10 ** 30, 10 ** 30])
         assert find_partner(e, 5, 3) is None
         assert find_partner(e, 5, 3) == _find_partner_python(e, 5, 3)
+        # an empty box admits any search bound; the parts still stay out
+        assert find_partner(SplittingType([10 ** 20]), 10 ** 21, 0) is None
 
     def test_box_in_canonical_order(self):
         rows = [tuple(row) for parts, _ in _box(3, 2) for row in parts.tolist()]
@@ -230,4 +232,6 @@ class TestBudget:
             find_partner(SplittingType([0, 1]), 20, 4)
         with pytest.raises(SpaceTooLarge):
             verify_criterion(5, 3, 4, 5)
+        with pytest.raises(SpaceTooLarge):
+            verify_criterion(4, 1000, 1001, 0)
         assert find_partner(SplittingType([0, 0]), 5, 3) == SplittingType([-1])
