@@ -33,6 +33,8 @@ from .polynomials import MultivariatePolynomial, UnivariatePolynomial, minors
 from .polynomials import det_poly, det_scalar  # noqa: F401
 
 DEFAULT_ORACLE_LIMIT = 10 ** 7
+# points an oracle listing may hold: each is built and written out whole
+MAX_LISTED = 10 ** 5
 
 AFFINE = "affine"
 PROJECTIVE = "projective"

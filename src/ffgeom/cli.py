@@ -16,6 +16,7 @@ from .avoid import (
     AFFINE,
     DEFAULT_ORACLE_LIMIT,
     GRASSMANNIAN,
+    MAX_LISTED,
     PROJECTIVE,
     GrassmannianPoint,
     Hypersurface,
@@ -25,9 +26,9 @@ from .avoid import (
     exhaustive_oracle,
     plucker_variable_names,
 )
-from .errors import FFGeomError, InternalContradiction, ParseError
+from .errors import FFGeomError, InternalContradiction, ParseError, SpaceTooLarge
 from .fields import parse_field_spec
-from .polynomials import count_variables, parse_polynomial
+from .polynomials import MAX_VARS, count_variables, parse_polynomial
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -252,6 +253,10 @@ def _hypersurface_from_args(args, kind):
     m, n = args.m, args.n
     if m is None or n is None:
         raise ValueError("a Grassmannian needs --m and --n")
+    # C(n, m) >= n for 1 <= m < n, so a larger n is past the parser's
+    # variable budget too; refused here, since comb of a huge n is slow
+    if 1 <= m < n and n > MAX_VARS:
+        raise SpaceTooLarge(f"variable count exceeds limit {MAX_VARS}")
     poly = parse_polynomial(args.poly, fld, comb(n, m))
     return Hypersurface(poly, GRASSMANNIAN, (m, n)), fld
 
@@ -309,6 +314,8 @@ def _cmd_avoid(args, out):
 def _cmd_oracle(args, out):
     if args.max_listed < 0:
         raise ValueError(f"--max-listed must be >= 0, got {args.max_listed}")
+    if args.max_listed > MAX_LISTED:
+        raise SpaceTooLarge(f"--max-listed exceeds limit {MAX_LISTED}")
     kind = GRASSMANNIAN if args.kind == "grass" else args.kind
     surf, fld = _hypersurface_from_args(args, kind)
     count, points = exhaustive_oracle(

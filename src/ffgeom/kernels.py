@@ -34,7 +34,9 @@ def grid_eval(poly, start=0, stop=None):
     q^nvars points), canonical order.
 
     Point t has coordinates x_i = (t // q^(nvars-1-i)) % q.  Returns an
-    int64 array of encoded field elements.
+    int64 array of encoded field elements.  The caller, :func:`hits`, passes
+    reduced polynomials (see :meth:`MultivariatePolynomial.reduced`): every
+    exponent is below q, so ``e * log`` stays far inside int64.
     """
     field = poly.field
     n = poly.nvars
@@ -70,10 +72,15 @@ def hits(poly, zero=False):
     vanishes when ``zero`` is set: one ascending int64 array of absolute
     indices per chunk that has any.
 
-    The grid is evaluated in chunks of at most ``_CHUNK`` points, so a
-    caller that stops at the first array evaluates only the chunks up to
-    its first hit, and a caller that counts never holds more than a chunk.
+    The polynomial is reduced first, so one that vanishes on the whole grid
+    has no nonzero point to scan for.  The grid is evaluated in chunks of at
+    most ``_CHUNK`` points, so a caller that stops at the first array
+    evaluates only the chunks up to its first hit, and a caller that counts
+    never holds more than a chunk.
     """
+    poly = poly.reduced()
+    if poly.is_zero() and not zero:
+        return
     total = poly.field.q ** poly.nvars
     for start in range(0, total, _CHUNK):
         values = grid_eval(poly, start, min(start + _CHUNK, total))

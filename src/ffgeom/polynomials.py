@@ -20,6 +20,7 @@ from .errors import (
     InternalContradiction,
     NotHomogeneous,
     ParseError,
+    SpaceTooLarge,
     ZeroPolynomial,
 )
 from .fields import embed, make_field
@@ -194,6 +195,25 @@ class MultivariatePolynomial:
                         break
             acc = fld.add(acc, val)
         return acc
+
+    def reduced(self):
+        """The polynomial with the same value at every point of F_q^n and
+        every exponent below q.
+
+        Every x in F_q has x^q = x, so an exponent e >= 1 becomes
+        ((e - 1) mod (q - 1)) + 1, and the constructor merges the terms that
+        meet and drops those that cancel.  The result is zero exactly when
+        the polynomial vanishes on all of F_q^n.
+        """
+        m = self.field.q - 1
+        return MultivariatePolynomial(
+            self.nvars,
+            self.field,
+            (
+                (tuple((e - 1) % m + 1 if e else 0 for e in exps), c)
+                for exps, c in self.terms.items()
+            ),
+        )
 
     def map_coefficients(self, target_field):
         """Embed all coefficients into an extension field."""
@@ -575,6 +595,10 @@ def find_root_in_tower(f, max_degree):
 # keeps a parse well inside Python's default recursion limit
 MAX_NESTING = 100
 
+# variables a parsed polynomial may have: each term holds one exponent per
+# variable, and a point of its ambient space one coordinate per variable
+MAX_VARS = 10 ** 4
+
 
 class _Parser:
     def __init__(self, text, nvars, field):
@@ -703,6 +727,8 @@ def parse_polynomial(text, field, nvars=None):
     _check_nesting(text)
     if nvars is None:
         nvars = max(count_variables(text), 1)
+    if nvars > MAX_VARS:
+        raise SpaceTooLarge(f"variable count exceeds limit {MAX_VARS}")
     parser = _Parser(text, nvars, field)
     poly = parser.parse_expr()
     parser.skip_ws()

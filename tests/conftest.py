@@ -2,6 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import strategies as st
 
 from ffgeom.fields import make_field
 from ffgeom.polynomials import MultivariatePolynomial
@@ -53,6 +54,32 @@ def random_homogeneous_poly(rng, fld, nvars, deg, nterms=None):
         poly = MultivariatePolynomial(nvars, fld, terms)
         if not poly.is_zero():
             return poly
+
+
+@st.composite
+def grid_polys(draw, fields=(2, 3, 4, 5, 7, 8, 9), max_nvars=3):
+    """A polynomial over F_q in at most ``max_nvars`` variables with
+    exponents up to 3q and some past 2^63.  Besides free terms it may hold
+    pairs c*x^a - c*x^b that cancel on the grid: a and b differ in one
+    exponent, by a multiple of q - 1, and that exponent is nonzero.  So it
+    may vanish on the whole grid, or be the zero polynomial."""
+    q = draw(st.sampled_from(fields))
+    fld = field_for(q)
+    nvars = draw(st.integers(1, max_nvars))
+    exps = st.lists(st.integers(0, 3 * q), min_size=nvars, max_size=nvars)
+    coeff = st.integers(1, q - 1)
+    var = st.integers(0, nvars - 1)
+    huge = st.integers(2 ** 63, 2 ** 65)
+    terms = draw(st.lists(st.tuples(exps, coeff), max_size=4))
+    if terms and draw(st.booleans()):
+        terms[0][0][draw(var)] = draw(huge)
+    for _ in range(draw(st.integers(0, 2))):
+        low, c, i = draw(exps), draw(coeff), draw(var)
+        low[i] = max(low[i], 1)
+        high = list(low)
+        high[i] += (q - 1) * draw(st.one_of(st.integers(1, 3), huge))
+        terms += [(low, c), (high, fld.neg(c))]
+    return MultivariatePolynomial(nvars, fld, terms)
 
 
 @pytest.fixture

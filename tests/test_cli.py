@@ -275,8 +275,18 @@ class TestExitCodes:
         ["p1", "verify", "--type=0", "--search-bound", "0", "--rank-bound", "1414"],
         # an empty box still takes one step per type E
         ["p1", "scan", "--rank-max", "4", "--coeff-bound", "1000", "--rank-bound", "0"],
+        # more variables than polynomials.MAX_VARS, from the text or a flag
+        ["avoid", "affine", "--field", "7", "--poly", "x999999"],
+        ["avoid", "affine", "--field", "7", "--poly", "x0", "--vars", "1000000"],
+        ["avoid", "grass", "--field", "7", "--poly", "x0", "--m", "2", "--n", "300"],
+        ["avoid", "grass", "--field", "7", "--poly", "x0", "--m", str(10 ** 8),
+         "--n", str(2 * 10 ** 8)],
+        # more listed points than avoid.MAX_LISTED
+        ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0+1", "--vars", "18",
+         "--max-listed", "100001"],
     ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
-            "p1-scan-empty-box"])
+            "p1-scan-empty-box", "vars-from-index", "vars-flag", "grass-plucker-count",
+            "grass-huge-n", "max-listed"])
     def test_over_budget_fails_fast(self, argv):
         start = time.perf_counter()
         code, out, err = invoke(argv)
@@ -374,6 +384,42 @@ class TestExitCodes:
         )
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert "--max-listed" in err
+
+
+class TestHugeExponents:
+    """Exponents whose product with a discrete log passes int64: the scans
+    reduce them below q first.  Expected answers come from scalar pow."""
+
+    def test_affine_fallback_f2(self):
+        e = 99999999999999999999
+        argv = ["avoid", "affine", "--field", "2", "--poly", f"x0^{e}+x1", "--vars", "2"]
+        code, out, _ = invoke(argv)
+        first = next((a, b) for a in range(2) for b in range(2) if (pow(a, e, 2) + b) % 2)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["mode"] == "exhaustive-fallback"
+        assert doc["point"]["coordinates"] == [[a] for a in first]
+
+    @pytest.mark.parametrize("command", [["oracle", "--kind", "affine"], ["avoid", "affine"]],
+                             ids=["oracle", "avoid"])
+    def test_identically_zero_f7(self, command):
+        e = 3074457345618258603  # e * 3 wraps past 2^63
+        avoiding = [x for x in range(7) if (pow(x, e, 7) + 6 * pow(x, 3, 7)) % 7]
+        assert avoiding == []
+        code, out, _ = invoke(command + ["--field", "7", "--poly", f"x0^{e}+6*x0^3", "--vars", "1"])
+        assert code == EXIT_NO_POINT
+        doc = json.loads(out)
+        if command[0] == "oracle":
+            assert (doc["avoiding_count"], doc["points"]) == (0, [])
+        else:
+            assert doc["verified"] == {"exhaustive_scan": True}
+
+    def test_no_point_over_f2_20_is_fast(self):
+        start = time.perf_counter()
+        code, _, _ = invoke(["avoid", "affine", "--field", "2", "--poly", "x0^2 - x0",
+                             "--vars", "20"])
+        assert code == EXIT_NO_POINT
+        assert time.perf_counter() - start < 0.05
 
 
 class TestSchema:

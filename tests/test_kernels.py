@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ffgeom import fields, kernels
+from ffgeom.avoid import AFFINE, GRASSMANNIAN, PROJECTIVE, Hypersurface, charts
 from ffgeom.fields import FiniteField, make_field
 from ffgeom.polynomials import (
     MultivariatePolynomial,
@@ -14,7 +16,7 @@ from ffgeom.polynomials import (
     parse_polynomial,
 )
 
-from conftest import field_for, random_poly
+from conftest import field_for, grid_polys, random_poly
 
 
 class TestDecode:
@@ -168,3 +170,52 @@ class TestHits:
         fld = make_field(2, 17)
         poly = parse_polynomial("x0 + [1,0,1]", fld)  # zero only at 5
         assert next(kernels.hits(poly))[:6].tolist() == [0, 1, 2, 3, 4, 6]
+
+
+def _joined_hits(poly, zero):
+    arrays = list(kernels.hits(poly, zero=zero))
+    return np.concatenate(arrays).tolist() if arrays else []
+
+
+def _scalar_hits(poly, zero):
+    """Per-point reference: the grid indices where ``poly`` itself, not its
+    reduction, is nonzero (or zero)."""
+    q, n = poly.field.q, poly.nvars
+    return [t for t in range(q ** n)
+            if (poly.eval(kernels.decode_point(t, q, n)) == 0) == zero]
+
+
+class TestReducedScan:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(grid_polys())
+    def test_hits_match_unreduced_scalar_reference(self, poly):
+        for zero in (False, True):
+            assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
+
+    @pytest.mark.parametrize("q,text,kind,params,zero_charts", [
+        # vanishes on all of P^1(F_q): every chart reduces to zero
+        (3, "x0^3*x1 - x0*x1^3", PROJECTIVE, (1,), 2),
+        # on P^2(F_4) the chart x0 = 1 holds 1, x1 = 1 reduces to zero
+        (4, "x1^4*x2 - x1*x2^4 + x0^5", PROJECTIVE, (2,), 2),
+        (5, "x0^6*x2 - x0*x2^6 + x1^7", PROJECTIVE, (2,), 1),
+        # Pluecker coordinates are in F_q, so p01^q*p23 - p01*p23^q is zero on
+        # every F_q-point of Grass(2, 4)
+        (2, "x0^2*x5 - x0*x5^2", GRASSMANNIAN, (2, 4), 6),
+        (3, "x0^3*x5 - x0*x5^3 + x2^4", GRASSMANNIAN, (2, 4), 3),
+    ])
+    def test_no_point_charts(self, q, text, kind, params, zero_charts):
+        fld = field_for(q)
+        nvars = params[0] + 1 if kind == PROJECTIVE else 6
+        d = Hypersurface(parse_polynomial(text, fld, nvars), kind, params)
+        reduced_to_zero = 0
+        for chart, _ in charts(d, fld):
+            reduced_to_zero += chart.reduced().is_zero()
+            for zero in (False, True):
+                assert _joined_hits(chart, zero) == _scalar_hits(chart, zero)
+        assert reduced_to_zero == zero_charts
+
+    def test_zero_chart_costs_no_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "grid_eval", lambda *a: calls.append(a))
+        poly = parse_polynomial("x0^2 - x0", make_field(2), 20)
+        assert list(kernels.hits(poly)) == [] and calls == []

@@ -11,11 +11,13 @@ from ffgeom.errors import (
     FieldMismatch,
     InternalContradiction,
     ParseError,
+    SpaceTooLarge,
     ZeroPolynomial,
 )
 from ffgeom.fields import make_field
 from ffgeom.polynomials import (
     MAX_NESTING,
+    MAX_VARS,
     MultivariatePolynomial,
     UnivariatePolynomial,
     det_poly,
@@ -30,7 +32,7 @@ from ffgeom.polynomials import (
     to_univariate,
 )
 
-from conftest import field_for, random_poly
+from conftest import field_for, grid_polys, random_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -101,6 +103,51 @@ class TestEval:
     def test_zero_polynomial(self):
         z = MultivariatePolynomial(2, F5)
         assert z.eval([3, 4]) == 0
+
+
+def _grid_values(poly):
+    q, n = poly.field.q, poly.nvars
+    return [poly.eval(kernels.decode_point(t, q, n)) for t in range(q ** n)]
+
+
+class TestReduced:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_polys())
+    def test_same_values_and_exponents_below_q(self, poly):
+        red = poly.reduced()
+        assert (red.nvars, red.field) == (poly.nvars, poly.field)
+        assert all(e < poly.field.q for exps in red.terms for e in exps)
+        assert _grid_values(red) == _grid_values(poly)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_polys())
+    def test_zero_exactly_when_zero_on_the_grid(self, poly):
+        assert poly.reduced().is_zero() == (not any(_grid_values(poly)))
+
+    @pytest.mark.parametrize("q,e,expected", [
+        (2, 2, 1), (3, 3, 1), (3, 2, 2), (4, 4, 1), (4, 3, 3), (5, 4, 4), (5, 5, 1),
+        (7, 0, 0), (7, 13, 1), (9, 8, 8), (9, 17, 1), (7, 3074457345618258603, 3),
+    ])
+    def test_exponent_map(self, q, e, expected):
+        # x^(q-1) is 0 at 0 and 1 elsewhere, so it must not become x^0
+        poly = MultivariatePolynomial(1, field_for(q), {(e,): 1})
+        assert list(poly.reduced().terms) == [(expected,)]
+
+    def test_cancelling_terms_drop(self):
+        poly = parse_polynomial("x1*(x0^3 - x0) + x2^5 - x2^3", F3)
+        assert poly.reduced().is_zero()
+        assert parse_polynomial("x0^2 + x0 + 1", F2).reduced() == parse_polynomial("1", F2, 1)
+
+
+class TestVariableBudget:
+    def test_at_limit_parses(self):
+        assert parse_polynomial(f"x{MAX_VARS - 1}", F2).nvars == MAX_VARS
+        assert parse_polynomial("x0", F2, MAX_VARS).nvars == MAX_VARS
+
+    @pytest.mark.parametrize("text,nvars", [(f"x{MAX_VARS}", None), ("x0", MAX_VARS + 1)])
+    def test_past_limit_raises(self, text, nvars):
+        with pytest.raises(SpaceTooLarge, match=f"exceeds limit {MAX_VARS}"):
+            parse_polynomial(text, F2, nvars)
 
 
 class TestDecompose:
