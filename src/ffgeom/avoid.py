@@ -8,14 +8,17 @@ downgrades to an exhaustive scan with an explicit mode flag, so small-field
 boundary cases report NoPointExists instead of erroring.
 
 The exhaustive paths (the fallbacks, the oracle, and the curve-point
-listing) share one chart enumerator, :func:`charts`, and one chunked scan,
-:func:`kernels.hits`.
+listing) share one chart enumerator, :func:`charts`, one chunked scan,
+:func:`kernels.hits`, and one decoder of hits into points,
+:func:`chart_rows`.
 """
 
 import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from . import kernels
 from .errors import (
@@ -33,7 +36,8 @@ from .polynomials import MultivariatePolynomial, UnivariatePolynomial, minors
 from .polynomials import det_poly, det_scalar  # noqa: F401
 
 DEFAULT_ORACLE_LIMIT = 10 ** 7
-# points an oracle listing may hold: each is built and written out whole
+# points an oracle listing may hold: they are kept as int64 arrays, about
+# 8 bytes per coordinate, and rendered chunk by chunk
 MAX_LISTED = 10 ** 5
 
 AFFINE = "affine"
@@ -164,8 +168,14 @@ class AvoidanceResult:
         return self.outcome == FOUND
 
 
-def plucker(matrix, field):
-    """m x m minors in lexicographic column-set order."""
+def plucker(matrix, field, at=None):
+    """m x m minors in lexicographic column-set order: of ``matrix``, as a
+    tuple; or, when ``at`` is an int64 array of grid indices of a chart from
+    :func:`charts` and ``matrix`` is its :class:`Cell`, of the cell's
+    echelon matrices at those indices, as an (N, C(n, m)) int64 array, one
+    kernel evaluation per minor."""
+    if at is not None:
+        return np.stack([kernels.grid_eval(minor, at) for minor in matrix.minors], axis=1)
     m = len(matrix)
     n = len(matrix[0])
     if not (1 <= m < n):
@@ -344,18 +354,41 @@ def _echelon(pivots, free, n, values, zero=0, one=1):
     return rows
 
 
-def _pullback(poly, n, pivots, free):
-    """The section restricted to one Schubert cell: ``poly`` at the
-    symbolic minors of the cell's echelon matrix, a polynomial in the
-    cell's free entries."""
-    fld = poly.field
-    m, k = len(pivots), len(free)
-    P = MultivariatePolynomial
-    variables = [P.variable(v, k, fld) for v in range(k)]
-    zero = P.constant(0, k, fld)
-    rows = _echelon(pivots, free, n, variables, zero, P.constant(1, k, fld))
-    ms = minors(rows, operator.add, operator.sub, operator.mul, operator.neg)
-    return poly.substitute([ms.get(cols, zero) for cols in combinations(range(n), m)])
+@dataclass(frozen=True)
+class Cell:
+    """A Schubert cell of Grass(m, n) as a chart: its pivot columns, its
+    free entries (row, column) in grid order, and the maximal minors of its
+    echelon matrix in lexicographic column-set order, as polynomials in the
+    free entries."""
+
+    n: int
+    pivots: tuple
+    free: tuple
+    minors: tuple
+
+    @classmethod
+    def build(cls, n, pivots, free, fld):
+        """The cell of ``pivots`` and ``free`` in Grass(m, n) over ``fld``,
+        its minors expanded once from the symbolic echelon matrix."""
+        m, k = len(pivots), len(free)
+        P = MultivariatePolynomial
+        variables = [P.variable(v, k, fld) for v in range(k)]
+        zero = P.constant(0, k, fld)
+        rows = _echelon(pivots, free, n, variables, zero, P.constant(1, k, fld))
+        ms = minors(rows, operator.add, operator.sub, operator.mul, operator.neg)
+        return cls(n, pivots, tuple(free),
+                   tuple(ms.get(cols, zero) for cols in combinations(range(n), m)))
+
+    def matrices(self, values):
+        """The echelon matrices with the rows of the (N, k) int64 array
+        ``values`` in the free entries: an (N, m, n) int64 array."""
+        m = len(self.pivots)
+        rows = np.zeros((len(values), m, self.n), dtype=np.int64)
+        rows[:, range(m), self.pivots] = 1
+        if self.free:
+            i, j = zip(*self.free)
+            rows[:, i, j] = values
+        return rows
 
 
 def grass_cell_pullback(d):
@@ -364,7 +397,7 @@ def grass_cell_pullback(d):
     if d.kind != GRASSMANNIAN:
         raise ValueError("expected a Grassmannian hypersurface")
     m, n = d.params
-    pulled = _pullback(d.poly, n, *next(_cells(m, n)))
+    pulled = d.poly.substitute(Cell.build(n, *next(_cells(m, n)), d.poly.field).minors)
     if pulled.is_zero():
         raise CellContained("section vanishes identically on the dense cell")
     if pulled.total_degree() > m * d.degree:
@@ -426,31 +459,43 @@ def ambient_point_count(d, fld):
 
 def charts(d, fld):
     """Charts covering the ambient space of ``d`` over ``fld``, as pairs
-    (section on the chart, builder of the point at a chart grid index).
+    (section on the chart, :class:`Cell` of the chart, or None on affine
+    space).
 
     Affine space is one chart.  Each Schubert cell of Grass(m, n), with P^n
-    as Grass(1, n+1), gives the section pulled back to the cell.  Cells
-    come in lexicographic pivot order with free entries in grid order (the
-    order of :func:`projective_points`, and for Grass(m, n) the canonical
-    order of reduced row-echelon matrices), so scanning the charts in turn
-    lists the points in canonical order.
+    as Grass(1, n+1), gives the section pulled back to the cell through the
+    cell's minors.  Cells come in lexicographic pivot order with free
+    entries in grid order (the order of :func:`projective_points`, and for
+    Grass(m, n) the canonical order of reduced row-echelon matrices), so
+    scanning the charts in turn lists the points in canonical order.
     """
     poly = d.poly.map_coefficients(fld)
-    q = fld.q
     if d.kind == AFFINE:
-        (n,) = d.params
-        yield poly, lambda t: kernels.decode_point(t, q, n)
+        yield poly, None
         return
     m, n = _grass_shape(d)
     for pivots, free in _cells(m, n):
+        cell = Cell.build(n, pivots, free, fld)
+        yield poly.substitute(cell.minors), cell
 
-        def build(t, pivots=pivots, free=free):
-            rows = _echelon(pivots, free, n, kernels.decode_point(t, q, len(free)))
-            if d.kind == PROJECTIVE:
-                return ProjectivePoint(rows[0], fld)
-            return GrassmannianPoint(rows, fld)
 
-        yield _pullback(poly, n, pivots, free), build
+def chart_rows(chart, cell, found):
+    """The points at the grid indices ``found`` of a chart from
+    :func:`charts`, decoded at once into an int64 array: coordinates
+    (N, n) on affine space, where ``cell`` is None, and echelon matrices
+    (N, m, n) on a Schubert cell; on P^n, Grass(1, n+1), the single row of
+    a matrix is the point."""
+    coords = kernels.decode(found, chart.field.q, chart.nvars)
+    return coords if cell is None else cell.matrices(coords)
+
+
+def _point(kind, row, fld):
+    """The point object of one row of :func:`chart_rows`, as lists."""
+    if kind == AFFINE:
+        return tuple(row)
+    if kind == PROJECTIVE:
+        return ProjectivePoint(row[0], fld)
+    return GrassmannianPoint(row, fld)
 
 
 def _check_budget(d, fld, limit):
@@ -464,23 +509,36 @@ def _fallback(d, fld):
     the oracle's default budget."""
     _check_budget(d, fld, DEFAULT_ORACLE_LIMIT)
     poly = d.poly.map_coefficients(fld)
-    for chart, build in charts(d, fld):
+    for chart, cell in charts(d, fld):
         found = next(kernels.hits(chart), None)
         if found is not None:
-            return _verify_found(poly, build(int(found[0])), EXHAUSTIVE)
+            row = chart_rows(chart, cell, found[:1])[0].tolist()
+            return _verify_found(poly, _point(d.kind, row, fld), EXHAUSTIVE)
     return AvoidanceResult(NO_POINT, EXHAUSTIVE)
 
 
 def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
-    """``(count, points)``: the number of avoiding points and the first
-    ``max_listed`` of them (all of them when None), canonical order.  Brute
-    force over every chart, independent of the guaranteed searches above;
-    hits are counted chunk by chunk, and only listed points are built."""
+    """``(count, blocks)``: the number of avoiding points, and the first
+    ``max_listed`` of them (all of them when None) in canonical order as
+    int64 arrays, one block per scanned chunk that lists any.  A block is
+    ``(coordinates,)``, of shape (N, n), on affine space and P^n, and
+    ``(matrices, pluckers)``, of shapes (N, m, n) and (N, C(n, m)), on a
+    Grassmannian.  Brute force over every chart, independent of the
+    guaranteed searches above; hits are counted chunk by chunk, and only
+    listed points are decoded."""
     _check_budget(d, fld, limit)
-    count, points = 0, []
-    for chart, build in charts(d, fld):
+    count, listed, blocks = 0, 0, []
+    for chart, cell in charts(d, fld):
         for found in kernels.hits(chart):
             count += len(found)
-            room = len(found) if max_listed is None else max_listed - len(points)
-            points.extend(build(t) for t in found[:room].tolist())
-    return count, points
+            if max_listed is not None:
+                found = found[:max_listed - listed]
+            if not len(found):
+                continue
+            listed += len(found)
+            rows = chart_rows(chart, cell, found)
+            if d.kind == GRASSMANNIAN:
+                blocks.append((rows, plucker(cell, fld, found)))
+            else:
+                blocks.append((rows if cell is None else rows[:, 0],))
+    return count, blocks

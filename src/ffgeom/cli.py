@@ -11,6 +11,8 @@ import sys
 from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from . import bounds, curvepoint, p1lab
 from .avoid import (
     AFFINE,
@@ -54,102 +56,91 @@ def _field_json(fld):
     }
 
 
-class _Coordinates(dict):
-    """Coordinate vectors of a field's elements, each built once: a memo
-    that lives for one request.  A document shares one tuple per element,
-    and :func:`_emit` renders each tuple once per nesting depth."""
-
-    def __init__(self, fld):
-        super().__init__()
-        self.fld = fld
-
-    def __missing__(self, a):
-        vec = self[a] = tuple(self.fld.coords(a))
-        return vec
-
-
-def _point_json(point, elt):
-    """A point as JSON, its coordinates read from the memo ``elt``."""
+def _point_json(point, fld):
+    """A point as JSON, each element as its coordinate vector."""
     if isinstance(point, ProjectivePoint):
         return {
             "kind": "projective",
-            "coordinates": [elt[c] for c in point.coords],
+            "coordinates": [fld.coords(c) for c in point.coords],
         }
     if isinstance(point, GrassmannianPoint):
         return {
             "kind": "grassmannian",
-            "matrix": [[elt[c] for c in row] for row in point.matrix],
-            "plucker": [elt[c] for c in point.plucker],
+            "matrix": [[fld.coords(c) for c in row] for row in point.matrix],
+            "plucker": [fld.coords(c) for c in point.plucker],
         }
-    return {"kind": "affine", "coordinates": [elt[c] for c in point]}
+    return {"kind": "affine", "coordinates": [fld.coords(c) for c in point]}
 
 
-def _trace_json(trace, elt):
+def _trace_json(trace, fld):
     out = []
     for step in trace or []:
         kind, value = step
         label = f"x{kind}" if isinstance(kind, int) else str(kind)
         if isinstance(value, int):
-            out.append({"step": label, "value": elt[value]})
+            out.append({"step": label, "value": fld.coords(value)})
         elif isinstance(value, tuple):
-            out.append({"step": label, "value": [elt[v] for v in value]})
+            out.append({"step": label, "value": [fld.coords(v) for v in value]})
         else:
             out.append({"step": label, "value": str(value)})
     return out
 
 
 def _emit(doc, stream):
-    """Write ``doc`` and a newline, byte for byte as ``json.dump(doc,
-    stream, indent=2)`` would; every key must be a string."""
-    _write(doc, 0, stream.write, {})
-    stream.write("\n")
+    """Write ``doc`` and a newline as ``json.dump(doc, stream, indent=2)``
+    would."""
+    stream.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _write(value, depth, write, rendered):
-    """Write the indented JSON text of ``value`` at nesting ``depth``.
+# a string that stands in for a value in a document's JSON text
+_SLOT = "\0"
 
-    The document and its values are written item by item, and deeper
-    values whole: the long listings of a document are its values, so the
-    text held at once is about one listed item."""
-    if depth > 1 or not value or not isinstance(value, (dict, list)):
-        write(_text(value, depth, rendered))
+
+def _write_points(kind, names, blocks, fld, write):
+    """Write the text of an oracle listing, the value of its document's
+    "points", as ``json.dumps(indent=2)`` would at nesting depth 1, from the
+    blocks of :func:`exhaustive_oracle`, one point at a time.
+
+    Every listed point has the same shape, so its text is one template: the
+    text of a point whose elements are slots, split at them.  An element's
+    text depends only on the element and its depth, so it is built once
+    per depth, and only for the elements the listing holds.
+    """
+    if not blocks:
+        write("[]")
         return
-    is_dict = isinstance(value, dict)
-    inner = "\n" + "  " * (depth + 1)
-    sep = ("{" if is_dict else "[") + inner
-    for key, item in value.items() if is_dict else enumerate(value):
-        write(f"{sep}{json.dumps(key)}: " if is_dict else sep)
-        _write(item, depth + 1, write, rendered)
-        sep = "," + inner
-    write("\n" + "  " * depth + ("}" if is_dict else "]"))
-
-
-def _text(value, depth, rendered):
-    """The indented JSON text of ``value`` at nesting ``depth``.
-
-    Keys and scalars go through :func:`json.dumps`.  The text of a tuple
-    is kept in ``rendered`` by its identity and depth: tuples are the
-    shared coordinate vectors (see :class:`_Coordinates`), rendered once
-    per depth, and the document holds each of them, so no identity is
-    reused while it is written."""
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    if isinstance(value, tuple):
-        key = (id(value), depth)
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = _text(list(value), depth, rendered)
-        return text
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        items = (f"{json.dumps(k)}: {_text(v, depth + 1, rendered)}" for k, v in value.items())
-        brackets = "{}"
-    else:
-        items = (_text(v, depth + 1, rendered) for v in value)
-        brackets = "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+    point = {"kind": kind}
+    for name, array in zip(names, blocks[0]):
+        slots = np.empty(array.shape[1:], dtype=object)
+        slots.fill(_SLOT)  # np.full would strip the NUL
+        point[name] = slots.tolist()
+    text = json.dumps(point, indent=2).replace("\n", "\n    ")
+    pieces = np.array(text.split(json.dumps(_SLOT)), dtype=object)
+    seen = np.zeros(fld.q, dtype=bool)
+    for block in blocks:
+        for array in block:
+            seen[array] = True
+    held = np.flatnonzero(seen).tolist()
+    texts = {}  # depth -> element texts, indexed by element
+    for depth in {array.ndim + 2 for array in blocks[0]}:
+        texts[depth] = np.empty(fld.q, dtype=object)
+        texts[depth][held] = [
+            json.dumps(fld.coords(a), indent=2).replace("\n", "\n" + "  " * depth)
+            for a in held
+        ]
+    sep = "[\n    "
+    for block in blocks:
+        elements = np.concatenate(
+            [texts[a.ndim + 2][a.reshape(len(a), -1)] for a in block], axis=1)
+        parts = np.empty((len(elements), len(pieces) + elements.shape[1]), dtype=object)
+        parts[:, 0::2] = pieces
+        parts[:, 1::2] = elements
+        # a write per point: no text longer than a point is built, which
+        # peaks lower than a write per block
+        for row in parts.tolist():
+            write(sep + "".join(row))
+            sep = ",\n    "
+    write("\n  ]")
 
 
 def _shared(flags, **kwargs):
@@ -297,11 +288,10 @@ def _cmd_avoid(args, out):
             name: list(cols) for name, cols in plucker_variable_names(args.m, args.n)
         }
     if result.found:
-        elt = _Coordinates(fld)
-        doc["point"] = _point_json(result.point, elt)
-        doc["trace"] = _trace_json(result.trace, elt)
+        doc["point"] = _point_json(result.point, fld)
+        doc["trace"] = _trace_json(result.trace, fld)
         doc["verified"] = {
-            "value_at_point": elt[result.value],
+            "value_at_point": fld.coords(result.value),
             "nonzero": result.value != 0,
         }
         _emit(doc, out)
@@ -318,19 +308,25 @@ def _cmd_oracle(args, out):
         raise SpaceTooLarge(f"--max-listed exceeds limit {MAX_LISTED}")
     kind = GRASSMANNIAN if args.kind == "grass" else args.kind
     surf, fld = _hypersurface_from_args(args, kind)
-    count, points = exhaustive_oracle(
+    count, blocks = exhaustive_oracle(
         surf, fld, limit=args.limit, max_listed=args.max_listed
     )
-    elt = _Coordinates(fld)
     doc = {
         "subcommand": "oracle",
         "inputs_echo": {"field": args.field, "poly": args.poly, "kind": args.kind},
         "ambient_points": ambient_point_count(surf, fld),
         "avoiding_count": count,
-        "points": [_point_json(p, elt) for p in points],
+        "points": _SLOT,
         "truncated": count > args.max_listed,
     }
-    _emit(doc, out)
+    # only the boolean "truncated" follows the listing's slot
+    head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_SLOT))
+    out.write(head)
+    if kind == GRASSMANNIAN:
+        _write_points("grassmannian", ("matrix", "plucker"), blocks, fld, out.write)
+    else:
+        _write_points(kind, ("coordinates",), blocks, fld, out.write)
+    out.write(tail + "\n")
     return EXIT_OK if count else EXIT_NO_POINT
 
 
@@ -342,7 +338,6 @@ def _cmd_curve_point(args, out):
     divisor = curvepoint.CurveDivisor(gpoly)
     result = curvepoint.point_off_divisor(curve, divisor, fld)
     k2 = result.k2
-    elt1, elt2 = _Coordinates(fld), _Coordinates(k2)
     doc = {
         "subcommand": "curve point",
         "inputs_echo": {
@@ -354,10 +349,10 @@ def _cmd_curve_point(args, out):
         "k1": _field_json(result.k1),
         "k2": _field_json(k2),
         "extension_degree": result.ext_degree,
-        "point": _point_json(result.point, elt2),
-        "projection_center": _point_json(result.center, elt1),
-        "fiber_parameter": _point_json(result.fiber_parameter, elt1),
-        "orbit": [_point_json(p, elt2) for p in result.orbit],
+        "point": _point_json(result.point, k2),
+        "projection_center": _point_json(result.center, fld),
+        "fiber_parameter": _point_json(result.fiber_parameter, fld),
+        "orbit": [_point_json(p, k2) for p in result.orbit],
         "verified": result.flags,
     }
     _emit(doc, out)

@@ -18,6 +18,7 @@ from .avoid import (
     Hypersurface,
     ProjectivePoint,
     avoid_projective,
+    chart_rows,
     charts,
     projective_points,
 )
@@ -379,8 +380,8 @@ def enumerate_curve_points(curve, fld):
     the zeros of the curve's form over the charts of P^2."""
     plane = Hypersurface(curve.poly.map_coefficients(fld), PROJECTIVE, (2,))
     return [
-        build(t)
-        for chart, build in charts(plane, fld)
+        ProjectivePoint(rows[0], fld)
+        for chart, cell in charts(plane, fld)
         for found in kernels.hits(chart, zero=True)
-        for t in found.tolist()
+        for rows in chart_rows(chart, cell, found).tolist()
     ]

@@ -31,26 +31,26 @@ def field_tables(field):
 
 def grid_eval(poly, start=0, stop=None):
     """Values of ``poly`` at grid points ``start .. stop-1`` (default: all
-    q^nvars points), canonical order.
+    q^nvars points), canonical order, or at the grid indices of the int64
+    array ``start``, in its order.
 
-    Point t has coordinates x_i = (t // q^(nvars-1-i)) % q.  Returns an
-    int64 array of encoded field elements.  The caller, :func:`hits`, passes
-    reduced polynomials (see :meth:`MultivariatePolynomial.reduced`): every
-    exponent is below q, so ``e * log`` stays far inside int64.
+    Returns an int64 array of encoded field elements.  The caller passes
+    reduced polynomials (see :meth:`MultivariatePolynomial.reduced`) or, as
+    the Pluecker minors of a cell, multilinear ones: every exponent is below
+    q, so ``e * log`` stays far inside int64.
     """
     field = poly.field
-    n = poly.nvars
     q = field.q
-    if stop is None:
-        stop = q ** n
-    size = stop - start
+    if isinstance(start, np.ndarray):
+        idx = start
+    else:
+        idx = np.arange(start, q ** poly.nvars if stop is None else stop, dtype=np.int64)
     logt, expt = field_tables(field)
-    idx = np.arange(start, stop, dtype=np.int64)
-    coords = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
-    acc = np.zeros(size, dtype=np.int64)
+    coords = decode(idx, q, poly.nvars).T
+    acc = np.zeros(len(idx), dtype=np.int64)
     for exps, c in poly.sorted_terms():
-        logval = np.full(size, logt[c], dtype=np.int64)
-        alive = np.ones(size, dtype=bool)
+        logval = np.full(len(idx), logt[c], dtype=np.int64)
+        alive = np.ones(len(idx), dtype=bool)
         for x, e in zip(coords, exps):
             if e:
                 alive &= x != 0
@@ -104,3 +104,18 @@ def decode_point(t, q, n):
         point[i] = t % q
         t //= q
     return tuple(point)
+
+
+def decode(idx, q, n):
+    """:func:`decode_point` at every index of the int64 array ``idx``: an
+    (N, n) int64 array, row r the coordinates of point ``idx[r]``.  It is
+    the transpose of a C-ordered (n, N) array, so each coordinate is one
+    contiguous column."""
+    place = np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
+    if q & (q - 1):
+        coords = idx // q ** place
+        coords %= q  # in place: one (n, N) array at a time
+    else:  # q = 2^b: a shift and a mask, several times faster than division
+        coords = idx >> (q.bit_length() - 1) * place
+        coords &= q - 1
+    return coords.T

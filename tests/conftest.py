@@ -1,9 +1,18 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ffgeom.avoid import (
+    AFFINE,
+    PROJECTIVE,
+    GrassmannianPoint,
+    ProjectivePoint,
+    exhaustive_oracle,
+    projective_points,
+)
 from ffgeom.fields import make_field
 from ffgeom.polynomials import MultivariatePolynomial
 
@@ -80,6 +89,67 @@ def grid_polys(draw, fields=(2, 3, 4, 5, 7, 8, 9), max_nvars=3):
         high[i] += (q - 1) * draw(st.one_of(st.integers(1, 3), huge))
         terms += [(low, c), (high, fld.neg(c))]
     return MultivariatePolynomial(nvars, fld, terms)
+
+
+def grassmannian_points(fld, m, n):
+    """All points of Grass(m,n)(fld), one reduced row-echelon representative
+    each; cells in lexicographic pivot-column order, free entries in grid
+    order.  Built one at a time: the per-point reference for the charts."""
+    for pivots in combinations(range(n), m):
+        free_positions = [
+            (i, j) for i in range(m) for j in range(pivots[i] + 1, n) if j not in pivots
+        ]
+        for values in product(fld.enumerate_elements(), repeat=len(free_positions)):
+            matrix = [[0] * n for _ in range(m)]
+            for i, pc in enumerate(pivots):
+                matrix[i][pc] = 1
+            for (i, j), v in zip(free_positions, values):
+                matrix[i][j] = v
+            yield GrassmannianPoint(matrix, fld)
+
+
+def per_point_oracle(d, fld):
+    """The oracle's listing built one point at a time from the reference
+    enumerations, independent of the charts and the kernel."""
+    poly = d.poly.map_coefficients(fld)
+    if d.kind == AFFINE:
+        (n,) = d.params
+        grid = product(fld.enumerate_elements(), repeat=n)
+        return [pt for pt in grid if poly.eval(pt)]
+    if d.kind == PROJECTIVE:
+        (n,) = d.params
+        return [pt for pt in projective_points(fld, n) if poly.eval(pt.coords)]
+    m, n = d.params
+    return [gp for gp in grassmannian_points(fld, m, n) if poly.eval(gp.plucker)]
+
+
+def listed_points(kind, blocks, fld):
+    """The points of an oracle listing's int64 blocks as the objects the
+    per-point references build.  A projective row must already be
+    normalized, and a Pluecker vector must be ``plucker`` of its matrix."""
+    points = []
+    for block in blocks:
+        assert all(array.dtype == np.int64 for array in block)
+        rows = [array.tolist() for array in block]
+        if kind == AFFINE:
+            points += [tuple(row) for row in rows[0]]
+        elif kind == PROJECTIVE:
+            for row in rows[0]:
+                pt = ProjectivePoint(row, fld)
+                assert pt.coords == tuple(row)
+                points.append(pt)
+        else:
+            for matrix, vector in zip(*rows):
+                gp = GrassmannianPoint(matrix, fld)
+                assert gp.plucker == tuple(vector)
+                points.append(gp)
+    return points
+
+
+def oracle_points(d, fld, **kwargs):
+    """``exhaustive_oracle`` with its listing as point objects."""
+    count, blocks = exhaustive_oracle(d, fld, **kwargs)
+    return count, listed_points(d.kind, blocks, fld)
 
 
 @pytest.fixture

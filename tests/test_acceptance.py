@@ -55,7 +55,7 @@ from ffgeom.errors import (
 from ffgeom.p1lab import SplittingType, find_partner, verify_criterion
 from ffgeom.polynomials import parse_polynomial
 
-from conftest import field_for, random_homogeneous_poly, random_poly
+from conftest import field_for, oracle_points, random_homogeneous_poly, random_poly
 from test_cli import GOLDEN_CASES, GOLDEN_DIR, invoke
 
 
@@ -158,7 +158,7 @@ def test_criterion_3_oracle_agreement():
                 poly = random_homogeneous_poly(rng, fld, 6, rng.randint(1, 2))
                 d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
             res = avoid(d, fld)
-            _, oracle = exhaustive_oracle(d, fld, limit=10 ** 5)
+            _, oracle = oracle_points(d, fld, limit=10 ** 5)
             ok &= res.found == bool(oracle)
             if res.found:
                 if d.kind == AFFINE:

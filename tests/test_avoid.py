@@ -3,7 +3,6 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -17,7 +16,6 @@ from ffgeom.avoid import (
     GUARANTEED,
     NO_POINT,
     PROJECTIVE,
-    GrassmannianPoint,
     Hypersurface,
     ProjectivePoint,
     _affine_recurse,
@@ -27,6 +25,8 @@ from ffgeom.avoid import (
     avoid_affine,
     avoid_grassmannian,
     avoid_projective,
+    chart_rows,
+    charts,
     exhaustive_oracle,
     grass_cell_pullback,
     plucker,
@@ -45,7 +45,14 @@ from ffgeom.errors import (
 from ffgeom.fields import make_field
 from ffgeom.polynomials import MultivariatePolynomial, UnivariatePolynomial, parse_polynomial
 
-from conftest import field_for, random_homogeneous_poly, random_poly
+from conftest import (
+    field_for,
+    grassmannian_points,
+    oracle_points,
+    per_point_oracle,
+    random_homogeneous_poly,
+    random_poly,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -77,23 +84,6 @@ def _affine_recurse_reference(poly, fld):
     trace = [(i if i < var else i + 1, v) for i, v in sub_trace]
     trace.append((var, choice))
     return point, trace
-
-
-def grassmannian_points(fld, m, n):
-    """All points of Grass(m,n)(fld), one reduced row-echelon representative
-    each; cells in lexicographic pivot-column order, free entries in grid
-    order.  Built one at a time: the per-point reference for the charts."""
-    for pivots in combinations(range(n), m):
-        free_positions = [
-            (i, j) for i in range(m) for j in range(pivots[i] + 1, n) if j not in pivots
-        ]
-        for values in product(fld.enumerate_elements(), repeat=len(free_positions)):
-            matrix = [[0] * n for _ in range(m)]
-            for i, pc in enumerate(pivots):
-                matrix[i][pc] = 1
-            for (i, j), v in zip(free_positions, values):
-                matrix[i][j] = v
-            yield GrassmannianPoint(matrix, fld)
 
 
 class TestHypersurfaceValidation:
@@ -274,7 +264,7 @@ class TestProjective:
             poly = random_homogeneous_poly(rng, fld, n + 1, 3)
             d = Hypersurface(poly, PROJECTIVE, (n,))
             res = avoid_projective(d, fld)
-            _, oracle = exhaustive_oracle(d, fld)
+            _, oracle = oracle_points(d, fld)
             if oracle:
                 assert res.outcome == FOUND and res.point == oracle[0]
             else:
@@ -320,6 +310,27 @@ class TestPlucker:
                 F4.mul(p[1], p[4]),
             )
             assert lhs == 0
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 5)])
+    def test_block_matches_per_point(self, q, m, n):
+        # the Pluecker block of every cell at all its indices, shuffled, is
+        # plucker of each decoded echelon matrix, and the matrices are the
+        # per-point enumeration in canonical order
+        fld = field_for(q)
+        d = Hypersurface(parse_polynomial("x0", fld, comb(n, m)), GRASSMANNIAN, (m, n))
+        rng = random.Random(q * 100 + m * 10 + n)
+        matrices = []
+        for chart, cell in charts(d, fld):
+            idx = np.arange(fld.q ** len(cell.free), dtype=np.int64)
+            matrices += chart_rows(chart, cell, idx).tolist()
+            rng.shuffle(idx)
+            block = plucker(cell, fld, idx)
+            assert block.shape == (len(idx), comb(n, m)) and block.dtype == np.int64
+            expected = [plucker(mat, fld) for mat in chart_rows(chart, cell, idx).tolist()]
+            assert [tuple(v) for v in block.tolist()] == expected
+        assert matrices == [[list(row) for row in gp.matrix]
+                            for gp in grassmannian_points(fld, m, n)]
 
     def test_variable_names(self):
         names = plucker_variable_names(2, 4)
@@ -375,7 +386,7 @@ class TestGrassmannian:
             poly = random_homogeneous_poly(rng, F2, 6, rng.randint(1, 2))
             d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
             res = avoid_grassmannian(d, F2)
-            _, oracle = exhaustive_oracle(d, F2)
+            _, oracle = oracle_points(d, F2)
             if oracle:
                 assert res.outcome == FOUND
                 assert res.point == oracle[0]
@@ -404,7 +415,7 @@ class TestOracle:
     def test_counts_projective_example(self):
         # x0*x1*x2 on P^2(F_3): points with all coordinates nonzero
         d = projective("x0*x1*x2", F3, 2)
-        count, pts = exhaustive_oracle(d, F3)
+        count, pts = oracle_points(d, F3)
         assert count == len(pts) == 4
         assert pts[0] == ProjectivePoint((1, 1, 1), F3)
 
@@ -443,28 +454,13 @@ class TestOracle:
                 poly = random_homogeneous_poly(rng, fld, n + 1, rng.randint(1, 4))
                 d = Hypersurface(poly, PROJECTIVE, (n,))
             res = avoid(d, fld)
-            _, oracle = exhaustive_oracle(d, fld)
+            _, oracle = oracle_points(d, fld)
             assert res.found == bool(oracle)
             if res.found:
                 if res.mode == EXHAUSTIVE:
                     assert res.point == oracle[0]
                 else:
                     assert res.point in oracle or tuple(res.point) in oracle
-
-
-def _per_point_oracle(d, fld):
-    """The oracle's listing built one point at a time from the reference
-    enumerations, independent of the charts and the kernel."""
-    poly = d.poly.map_coefficients(fld)
-    if d.kind == AFFINE:
-        (n,) = d.params
-        grid = product(fld.enumerate_elements(), repeat=n)
-        return [pt for pt in grid if poly.eval(pt)]
-    if d.kind == PROJECTIVE:
-        (n,) = d.params
-        return [pt for pt in projective_points(fld, n) if poly.eval(pt.coords)]
-    m, n = d.params
-    return [gp for gp in grassmannian_points(fld, m, n) if poly.eval(gp.plucker)]
 
 
 def _shapes(q):
@@ -497,8 +493,8 @@ class TestSharedCharts:
                         if poly.is_zero():
                             continue
                 d = Hypersurface(poly, kind, params)
-                reference = _per_point_oracle(d, fld)
-                assert exhaustive_oracle(d, fld) == (len(reference), reference)
+                reference = per_point_oracle(d, fld)
+                assert oracle_points(d, fld) == (len(reference), reference)
                 res = avoid(d, fld)
                 assert res.found == bool(reference)
                 if res.found:
@@ -516,10 +512,10 @@ class TestSharedCharts:
             else:
                 poly = random_homogeneous_poly(rng, fld, nvars, rng.randint(1, q + 1))
             d = Hypersurface(poly, kind, params)
-            reference = _per_point_oracle(d, fld)
+            reference = per_point_oracle(d, fld)
             c = len(reference)
             for max_listed in sorted({0, 1, max(c - 1, 0), c, c + 1}) + [None]:
-                count, points = exhaustive_oracle(d, fld, max_listed=max_listed)
+                count, points = oracle_points(d, fld, max_listed=max_listed)
                 assert count == c
                 assert points == reference[:max_listed]
 
@@ -528,12 +524,12 @@ class TestSharedCharts:
         # x0*(x_b + 1) are the even indices of the second chunk
         bits = kernels._CHUNK.bit_length() - 1
         d = affine(f"x0*(x{bits} + 1)", F2, bits + 1)
-        reference = _per_point_oracle(d, F2)
+        reference = per_point_oracle(d, F2)
         c = len(reference)
         assert c == kernels._CHUNK // 2
         assert reference[0] == (1,) + (0,) * bits
         for max_listed in (0, 1, c - 1, c, c + 1, None):
-            count, points = exhaustive_oracle(d, F2, max_listed=max_listed)
+            count, points = oracle_points(d, F2, max_listed=max_listed)
             assert count == c
             assert points == reference[:max_listed]
 
@@ -541,17 +537,20 @@ class TestSharedCharts:
         avoid_module = importlib.import_module("ffgeom.avoid")
         calls = []
         plucker_fn = avoid_module.plucker
-        monkeypatch.setattr(avoid_module, "plucker",
-                            lambda matrix, fld: calls.append(1) or plucker_fn(matrix, fld))
+        monkeypatch.setattr(
+            avoid_module, "plucker",
+            lambda matrix, fld, at: calls.append(at.tolist()) or plucker_fn(matrix, fld, at))
         d = Hypersurface(parse_polynomial("x0*x5", F3, 6), GRASSMANNIAN, (2, 4))
-        count, points = exhaustive_oracle(d, F3, max_listed=3)
-        assert count > 3 and len(points) == len(calls) == 3
+        count, blocks = exhaustive_oracle(d, F3, max_listed=3)
+        # one Pluecker block for the one listed chunk, at the three listed indices
+        assert count > 3 and len(blocks) == len(calls) == 1 and len(calls[0]) == 3
+        assert [len(array) for array in blocks[0]] == [3, 3]
 
     def test_no_point_grassmannian(self):
         # the Pluecker relation vanishes on all of Grass(2,4)
         d = Hypersurface(parse_polynomial("x0*x5 + x1*x4 + x2*x3", F2, 6), GRASSMANNIAN, (2, 4))
         assert exhaustive_oracle(d, F2) == (0, [])
-        assert _per_point_oracle(d, F2) == []
+        assert per_point_oracle(d, F2) == []
         assert avoid(d, F2).outcome == NO_POINT
 
     @pytest.mark.parametrize("kind,text,params,nvars,bad", [

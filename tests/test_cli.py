@@ -2,15 +2,34 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffgeom import cli
+from ffgeom import cli, kernels
+from ffgeom.avoid import (
+    AFFINE,
+    GRASSMANNIAN,
+    PROJECTIVE,
+    Hypersurface,
+    plucker,
+    projective_points,
+)
 from ffgeom.cli import EXIT_NO_POINT, EXIT_OK, EXIT_PRECONDITION, run
+from ffgeom.polynomials import MultivariatePolynomial
+
+from conftest import (
+    field_for,
+    grassmannian_points,
+    per_point_oracle,
+    random_homogeneous_poly,
+    random_poly,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -193,22 +212,143 @@ def test_writer_matches_json_dump(doc):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(_SCALARS, max_size=3), _DOCS)
 def test_writer_matches_json_dump_on_shared_lists(vec, doc):
-    # one tuple held at several depths and several times at one depth, as
-    # the coordinate memos make it, and a list held the same ways
+    # one tuple held at several depths and several times at one depth, and
+    # a list held the same ways
     tup = tuple(vec)
     shared = {"a": tup, "b": [tup, tup, [tup, (tup, doc)]], "c": {"d": tup, "e": vec},
               "f": [vec, vec, [vec]], "g": doc}
     assert _emitted(shared) == json.dumps(shared, indent=2) + "\n"
 
 
-def test_coordinate_memo_shares_one_list_per_element():
-    fld = cli.parse_field_spec("9")
-    elt = cli._Coordinates(fld)
-    point = cli._point_json((3, 4, 3), elt)
-    first, second, third = point["coordinates"]
-    assert first is third
-    assert list(first) == fld.coords(3) and list(second) == fld.coords(4)
-    assert len(elt) == 2
+def _reference_listing(kind, poly, shape):
+    """(ambient point count, avoiding points) from the reference
+    enumerations, one point at a time."""
+    fld = poly.field
+    if kind == "affine":
+        d = Hypersurface(poly, AFFINE, shape)
+        ambient = fld.q ** shape[0]
+    elif kind == "projective":
+        d = Hypersurface(poly, PROJECTIVE, shape)
+        ambient = sum(1 for _ in projective_points(fld, shape[0]))
+    else:
+        d = Hypersurface(poly, GRASSMANNIAN, shape)
+        ambient = sum(1 for _ in grassmannian_points(fld, *shape))
+    return ambient, per_point_oracle(d, fld)
+
+
+def _reference_stdout(kind, spec, poly, ambient, listing, max_listed):
+    """(exit code, stdout) of the oracle, its document built from the
+    reference listing with ``plucker`` and ``fld.coords`` and written by
+    ``json.dumps``."""
+    fld = poly.field
+    points = []
+    for pt in listing[:max_listed]:
+        if kind == "affine":
+            points.append({"kind": "affine", "coordinates": [fld.coords(c) for c in pt]})
+        elif kind == "projective":
+            points.append({"kind": "projective",
+                           "coordinates": [fld.coords(c) for c in pt.coords]})
+        else:
+            points.append({
+                "kind": "grassmannian",
+                "matrix": [[fld.coords(c) for c in row] for row in pt.matrix],
+                "plucker": [fld.coords(c) for c in plucker(pt.matrix, fld)],
+            })
+    doc = {
+        "subcommand": "oracle",
+        "inputs_echo": {"field": spec, "poly": poly.format(), "kind": kind},
+        "ambient_points": ambient,
+        "avoiding_count": len(listing),
+        "points": points,
+        "truncated": len(listing) > max_listed,
+    }
+    return (EXIT_OK if listing else EXIT_NO_POINT), json.dumps(doc, indent=2) + "\n"
+
+
+def _oracle_argv(kind, spec, poly, shape, max_listed):
+    size = {"affine": ["--vars"], "projective": ["--dim"], "grass": ["--m", "--n"]}[kind]
+    argv = ["oracle", "--kind", kind, "--field", spec, "--poly", poly.format(),
+            "--max-listed", str(max_listed)]
+    for flag, value in zip(size, shape):
+        argv += [flag, str(value)]
+    return argv
+
+
+def _chart(kind, point):
+    """The chart a listed point lies on: the pivot columns of its matrix."""
+    if kind == "affine":
+        return ()
+    rows = [point.coords] if kind == "projective" else point.matrix
+    return tuple(next(j for j, c in enumerate(row) if c) for row in rows)
+
+
+def _cuts(kind, listing):
+    """--max-listed values 0, 1, count - 1 and count, and where a chart
+    lists two or more points, one that stops after the first of them."""
+    c = len(listing)
+    cuts = {0, 1, max(c - 1, 0), c}
+    charts = [_chart(kind, pt) for pt in listing]
+    for i in range(c - 1):
+        if charts[i] == charts[i + 1] and (i == 0 or charts[i - 1] != charts[i]):
+            cuts.add(i + 1)
+            break
+    return sorted(cuts)
+
+
+# (kind, shape) with at most ~1500 points over F_q, q <= 16
+def _oracle_shapes(q):
+    shapes = [("affine", (n,)) for n in (1, 2, 3) if q ** n <= 1500]
+    shapes += [("projective", (n,)) for n in (1, 2, 3) if q ** n <= 1500]
+    shapes += [("grass", (1, 3)), ("grass", (2, 3))]
+    if q <= 5:
+        shapes += [("grass", (2, 4)), ("grass", (3, 4))]
+    if q <= 3:
+        shapes.append(("grass", (2, 5)))
+    return shapes
+
+
+@st.composite
+def _oracle_cases(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]))
+    kind, shape = draw(st.sampled_from(_oracle_shapes(q)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    fld = field_for(q)
+    if kind == "affine":
+        poly = random_poly(rng, fld, shape[0], 2 * q)
+    else:
+        nvars = shape[0] + 1 if kind == "projective" else math.comb(shape[1], shape[0])
+        poly = random_homogeneous_poly(rng, fld, nvars, rng.randint(1, q + 1))
+    spec = draw(st.sampled_from([str(q), f"{fld.p}^{fld.k}"]))
+    chunk = draw(st.sampled_from([kernels._CHUNK, 1, 3, 8]))
+    return kind, spec, poly, shape, chunk
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_oracle_cases())
+def test_oracle_listing_matches_json_dump_of_reference(case):
+    # fields with k > 1 render each element as a list at two depths (matrix
+    # and Pluecker entries); small chunks put block edges inside charts
+    kind, spec, poly, shape, chunk = case
+    ambient, listing = _reference_listing(kind, poly, shape)
+    with mock.patch.object(kernels, "_CHUNK", chunk):
+        for max_listed in _cuts(kind, listing):
+            code, stdout, _ = invoke(_oracle_argv(kind, spec, poly, shape, max_listed))
+            assert (code, stdout) == _reference_stdout(kind, spec, poly, ambient, listing,
+                                                       max_listed)
+
+
+def test_oracle_listing_across_chunk_and_chart_edges():
+    # on P^15(F_2), x2*...*x15 is nonzero where x2 = ... = x15 = 1: on the
+    # chart x0 = 1 at 2^14 - 1 and 2^15 - 1, the last index of each of its
+    # two chunks, then once on each of the charts x1 = 1 and x2 = 1
+    fld = field_for(2)
+    poly = MultivariatePolynomial(16, fld, {(0, 0) + (1,) * 14: 1})
+    ambient, listing = _reference_listing("projective", poly, (15,))
+    assert [_chart("projective", pt) for pt in listing] == [(0,), (0,), (1,), (2,)]
+    for max_listed in (1, 2, 3, 4):
+        code, stdout, _ = invoke(_oracle_argv("projective", "2", poly, (15,), max_listed))
+        assert (code, stdout) == _reference_stdout("projective", "2", poly, ambient, listing,
+                                                   max_listed)
 
 
 def test_parser_reused_across_requests():

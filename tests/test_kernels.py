@@ -36,6 +36,16 @@ class TestDecode:
             assert enc == t
 
 
+    @pytest.mark.parametrize("q,n", [(2, 5), (3, 3), (4, 2), (7, 1), (5, 0), (8, 3), (16, 2),
+                                     (2, 0), (32, 2), (2 ** 10, 1)])
+    def test_array_decode_matches_decode_point(self, q, n):
+        idx = np.array([0, q ** n - 1] + list(range(q ** n))[::-1], dtype=np.int64)
+        coords = kernels.decode(idx, q, n)
+        assert coords.shape == (len(idx), n) and coords.dtype == np.int64
+        assert [tuple(row) for row in coords.tolist()] == [
+            kernels.decode_point(t, q, n) for t in idx.tolist()]
+
+
 class TestGridEval:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_matches_pointwise_eval(self, q):
@@ -66,6 +76,29 @@ class TestGridEval:
     def test_nullary(self):
         p = MultivariatePolynomial.constant(4, 0, make_field(5))
         assert np.array_equal(kernels.grid_eval(p), np.array([4]))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_index_array_matches_range_form(self, q):
+        rng = random.Random(320 + q)
+        fld = field_for(q)
+        for _ in range(20):
+            nvars = rng.randint(1, 3)
+            poly = random_poly(rng, fld, nvars, 4).reduced()
+            total = q ** nvars
+            start = rng.randrange(total)
+            stop = rng.randint(start, total)
+            whole = kernels.grid_eval(poly)
+            cases = [
+                np.arange(start, stop, dtype=np.int64),  # the range form's indices
+                np.array([rng.randrange(total) for _ in range(30)], dtype=np.int64),  # unsorted
+                np.array([start] * 5 + [total - 1, 0, start], dtype=np.int64),  # repeated
+                np.array([], dtype=np.int64),
+            ]
+            assert np.array_equal(kernels.grid_eval(poly, cases[0]),
+                                  kernels.grid_eval(poly, start, stop))
+            for idx in cases:
+                values = kernels.grid_eval(poly, idx)
+                assert values.dtype == np.int64 and np.array_equal(values, whole[idx])
 
 
 class TestTables:
