@@ -39,6 +39,9 @@ DEFAULT_ORACLE_LIMIT = 10 ** 7
 # points an oracle listing may hold: they are kept as int64 arrays, about
 # 8 bytes per coordinate, and rendered chunk by chunk
 MAX_LISTED = 10 ** 5
+# (n+1)^2 * terms a guaranteed search of P^n may cost: each of its n pencil
+# levels maps every term, and a term holds up to n+1 exponents
+MAX_PENCIL_WORK = 10 ** 7
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -265,6 +268,8 @@ def avoid_projective(d, fld):
         raise ValueError("expected a projective hypersurface")
     poly = d.poly.map_coefficients(fld)
     if fld.q >= poly.total_degree():
+        if poly.nvars ** 2 * len(poly.terms) > MAX_PENCIL_WORK:
+            raise SpaceTooLarge(f"pencil search cost exceeds limit {MAX_PENCIL_WORK}")
         coords, trace = _projective_search(poly, fld)
         return _verify_found(poly, ProjectivePoint(coords, fld), GUARANTEED, trace)
     return _fallback(d, fld)

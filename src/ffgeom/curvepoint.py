@@ -34,19 +34,21 @@ from .errors import (
 from .fields import embed
 from .polynomials import (
     MultivariatePolynomial,
+    UnivariatePolynomial,
     find_root_in_tower,
     homogeneous_or_raise,
     interpolate,
     poly_gcd,
+    resultant,
     sylvester_matrix,
     to_univariate,
 )
 
 # The perfbench tracer wraps curvepoint.det_poly and avoid.det_scalar by
-# name.  det_poly is unused here since the fiber resultant is interpolated,
-# but stays importable; the scalar determinants are looked up on the avoid
-# module at call time (the package rebinds the name avoid to a function) so
-# that the tracer counts them.
+# name.  det_poly is unused here, but stays importable; the determinant that
+# checks the fiber resultant is looked up on the avoid module at call time
+# (the package rebinds the name avoid to a function) so that the tracer
+# counts it.
 from .polynomials import det_poly  # noqa: F401
 
 _avoid = importlib.import_module(".avoid", __package__)
@@ -193,29 +195,46 @@ def _pencil_base_point(center, s, t):
 
 
 def _v_coefficients(form, center, fld):
-    """Coefficients (in F[s,t]) of v^0..v^deg of form(u*c + v*Q(s,t))."""
-    P = MultivariatePolynomial
+    """Coefficients c_0..c_deg of v^0..v^deg in form(u*c + v*Q(s,t)), each
+    restricted to t = 1 as a dense UnivariatePolynomial in s.
+
+    The form is restricted to the pencil at u = t = 1, in (v, s) only.
+    Nothing is lost: c_i is a binary form of degree i, so
+    c_i(s, t) = t^i * c_i(s/t, 1), and c_i(1, 0) is the coefficient of s^i.
+    On the line, x_axis = c_axis = 1 (the first nonzero coordinate of a
+    projective point), x_j1 = c_j1 + v*s and x_j2 = c_j2 + v, so a term
+    a*x^e adds a * C(e_j1, i) c_j1^(e_j1-i) * C(e_j2, k) c_j2^(e_j2-k) to
+    the coefficient of v^(i+k) s^i.
+    """
     deg = form.total_degree()
-    axis, j1, j2 = _line_frame(center)
-    # 4-variable ring (u, v, s, t)
-    u = P.variable(0, 4, fld)
-    v = P.variable(1, 4, fld)
-    s = P.variable(2, 4, fld)
-    t = P.variable(3, 4, fld)
-    reps = []
-    for l in range(3):
-        q_l = s if l == j1 else (t if l == j2 else None)
-        term = u.scale(center.coords[l])
-        if q_l is not None:
-            term = term + q_l * v
-        reps.append(term)
-    expanded = form.map_coefficients(fld).substitute(reps)
-    coeffs = [dict() for _ in range(deg + 1)]
-    for (eu, ev, es, et), c in expanded.terms.items():
-        if eu + ev != deg:
-            raise InternalContradiction("restriction to the pencil is not homogeneous")
-        coeffs[ev][(es, et)] = c
-    return [P(2, fld, d) for d in coeffs]
+    _, j1, j2 = _line_frame(center)
+    c = center.coords
+    add, mul = fld.add, fld.mul
+
+    def binomials(x):
+        # row e: C(e, i) x^(e-i) for i = 0..e, the coefficients of (x + y)^e
+        rows = [[1]]
+        for _ in range(deg):
+            prev = rows[-1]
+            rows.append([add(mul(x, a), b) for a, b in zip(prev + [0], [0] + prev)])
+        return rows
+
+    b1, b2 = binomials(c[j1]), binomials(c[j2])
+    coeffs = [[0] * (i + 1) for i in range(deg + 1)]
+    for exps, a in form.map_coefficients(fld).terms.items():
+        for i, x in enumerate(b1[exps[j1]]):
+            if x:
+                ax = mul(a, x)
+                for k, y in enumerate(b2[exps[j2]]):
+                    if y:
+                        row = coeffs[i + k]
+                        row[i] = add(row[i], mul(ax, y))
+    return [UnivariatePolynomial(row, fld) for row in coeffs]
+
+
+def _top(coeffs):
+    """c_i(1, 0) for each c_i of :func:`_v_coefficients`."""
+    return [c.coeffs[i] if c.degree == i else 0 for i, c in enumerate(coeffs)]
 
 
 def fiber_resultant(curve, divisor, center):
@@ -224,12 +243,15 @@ def fiber_resultant(curve, divisor, center):
 
     The form R(s,t) is the resultant in v of the restrictions of F and G to
     the line through the center and (s:t); it has degree beta = e*deg G.
-    Its Sylvester matrix is evaluated at (1:0), which gives the coefficient
-    of s^beta, and at (x:1) for beta elements x of the field; the scalar
-    determinants fix R(x,1) - R(1,0)*x^beta, of degree < beta, by
-    interpolation.  Evaluation commutes with the determinant, so the form is
-    exact even where a leading coefficient vanishes.  When the field has a
-    spare element, the form is checked against one more determinant.
+    Its coefficient of s^beta, R(1,0), is the resultant of the top
+    coefficients of the restrictions.  At (x:1) for beta elements x of the
+    field, the coefficients in v are Horner evaluations, and one Euclidean
+    :func:`resultant` each fixes R(x,1) - R(1,0)*x^beta, of degree < beta,
+    by interpolation.  Evaluation commutes with the resultant over the
+    declared degrees, so the form is exact even where a leading coefficient
+    vanishes.  When the field has a spare element, the form is checked there
+    against an independent algorithm: the Bareiss determinant of the
+    Sylvester matrix.
     """
     fld = center.field
     f = curve.poly.map_coefficients(fld)
@@ -250,30 +272,32 @@ def fiber_resultant(curve, divisor, center):
     fc = _v_coefficients(f, center, fld)
     gc = _v_coefficients(g, center, fld)
 
-    def resultant_at(s, t):
-        rows = sylvester_matrix(
-            [c.eval((s, t)) for c in fc], [c.eval((s, t)) for c in gc], e, mg
-        )
-        return _avoid.det_scalar([[x or 0 for x in row] for row in rows], fld)
+    def values(x):
+        # the coefficients in v at (x:1), by Horner's rule
+        return [c.eval(x) for c in fc], [c.eval(x) for c in gc]
 
-    top = resultant_at(1, 0)
+    top = resultant(_top(fc), _top(gc), e, mg, fld)
     xs = list(islice(fld.enumerate_elements(), beta + 1))
-    values = [resultant_at(x, 1) for x in xs]
     # R(x,1) - top*x^beta has degree < beta: interpolate it from beta values
-    ys = [fld.sub(v, fld.mul(top, fld.pow(x, beta))) for x, v in zip(xs, values)]
-    low = interpolate(xs[:beta], ys[:beta], fld).coeffs
-    coeffs = low + [0] * (beta - len(low)) + [top]
-    res = P(2, fld, {(i, beta - i): c for i, c in enumerate(coeffs)})
-    if res.is_zero():
+    ys = [
+        fld.sub(resultant(*values(x), e, mg, fld), fld.mul(top, fld.pow(x, beta)))
+        for x in xs[:beta]
+    ]
+    low = interpolate(xs[:beta], ys, fld).coeffs
+    r1 = UnivariatePolynomial(low + [0] * (beta - len(low)) + [top], fld)  # R(s,1)
+    if r1.is_zero():
         raise DivisorNotProper(
             "every line through the center meets the divisor; the divisor "
             "form shares a component with the curve"
         )
-    if len(xs) > beta and res.eval((xs[beta], 1)) != values[beta]:
-        raise InternalContradiction(
-            "fiber resultant disagrees with its Sylvester determinant"
-        )
-    return res
+    if len(xs) > beta:
+        x = xs[beta]
+        rows = sylvester_matrix(*values(x), e, mg)
+        if r1.eval(x) != _avoid.det_scalar([[a or 0 for a in r] for r in rows], fld):
+            raise InternalContradiction(
+                "fiber resultant disagrees with its Sylvester determinant"
+            )
+    return P(2, fld, {(i, beta - i): c for i, c in enumerate(r1.coeffs)})
 
 
 def galois_orbit(pt, k2, k1):

@@ -298,12 +298,15 @@ class FiniteField:
         return tuple(memoryview(t) for t in self.tables)
 
     def generator(self):
-        """First element (enumeration order) generating the multiplicative group."""
+        """First element (enumeration order) generating the multiplicative group.
+
+        In an extension field the candidates start at p: the elements below
+        it form F_p, whose orders divide p - 1 < q - 1."""
         n = self.q - 1
         if n == 1:
             return 1
         factors = _prime_factors(n)
-        for cand in range(2, self.q):
+        for cand in range(2 if self.k == 1 else self.p, self.q):
             if all(self._pow_slow(cand, n // f) != 1 for f in factors):
                 return cand
         raise RuntimeError("no generator found")  # unreachable

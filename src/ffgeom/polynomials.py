@@ -351,10 +351,10 @@ class UnivariatePolynomial:
         return f"UnivariatePolynomial({self.coeffs}, {self.field!r})"
 
     def eval(self, x):
-        fld = self.field
+        add, mul = self.field.add, self.field.mul
         acc = 0
         for c in reversed(self.coeffs):
-            acc = fld.add(fld.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     def derivative(self):
@@ -548,6 +548,53 @@ def sylvester_matrix(fc, gc, m, n):
     return rows
 
 
+def resultant(fc, gc, m, n, field):
+    """Resultant of two polynomials over ``field`` at declared degrees
+    ``m`` and ``n``, from coefficient lists (low degree first, at most
+    m + 1 and n + 1 entries): the determinant of their Sylvester matrix,
+    leading coefficients allowed to vanish.
+
+    The Euclidean algorithm, O(mn) field operations.  Expanding the
+    determinant along its first column, a vanishing f_m multiplies by
+    (-1)^n * g_n and lowers m, and a vanishing g_n multiplies by f_m and
+    lowers n.  Otherwise, with m >= n (a swap costs (-1)^(mn)), the pair
+    becomes (g, f mod g) at declared degree n - 1, with the factor
+    (-1)^(mn) * g_n^(m-n+1).  A constant f gives f_0^n, a constant g g_0^m.
+    """
+    mul, sub, neg = field.mul, field.sub, field.neg
+    f = list(fc) + [0] * (m + 1 - len(fc))
+    g = list(gc) + [0] * (n + 1 - len(gc))
+    acc = 1
+    while True:
+        if m == 0:
+            return mul(acc, field.pow(f[0], n))
+        if n == 0:
+            return mul(acc, field.pow(g[0], m))
+        if not f[m]:
+            acc = mul(acc, g[n] if n % 2 == 0 else neg(g[n]))
+            m -= 1
+        elif not g[n]:
+            acc = mul(acc, f[m])
+            n -= 1
+        else:
+            # Res(f, g) = (-1)^(mn) Res(g, f): a swap's sign cancels the
+            # sign of the step below
+            if m < n:
+                f, g, m, n = g, f, n, m
+            elif m * n % 2:
+                acc = neg(acc)
+            lead = g[n]
+            inv = field.inv(lead)
+            # f mod g in place: step i cancels f[i] and reads f only below it
+            for i in range(m, n - 1, -1):
+                c = f[i]
+                if c:
+                    c = mul(c, inv)
+                    f[i - n:i] = [sub(a, mul(c, b)) for a, b in zip(f[i - n:i], g)]
+            acc = mul(acc, field.pow(lead, m - n + 1))
+            f, g, m, n = g, f[:n], n, n - 1
+
+
 def sylvester_resultant(f, g):
     """Resultant of two univariate polynomials over the same field."""
     if f.field != g.field:
@@ -556,13 +603,7 @@ def sylvester_resultant(f, g):
         raise BothZero("resultant of two zero polynomials")
     if f.is_zero() or g.is_zero():
         return 0
-    fld = f.field
-    m, n = f.degree, g.degree
-    if m + n == 0:
-        return 1  # two nonzero constants
-    rows = sylvester_matrix(f.coeffs, g.coeffs, m, n)
-    mat = [[0 if e is None else e for e in row] for row in rows]
-    return det_scalar(mat, fld)
+    return resultant(f.coeffs, g.coeffs, f.degree, g.degree, f.field)
 
 
 def find_root_in_tower(f, max_degree):
@@ -598,6 +639,22 @@ MAX_NESTING = 100
 # variables a parsed polynomial may have: each term holds one exponent per
 # variable, and a point of its ambient space one coordinate per variable
 MAX_VARS = 10 ** 4
+
+# terms a power or a product in the text may expand to, bounded from its
+# operands before it is expanded
+MAX_TERMS = 10 ** 5
+
+
+def _power_terms(t, e):
+    """C(t+e-1, t-1), the monomials of degree e in t symbols, which bounds
+    the terms of a t-term polynomial to the power e; the count stops once
+    it passes ``MAX_TERMS``.  Step i makes it C(e+i, i)."""
+    bound = 1
+    for i in range(1, t):
+        bound = bound * (e + i) // i
+        if bound > MAX_TERMS:
+            break
+    return bound
 
 
 class _Parser:
@@ -656,7 +713,10 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
-            acc = acc * self.parse_factor()
+            factor = self.parse_factor()
+            if len(acc.terms) * len(factor.terms) > MAX_TERMS:
+                raise SpaceTooLarge(f"product expands to more than {MAX_TERMS} terms")
+            acc = acc * factor
         return acc
 
     def parse_factor(self):
@@ -666,6 +726,8 @@ class _Parser:
             e = self.parse_int()
             if e < 0:
                 self.error("negative exponent")
+            if _power_terms(len(base.terms), e) > MAX_TERMS:
+                raise SpaceTooLarge(f"power expands to more than {MAX_TERMS} terms")
             base = base ** e
         return base
 

@@ -257,6 +257,24 @@ class TestProjective:
         res = avoid_projective(projective("x0^7", F7, n), F7)
         assert res.point.coords == (1,) * n + (0,)
 
+    def test_pencil_budget(self, monkeypatch):
+        # x0 + x1 on P^2: 3 variables, squared, times 2 terms
+        avoid_module = importlib.import_module("ffgeom.avoid")
+        d = projective("x0 + x1", F7, 2)
+        monkeypatch.setattr(avoid_module, "MAX_PENCIL_WORK", 18)
+        assert avoid_projective(d, F7).mode == GUARANTEED
+        monkeypatch.setattr(avoid_module, "MAX_PENCIL_WORK", 17)
+        with pytest.raises(SpaceTooLarge, match="exceeds limit 17"):
+            avoid_projective(d, F7)
+
+    def test_past_pencil_budget_fails_fast(self):
+        # 3163^2 > 10^7: refused before the first pencil level
+        d = projective("x0", F7, 3162)
+        start = time.perf_counter()
+        with pytest.raises(SpaceTooLarge, match="pencil search cost exceeds limit"):
+            avoid_projective(d, F7)
+        assert time.perf_counter() - start < 0.1
+
     def test_fallback_agrees_with_oracle(self, rng):
         fld = F2
         for _ in range(40):

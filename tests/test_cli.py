@@ -192,34 +192,6 @@ def test_writer_matches_json_dump_on_goldens(name):
     assert _emitted(doc) == json.dumps(doc, indent=2) + "\n" == text
 
 
-_SCALARS = (
-    st.none() | st.booleans() | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
-    | st.floats() | st.text()
-)
-_DOCS = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_DOCS)
-def test_writer_matches_json_dump(doc):
-    assert _emitted(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.lists(_SCALARS, max_size=3), _DOCS)
-def test_writer_matches_json_dump_on_shared_lists(vec, doc):
-    # one tuple held at several depths and several times at one depth, and
-    # a list held the same ways
-    tup = tuple(vec)
-    shared = {"a": tup, "b": [tup, tup, [tup, (tup, doc)]], "c": {"d": tup, "e": vec},
-              "f": [vec, vec, [vec]], "g": doc}
-    assert _emitted(shared) == json.dumps(shared, indent=2) + "\n"
-
-
 def _reference_listing(kind, poly, shape):
     """(ambient point count, avoiding points) from the reference
     enumerations, one point at a time."""
@@ -424,9 +396,18 @@ class TestExitCodes:
         # more listed points than avoid.MAX_LISTED
         ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0+1", "--vars", "18",
          "--max-listed", "100001"],
+        # expansions past polynomials.MAX_TERMS: a power of a sum, and a
+        # product of two 400-term sums
+        ["avoid", "affine", "--field", "7", "--poly", "(x0+x1)^100000000000000000000"],
+        ["avoid", "affine", "--field", "7", "--poly",
+         "(" + "+".join(f"x0^{i}" for i in range(400)) + ")*("
+         + "+".join(f"x1^{i}" for i in range(400)) + ")"],
+        # a pencil search past avoid.MAX_PENCIL_WORK
+        ["avoid", "projective", "--field", "7", "--poly", "x0", "--dim", "9999"],
     ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
             "p1-scan-empty-box", "vars-from-index", "vars-flag", "grass-plucker-count",
-            "grass-huge-n", "max-listed"])
+            "grass-huge-n", "max-listed", "power-of-sum", "product-of-sums",
+            "projective-dim-9999"])
     def test_over_budget_fails_fast(self, argv):
         start = time.perf_counter()
         code, out, err = invoke(argv)

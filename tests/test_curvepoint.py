@@ -6,7 +6,7 @@ from ffgeom.avoid import ProjectivePoint
 from ffgeom.curvepoint import (
     CurveDivisor,
     PlaneCurve,
-    _v_coefficients,
+    _line_frame,
     enumerate_curve_points,
     fiber_resultant,
     galois_orbit,
@@ -150,8 +150,8 @@ class TestFiberResultant:
                     continue
                 done += 1
                 rows = sylvester_matrix(
-                    _v_coefficients(c.poly, center, fld),
-                    _v_coefficients(g.poly, center, fld),
+                    _pencil_coefficients(c.poly, center, fld),
+                    _pencil_coefficients(g.poly, center, fld),
                     e,
                     mg,
                 )
@@ -198,9 +198,31 @@ class TestFiberResultant:
                     assert hit
 
 
+def _pencil_coefficients(form, center, fld):
+    """Reference restriction to the pencil: the coefficients (in F[s,t]) of
+    v^0..v^deg of form(u*c + v*Q(s,t)), from a substitution in all four
+    variables (u, v, s, t)."""
+    P = MultivariatePolynomial
+    deg = form.total_degree()
+    _, j1, j2 = _line_frame(center)
+    u, v, s, t = (P.variable(i, 4, fld) for i in range(4))
+    reps = []
+    for l in range(3):
+        term = u.scale(center.coords[l])
+        if l in (j1, j2):
+            term = term + (s if l == j1 else t) * v
+        reps.append(term)
+    expanded = form.map_coefficients(fld).substitute(reps)
+    coeffs = [{} for _ in range(deg + 1)]
+    for (eu, ev, es, et), c in expanded.terms.items():
+        assert eu + ev == deg
+        coeffs[ev][(es, et)] = c
+    return [P(2, fld, d) for d in coeffs]
+
+
 def _params_through(center, pt, fld):
     """Pencil parameters (s:t) whose line through the center contains pt."""
-    from ffgeom.curvepoint import _line_frame, _pencil_base_point
+    from ffgeom.curvepoint import _pencil_base_point
 
     out = []
     for s in fld.enumerate_elements():

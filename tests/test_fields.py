@@ -232,6 +232,18 @@ class TestDiscreteLogTables:
             b = fld.inv(a)
             assert fld.mul(b, a) == 1 and fld._mul_slow(b, a) == 1
 
+    def test_generator_is_first_element_of_full_order(self):
+        # the order of each element by repeated multiplication
+        for p, k in prime_powers_up_to(2 ** 10):
+            fld = FiniteField(p, k)
+            for cand in range(1, fld.q):
+                x, order = cand, 1
+                while x != 1:
+                    x, order = fld._mul_slow(x, cand), order + 1
+                if order == fld.q - 1:
+                    break
+            assert fld.generator() == cand, (p, k)
+
     @pytest.mark.parametrize("p,k,gen", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 4), (5, 1, 2)])
     def test_golden_generators_unchanged(self, p, k, gen):
         fld = make_field(p, k)

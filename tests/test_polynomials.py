@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ffgeom import kernels
+from ffgeom import kernels, polynomials
 from ffgeom.errors import (
     ArityMismatch,
     BothZero,
@@ -17,9 +19,11 @@ from ffgeom.errors import (
 from ffgeom.fields import make_field
 from ffgeom.polynomials import (
     MAX_NESTING,
+    MAX_TERMS,
     MAX_VARS,
     MultivariatePolynomial,
     UnivariatePolynomial,
+    _power_terms,
     det_poly,
     det_scalar,
     find_root_in_tower,
@@ -28,6 +32,8 @@ from ffgeom.polynomials import (
     parse_polynomial,
     poly_gcd,
     rank_and_det,
+    resultant,
+    sylvester_matrix,
     sylvester_resultant,
     to_univariate,
 )
@@ -150,6 +156,50 @@ class TestVariableBudget:
             parse_polynomial(text, F2, nvars)
 
 
+class TestTermBudget:
+    @pytest.mark.parametrize("t", range(8))
+    @pytest.mark.parametrize("e", [0, 1, 2, 5, 40, 10 ** 20])
+    def test_power_bound_is_monomial_count(self, t, e):
+        bound = _power_terms(t, e)
+        exact = comb(t + e - 1, t - 1) if t else 1
+        assert bound == exact if exact <= MAX_TERMS else bound > MAX_TERMS
+
+    @pytest.mark.parametrize("text", [
+        "x0^99999999999999999999", "(3*x0*x1^2)^99999999999999999999",
+        "(x0 - x0)^99999999999999999999", "(x0 + x1 + x2)^0",
+    ])
+    def test_single_term_powers_parse(self, text):
+        poly = parse_polynomial(text, F5)
+        assert len(poly.terms) <= 1
+
+    def test_power_at_limit(self, monkeypatch):
+        # a 3-term base squared has at most C(4, 2) = 6 terms
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 6)
+        assert len(parse_polynomial("(x0 + x1 + x2)^2", F5).terms) == 6
+        with pytest.raises(SpaceTooLarge, match="power expands to more than 6 terms"):
+            parse_polynomial("(x0 + x1 + x2)^3", F5)
+
+    def test_product_at_limit(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 6)
+        assert len(parse_polynomial("(x0 + x1)*(x2 + x3 + x4)", F5).terms) == 6
+        with pytest.raises(SpaceTooLarge, match="product expands to more than 6 terms"):
+            parse_polynomial("(x0 + x1)*(x2 + x3 + x4)*(1 + x5)", F5)
+
+    def test_huge_power_of_sum_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(SpaceTooLarge):
+            parse_polynomial("(x0+x1)^100000000000000000000", F5)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("text,position", [
+        ("(x0+x1)^", 8), ("(x0+x1)^-1", 10), ("(x0+x1)^2*", 10), ("(x0+x1)^2 )", 10),
+    ])
+    def test_parse_error_positions(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, F5)
+        assert info.value.position == position
+
+
 class TestDecompose:
     def test_example(self):
         p = parse_polynomial("x0^2*x1 + x0*x1^2", F4)
@@ -247,6 +297,48 @@ class TestResultant:
                     assert (res == 0) == (poly_gcd(f, g).degree > 0)
                     if shared:
                         assert res == 0
+
+
+RESULTANT_FIELDS = [make_field(2), make_field(7), make_field(101), make_field(7919),
+                    make_field(2, 4), make_field(3, 3), make_field(5, 2)]
+
+
+@st.composite
+def _declared_pairs(draw):
+    """(field, fc, gc, m, n): coefficient lists at declared degrees m, n in
+    0..7; about half the time a list has its top coefficients zeroed, some
+    or all of them."""
+    fld = draw(st.sampled_from(RESULTANT_FIELDS))
+    element = st.integers(0, fld.q - 1)
+    pairs = []
+    for _ in range(2):
+        deg = draw(st.integers(0, 7))
+        coeffs = draw(st.lists(element, min_size=deg + 1, max_size=deg + 1))
+        if draw(st.booleans()):
+            top = draw(st.integers(1, deg + 1))
+            coeffs[deg + 1 - top:] = [0] * top
+        pairs.append((coeffs, deg))
+    (fc, m), (gc, n) = pairs
+    return fld, fc, gc, m, n
+
+
+class TestEuclideanResultant:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_declared_pairs())
+    @example((make_field(7), [3], [2, 5, 1], 0, 2))  # 3^2
+    @example((make_field(7), [4, 0, 1], [5], 2, 0))  # 5^2
+    @example((make_field(7), [3], [5], 0, 0))  # the empty determinant
+    @example((make_field(2, 4), [0, 0, 0], [1, 1], 2, 1))  # f vanishes
+    def test_matches_bareiss_on_sylvester_matrix(self, case):
+        fld, fc, gc, m, n = case
+        rows = sylvester_matrix(fc, gc, m, n)
+        det = det_scalar([[a or 0 for a in row] for row in rows], fld)
+        assert resultant(fc, gc, m, n, fld) == det
+
+    def test_inputs_unchanged(self):
+        fc, gc = [1, 2, 3], [4, 0, 5, 6]
+        resultant(fc, gc, 2, 3, make_field(7))
+        assert (fc, gc) == ([1, 2, 3], [4, 0, 5, 6])
 
 
 def _random_univariate(rng, fld, deg):
