@@ -8,7 +8,7 @@ downgrades to an exhaustive scan with an explicit mode flag, so small-field
 boundary cases report NoPointExists instead of erroring.
 
 The exhaustive paths (the fallbacks, the oracle, and the curve-point
-listing) share one chart enumerator, :func:`charts`, one chunked scan,
+listing) share one chart enumerator, :func:`charts`, one blocked scan,
 :func:`kernels.hits`, and one decoder of hits into points,
 :func:`chart_rows`.
 """
@@ -37,7 +37,7 @@ from .polynomials import det_poly, det_scalar  # noqa: F401
 
 DEFAULT_ORACLE_LIMIT = 10 ** 7
 # points an oracle listing may hold: they are kept as int64 arrays, about
-# 8 bytes per coordinate, and rendered chunk by chunk
+# 8 bytes per coordinate, and rendered block by block
 MAX_LISTED = 10 ** 5
 # (n+1)^2 * terms a guaranteed search of P^n may cost: each of its n pencil
 # levels maps every term, and a term holds up to n+1 exponents
@@ -175,10 +175,17 @@ def plucker(matrix, field, at=None):
     """m x m minors in lexicographic column-set order: of ``matrix``, as a
     tuple; or, when ``at`` is an int64 array of grid indices of a chart from
     :func:`charts` and ``matrix`` is its :class:`Cell`, of the cell's
-    echelon matrices at those indices, as an (N, C(n, m)) int64 array, one
-    kernel evaluation per minor."""
+    echelon matrices at those indices, as an (N, C(n, m)) int64 array, every
+    minor's terms evaluated from one decode of ``at``."""
     if at is not None:
-        return np.stack([kernels.grid_eval(minor, at) for minor in matrix.minors], axis=1)
+        values = kernels.term_values(
+            [t for minor in matrix.minors for t in minor.sorted_terms()], at,
+            len(matrix.free), field)
+        block = np.zeros((len(at), len(matrix.minors)), dtype=np.int64)
+        for j, minor in enumerate(matrix.minors):
+            for _ in minor.terms:
+                block[:, j] = field.add(block[:, j], next(values))
+        return block
     m = len(matrix)
     n = len(matrix[0])
     if not (1 <= m < n):
@@ -525,11 +532,11 @@ def _fallback(d, fld):
 def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
     """``(count, blocks)``: the number of avoiding points, and the first
     ``max_listed`` of them (all of them when None) in canonical order as
-    int64 arrays, one block per scanned chunk that lists any.  A block is
-    ``(coordinates,)``, of shape (N, n), on affine space and P^n, and
-    ``(matrices, pluckers)``, of shapes (N, m, n) and (N, C(n, m)), on a
-    Grassmannian.  Brute force over every chart, independent of the
-    guaranteed searches above; hits are counted chunk by chunk, and only
+    int64 arrays, one block per :func:`kernels.hits` block that lists any.
+    A block is ``(coordinates,)``, of shape (N, n), on affine space and
+    P^n, and ``(matrices, pluckers)``, of shapes (N, m, n) and
+    (N, C(n, m)), on a Grassmannian.  Brute force over every chart, independent of the
+    guaranteed searches above; hits are counted block by block, and only
     listed points are decoded."""
     _check_budget(d, fld, limit)
     count, listed, blocks = 0, 0, []

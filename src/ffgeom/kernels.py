@@ -5,16 +5,26 @@ every point of F_q^n in canonical order (last variable varying fastest).
 Multiplication goes through the field's discrete-log tables and addition
 through :meth:`FiniteField.add`, the rule scalar arithmetic uses, applied
 to whole arrays.  Every field has tables, so one kernel serves every field
-up to the size limit.  Scans go through :func:`hits`, which evaluates the
-grid in chunks and stops when its caller does.
+up to the size limit.
+
+Scans go through :func:`hits`, which splits the grid into its last s
+(*inner*) variables and the rest (*outer*), and writes the polynomial as a
+sum of inner monomials with polynomial coefficients in the outer ones.
+Each inner monomial is evaluated once per scan over the inner grid, each
+coefficient once per block of outer points, and a block's values are their
+products, taken as one broadcast in the log domain.  The scan stops when
+its caller does.
 """
 
 import numpy as np
 
-# grid points per grid_eval call in hits: O(chunk) memory.  A scan that stops
-# at its first hit evaluates one chunk, and a working set of a few MB is
-# reused by the allocator instead of faulted in again on every call.
+# grid points per block of hits: O(_CHUNK) memory.  A scan that stops at its
+# first hit evaluates one block, and a working set of a few MB is reused by
+# the allocator instead of faulted in again on every block.
 _CHUNK = 2 ** 14
+# inner-monomial values a scan caches: (groups with a nonconstant monomial)
+# times the inner grid's q^s points, an int64 log each
+_MAX_CACHED = 64 * _CHUNK
 
 
 def kernel_capable(field):
@@ -29,6 +39,23 @@ def field_tables(field):
     return field.tables
 
 
+def term_values(terms, idx, nvars, field):
+    """The values of each term ``(exps, c)`` of ``terms`` at the grid indices
+    of the int64 array ``idx`` (grid F_q^nvars), one int64 array per term,
+    in order: every term reads the same decode of ``idx``."""
+    q = field.q
+    logt, expt = field_tables(field)
+    coords = decode(idx, q, nvars).T
+    for exps, c in terms:
+        logval = np.full(len(idx), logt[c], dtype=np.int64)
+        alive = np.ones(len(idx), dtype=bool)
+        for x, e in zip(coords, exps):
+            if e:
+                alive &= x != 0
+                logval += e * logt[x]  # log[0] garbage masked by `alive`
+        yield np.where(alive, expt[logval % (q - 1)], 0)
+
+
 def grid_eval(poly, start=0, stop=None):
     """Values of ``poly`` at grid points ``start .. stop-1`` (default: all
     q^nvars points), canonical order, or at the grid indices of the int64
@@ -40,22 +67,12 @@ def grid_eval(poly, start=0, stop=None):
     q, so ``e * log`` stays far inside int64.
     """
     field = poly.field
-    q = field.q
     if isinstance(start, np.ndarray):
         idx = start
     else:
-        idx = np.arange(start, q ** poly.nvars if stop is None else stop, dtype=np.int64)
-    logt, expt = field_tables(field)
-    coords = decode(idx, q, poly.nvars).T
+        idx = np.arange(start, field.q ** poly.nvars if stop is None else stop, dtype=np.int64)
     acc = np.zeros(len(idx), dtype=np.int64)
-    for exps, c in poly.sorted_terms():
-        logval = np.full(len(idx), logt[c], dtype=np.int64)
-        alive = np.ones(len(idx), dtype=bool)
-        for x, e in zip(coords, exps):
-            if e:
-                alive &= x != 0
-                logval += e * logt[x]  # log[0] garbage masked by `alive`
-        val = np.where(alive, expt[logval % (q - 1)], 0)
+    for val in term_values(poly.sorted_terms(), idx, poly.nvars, field):
         acc = field.add(acc, val)
     return acc
 
@@ -67,26 +84,95 @@ def _grid_eval_python(poly, stop, start=0):
     )
 
 
+def _split(poly):
+    """``(s, base, groups)``: the reduced ``poly`` as
+    ``base + sum(coef * mono for mono, coef in groups)``, with ``base`` a
+    polynomial in its last s variables, each ``mono`` an exponent tuple of
+    those s variables and each ``coef`` a nonconstant polynomial in the
+    other n - s, at most one group per monomial.
+
+    s is the largest with q^s <= ``_CHUNK``, lowered (down to 0) until the
+    groups whose monomial is not constant hold at most ``_MAX_CACHED``
+    inner values, q^s each.  Every group with a constant coefficient folds
+    into ``base``."""
+    field, n = poly.field, poly.nvars
+    s = 0
+    while s < n and field.q ** (s + 1) <= _CHUNK:
+        s += 1
+    if s == n:  # no outer variables: every coefficient is a constant
+        return s, poly, []
+    while True:
+        coefs = {}
+        for exps, c in poly.terms.items():
+            coefs.setdefault(exps[n - s:], {})[exps[:n - s]] = c
+        constant = (0,) * (n - s)
+        base, groups = {}, []
+        for mono, coef in coefs.items():
+            if coef.keys() == {constant}:
+                base[mono] = coef[constant]
+            else:
+                groups.append((mono, type(poly)(n - s, field, coef)))
+        cached = sum(1 for mono, _ in groups if any(mono))
+        if s == 0 or cached * field.q ** s <= _MAX_CACHED:
+            return s, type(poly)(s, field, base), groups
+        s -= 1
+
+
 def hits(poly, zero=False):
     """Grid indices (canonical order) where ``poly`` is nonzero, or where it
     vanishes when ``zero`` is set: one ascending int64 array of absolute
-    indices per chunk that has any.
+    indices per block that has any.
 
     The polynomial is reduced first, so one that vanishes on the whole grid
-    has no nonzero point to scan for.  The grid is evaluated in chunks of at
-    most ``_CHUNK`` points, so a caller that stops at the first array
-    evaluates only the chunks up to its first hit, and a caller that counts
-    never holds more than a chunk.
+    has no nonzero point to scan for.  It is then :func:`_split` into its
+    last s variables, whose q^s points make the inner grid, and the outer
+    rest.  ``base`` and every inner monomial are evaluated once, over the
+    inner grid.  A block is max(1, ``_CHUNK`` // q^s) outer points times
+    the inner grid: its values are ``base`` plus each group's coefficient,
+    evaluated at the block's outer points, times its monomial.  So a caller
+    that stops at the first array evaluates only the blocks up to its first
+    hit, and a caller that counts never holds more than a block.
     """
     poly = poly.reduced()
     if poly.is_zero() and not zero:
         return
-    total = poly.field.q ** poly.nvars
-    for start in range(0, total, _CHUNK):
-        values = grid_eval(poly, start, min(start + _CHUNK, total))
+    field, q = poly.field, poly.field.q
+    s, base, groups = _split(poly)
+    width = q ** s
+    base = grid_eval(base) if base else None
+    # products in the log domain with neither a modulus nor a mask: a
+    # factor's log is below q - 1, or 2(q - 1) for 0, and ``prod`` holds
+    # g^i at every sum i < 2(q - 1) and 0 from there on.  Only a scan with
+    # a nonconstant monomial builds it, and there q^s <= _CHUNK.
+    zlog, logs = 2 * (q - 1), {}
+    monos = [mono for mono, _ in groups if any(mono)]
+    if monos:
+        logt, expt = field_tables(field)
+        prod = np.concatenate([expt, expt, np.zeros(zlog + 1, dtype=np.int64)])
+        inner = term_values([(mono, 1) for mono in monos],
+                            np.arange(width, dtype=np.int64), s, field)
+        logs = {mono: np.where(v != 0, logt[v], zlog) for mono, v in zip(monos, inner)}
+    outer = q ** (poly.nvars - s)
+    step = max(1, _CHUNK // width)
+    for o0 in range(0, outer, step):
+        o1 = min(o0 + step, outer)
+        shape = (o1 - o0, width)
+        values = None if base is None else np.broadcast_to(base, shape)
+        for mono, coef in groups:
+            a = grid_eval(coef, o0, o1)
+            if not a.any():
+                continue
+            if mono in logs:
+                loga = np.where(a != 0, logt[a], zlog)
+                term = prod[loga[:, None] + logs[mono]]
+            else:  # the constant monomial: its coefficient adds as it is
+                term = np.broadcast_to(a[:, None], shape)
+            values = term if values is None else field.add(values, term)
+        if values is None:  # a zero base and every coefficient 0 on the block
+            values = np.zeros(shape, dtype=np.int64)
         found = np.flatnonzero(values == 0 if zero else values)
         if len(found):
-            found += start
+            found += o0 * width
             yield found
 
 

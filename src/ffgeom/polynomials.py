@@ -59,8 +59,7 @@ class MultivariatePolynomial:
 
     @classmethod
     def variable(cls, i, nvars, field):
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, field, {exps: 1})
+        return cls(nvars, field, {(0,) * i + (1,) + (0,) * (nvars - i - 1): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -644,6 +643,10 @@ MAX_VARS = 10 ** 4
 # operands before it is expanded
 MAX_TERMS = 10 ** 5
 
+# exponents the terms of a sum, a power or a product may hold: each term is
+# one nvars-tuple, so this bounds the parser's memory at any variable count
+MAX_TERM_ENTRIES = 10 ** 7
+
 
 def _power_terms(t, e):
     """C(t+e-1, t-1), the monomials of degree e in t symbols, which bounds
@@ -692,30 +695,46 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
+    def check_entries(self, terms, what):
+        if terms * self.nvars > MAX_TERM_ENTRIES:
+            raise SpaceTooLarge(
+                f"{what} of {terms} terms in {self.nvars} variables exceeds limit "
+                f"{MAX_TERM_ENTRIES} exponents")
+
     def parse_expr(self):
-        if self.take("-"):
-            acc = -self.parse_term()
-        else:
+        # the terms are summed into one dict: adding polynomials would copy
+        # the running sum at every sign, quadratic in its length
+        fld = self.field
+        negate = self.take("-")
+        if not negate:
             self.take("+")
-            acc = self.parse_term()
+        acc = {}
         while True:
+            for e, c in self.parse_term().terms.items():
+                if negate:
+                    c = fld.neg(c)
+                cur = acc.get(e)
+                total = c if cur is None else fld.add(cur, c)
+                if total:
+                    acc[e] = total
+                else:
+                    del acc[e]
+            self.check_entries(len(acc), "sum")
             ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self.parse_term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self.parse_term()
-            else:
-                return acc
+            if ch not in ("+", "-"):
+                return MultivariatePolynomial(self.nvars, fld, acc)
+            self.pos += 1
+            negate = ch == "-"
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek() == "*":
             self.pos += 1
             factor = self.parse_factor()
-            if len(acc.terms) * len(factor.terms) > MAX_TERMS:
+            bound = len(acc.terms) * len(factor.terms)
+            if bound > MAX_TERMS:
                 raise SpaceTooLarge(f"product expands to more than {MAX_TERMS} terms")
+            self.check_entries(bound, "product")
             acc = acc * factor
         return acc
 
@@ -726,8 +745,10 @@ class _Parser:
             e = self.parse_int()
             if e < 0:
                 self.error("negative exponent")
-            if _power_terms(len(base.terms), e) > MAX_TERMS:
+            bound = _power_terms(len(base.terms), e)
+            if bound > MAX_TERMS:
                 raise SpaceTooLarge(f"power expands to more than {MAX_TERMS} terms")
+            self.check_entries(bound, "power")
             base = base ** e
         return base
 

@@ -404,10 +404,12 @@ class TestExitCodes:
          + "+".join(f"x1^{i}" for i in range(400)) + ")"],
         # a pencil search past avoid.MAX_PENCIL_WORK
         ["avoid", "projective", "--field", "7", "--poly", "x0", "--dim", "9999"],
+        # a sum past polynomials.MAX_TERM_ENTRIES: 10^4 terms of 10^4 exponents
+        ["avoid", "affine", "--field", "7", "--poly", "+".join(f"x{i}" for i in range(10 ** 4))],
     ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
             "p1-scan-empty-box", "vars-from-index", "vars-flag", "grass-plucker-count",
             "grass-huge-n", "max-listed", "power-of-sum", "product-of-sums",
-            "projective-dim-9999"])
+            "projective-dim-9999", "linear-form-10000-vars"])
     def test_over_budget_fails_fast(self, argv):
         start = time.perf_counter()
         code, out, err = invoke(argv)

@@ -1,10 +1,14 @@
+import contextlib
 import functools
+import itertools
 import random
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ffgeom import fields, kernels
 from ffgeom.avoid import AFFINE, GRASSMANNIAN, PROJECTIVE, Hypersurface, charts
@@ -167,7 +171,10 @@ _PRODUCT_16 = "*".join(f"x{i}" for i in range(1, 17))
 class TestHits:
     @pytest.mark.parametrize("q,n", [(2, 17), (3, 11)])
     def test_matches_whole_grid(self, q, n):
-        # grids of 8 and 10.8 chunks, so chunk edges fall inside them
+        # a block is max(1, _CHUNK // q^s) outer points times the q^s inner
+        # ones: _CHUNK points when q is a power of two, 2 * 3^8 when q = 3;
+        # grids of 8 and 13.5 blocks, so block edges fall inside them
+        block = {2: kernels._CHUNK, 3: 2 * 3 ** 8}[q]
         rng = random.Random(40 + q)
         fld = field_for(q)
         for _ in range(3):
@@ -176,10 +183,10 @@ class TestHits:
             for zero, expected in ((False, values != 0), (True, values == 0)):
                 arrays = list(kernels.hits(poly, zero=zero))
                 assert all(a.dtype == np.int64 and len(a) for a in arrays)
-                # one array per chunk that has a hit
-                chunks = {int(t) // kernels._CHUNK for t in np.flatnonzero(expected)}
-                assert [int(a[0]) // kernels._CHUNK for a in arrays] == sorted(chunks)
-                assert all(a[-1] // kernels._CHUNK == a[0] // kernels._CHUNK for a in arrays)
+                # one array per block that has a hit
+                blocks = {int(t) // block for t in np.flatnonzero(expected)}
+                assert [int(a[0]) // block for a in arrays] == sorted(blocks)
+                assert all(a[-1] // block == a[0] // block for a in arrays)
                 joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
                 assert joined.tolist() == np.flatnonzero(expected).tolist()
 
@@ -252,3 +259,109 @@ class TestReducedScan:
         monkeypatch.setattr(kernels, "grid_eval", lambda *a: calls.append(a))
         poly = parse_polynomial("x0^2 - x0", make_field(2), 20)
         assert list(kernels.hits(poly)) == [] and calls == []
+
+
+@st.composite
+def split_scans(draw):
+    """``(poly, chunk, cap)``: a polynomial over F_q on a grid of at most
+    512 points, with exponents up to 2q (so some reduce) and half of them
+    0 (so inner monomials repeat across outer ones), and the ``_CHUNK`` and
+    ``_MAX_CACHED`` to scan it with.  A chunk of 1, 3 or 8 makes s = 0 for
+    most q; q^2 makes 0 < s < n once n > 2; the real one makes s = n on
+    most of these grids; a cap of q^2 moves variables outward."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16)))
+    fld = field_for(q)
+    max_nvars = max(n for n in range(1, 11) if q ** n <= 512)
+    nvars = draw(st.sampled_from(range(max_nvars, 0, -1)))
+    exps = st.lists(st.one_of(st.just(0), st.integers(1, 2 * q)),
+                    min_size=nvars, max_size=nvars)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, q - 1)), max_size=8))
+    chunk = draw(st.sampled_from((q * q, 1, 3, 8, kernels._CHUNK)))
+    cap = draw(st.sampled_from((kernels._MAX_CACHED, q * q)))
+    return MultivariatePolynomial(nvars, fld, terms), chunk, cap
+
+
+@contextlib.contextmanager
+def _scanning(chunk=None, cap=None):
+    """:func:`kernels.hits` with another block size or cache cap."""
+    with mock.patch.object(kernels, "_CHUNK", chunk or kernels._CHUNK), \
+            mock.patch.object(kernels, "_MAX_CACHED", cap or kernels._MAX_CACHED):
+        yield
+
+
+class TestSplitScan:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(split_scans())
+    def test_hits_match_unreduced_scalar_reference(self, case):
+        poly, chunk, cap = case
+        with _scanning(chunk, cap):
+            for zero in (False, True):
+                arrays = list(kernels.hits(poly, zero=zero))
+                joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+                assert all(len(a) for a in arrays) and np.all(np.diff(joined) > 0)
+                assert joined.tolist() == _scalar_hits(poly, zero)
+
+    # base and the group monomials are over the last s variables, renamed
+    # x0 .. x(s-1); None keeps the real _CHUNK or _MAX_CACHED
+    @pytest.mark.parametrize("q,chunk,cap,nvars,text,s,base,monos", [
+        # q > chunk: s = 0, one group, the constant monomial's
+        (5, 3, None, 2, "x0*x1^6 + x1 + 2", 0, "0", [()]),
+        # 0 < s < n: x2^2*x3 and x3^2 fold into base, x3 has the coefficient
+        # x0 + 2*x1, and x0*x1 + 1 is the constant monomial's
+        (3, 9, None, 4, "x0*x3 + 2*x1*x3 + x2^2*x3 + x3^2 + x0*x1 + 1", 2,
+         "x0^2*x1 + x1^2", [(0, 0), (0, 1)]),
+        # q^n <= chunk: s = n, the whole polynomial in base
+        (2, None, None, 5, "x0*x4 + x1 + 1", 5, "x0*x4 + x1 + 1", []),
+        # three monomials of 16 inner values each pass a cap of 32, so x2
+        # moves outward and becomes the constant monomial's coefficient
+        (2, 16, 32, 6, "x0*x5 + x1*x4 + x0*x1*x3 + x2", 3, "0",
+         [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    ])
+    def test_split_cases(self, q, chunk, cap, nvars, text, s, base, monos):
+        fld = field_for(q)
+        poly = parse_polynomial(text, fld, nvars)
+        with _scanning(chunk, cap):
+            split = kernels._split(poly.reduced())
+            assert split[:2] == (s, parse_polynomial(base, fld, s))
+            assert sorted(mono for mono, _ in split[2]) == monos
+            assert all(coef.total_degree() > 0 for _, coef in split[2])
+            for zero in (False, True):
+                assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
+
+    def test_group_zero_on_a_block(self):
+        # blocks of one outer point (x0, x1) times the 9 points of (x2, x3):
+        # x3's coefficient x0 + 2*x1 is 0 where x0 = x1, on three of the nine
+        # blocks, where the scan skips its product
+        poly = parse_polynomial("x0*x3 + 2*x1*x3 + x2^2*x3 + x3^2 + x0*x1 + 1", field_for(3))
+        with _scanning(9):
+            coef = dict(kernels._split(poly)[2])[(0, 1)]
+            assert [o for o in range(9) if not kernels.grid_eval(coef, o, o + 1).any()] == [0, 4, 8]
+            for zero in (False, True):
+                assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
+
+    def test_many_groups_cache_in_bounded_memory(self):
+        # 300 terms over F_2 in 20 variables, each an outer variable times a
+        # distinct inner monomial: at s = 14 their inner logs would take
+        # 300 * 2^14 * 8 bytes (~39 MB); the cap lowers s until they fit.
+        # The cache is built before the first block and every block
+        # allocates alike, so the first blocks show the scan's peak.
+        rng = random.Random(5)
+        inner = set()
+        while len(inner) < 300:
+            mono = tuple(int(rng.random() < 0.3) for _ in range(14))
+            if any(mono):
+                inner.add(mono)
+        terms = {}
+        for mono in sorted(inner):
+            o = rng.randrange(6)
+            terms[tuple(int(i == o) for i in range(6)) + mono] = 1
+        poly = MultivariatePolynomial(20, make_field(2), terms)
+        assert len(poly.terms) == 300
+        tracemalloc.start()
+        try:
+            arrays = list(itertools.islice(kernels.hits(poly), 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(arrays) == 4 and kernels._split(poly)[0] < 14
+        assert peak < 32 * 2 ** 20

@@ -191,8 +191,45 @@ class TestTermBudget:
             parse_polynomial("(x0+x1)^100000000000000000000", F5)
         assert time.perf_counter() - start < 0.1
 
+    def test_long_sum_parses_fast(self):
+        # summed into one dict, not copied at every sign: x0 + ... + x1599
+        # took 20 s when each '+' built a new polynomial
+        text = "+".join(f"x{i}" for i in range(1600)) + "-x7+x7+3-3"
+        start = time.perf_counter()
+        poly = parse_polynomial(text, F5)
+        assert time.perf_counter() - start < 1.0
+        assert poly == MultivariatePolynomial(
+            1600, F5, {tuple(int(i == j) for i in range(1600)): 1 for j in range(1600)})
+
+    def test_sum_at_entry_limit(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "MAX_TERM_ENTRIES", 12)
+        assert len(parse_polynomial("x0 + x1 + x2", F5, 4).terms) == 3
+        # terms that cancel hold no entries
+        assert len(parse_polynomial("x0 + x1 - x1 + x1 + x2", F5, 4).terms) == 3
+        with pytest.raises(SpaceTooLarge, match="sum of 4 terms in 4 variables exceeds limit 12"):
+            parse_polynomial("x0 + x1 + x2 + 1", F5, 4)
+
+    def test_expansion_at_entry_limit(self, monkeypatch):
+        # the term bound of a power or a product, times the variables
+        monkeypatch.setattr(polynomials, "MAX_TERM_ENTRIES", 12)
+        assert len(parse_polynomial("(x0 + x1)*(x1 + x2)", F5).terms) == 4
+        assert len(parse_polynomial("(x0 + x1)^3", F5, 3).terms) == 4
+        with pytest.raises(SpaceTooLarge, match="product of 6 terms in 3 variables"):
+            parse_polynomial("(x0 + x1)*(x0 + x1 + x2)", F5)
+        with pytest.raises(SpaceTooLarge, match="power of 5 terms in 3 variables"):
+            parse_polynomial("(x0 + x1)^4", F5, 3)
+
+    def test_linear_form_in_max_vars_fails_fast(self):
+        # 10^4 terms of 10^4 exponents each: refused after 10^3 terms
+        text = "+".join(f"x{i}" for i in range(MAX_VARS))
+        start = time.perf_counter()
+        with pytest.raises(SpaceTooLarge, match="exceeds limit"):
+            parse_polynomial(text, F5)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("text,position", [
         ("(x0+x1)^", 8), ("(x0+x1)^-1", 10), ("(x0+x1)^2*", 10), ("(x0+x1)^2 )", 10),
+        ("x0+", 3), ("-", 1), ("x0 - * x1", 5), ("x0 + - x1", 6),
     ])
     def test_parse_error_positions(self, text, position):
         with pytest.raises(ParseError) as info:
