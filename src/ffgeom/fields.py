@@ -301,7 +301,12 @@ class FiniteField:
         """First element (enumeration order) generating the multiplicative group.
 
         In an extension field the candidates start at p: the elements below
-        it form F_p, whose orders divide p - 1 < q - 1."""
+        it form F_p, whose orders divide p - 1 < q - 1.  The search runs
+        once per field; :attr:`tables` starts from the same element."""
+        return self._generator
+
+    @cached_property
+    def _generator(self):
         n = self.q - 1
         if n == 1:
             return 1

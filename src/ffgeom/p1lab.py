@@ -2,11 +2,16 @@
 line bundles, so a bundle is a sorted integer tuple, cohomology is a closed
 formula, and the criterion "semistable <=> some twist kills all cohomology"
 can be checked exhaustively inside a finite search box.
+
+A scan finds the first partner of every type in one pass: each type E gets
+a table of h0 and one of h1 of E (x) O(t) over the box's range of t, and
+the cohomology of E (x) F, for every F of a rank block of the box, is a sum
+of gathers from those tables.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -15,8 +20,12 @@ from .errors import InternalContradiction, SpaceTooLarge
 
 # line bundles a partner search or criterion scan may sum, counted before it
 # starts: the sum of rank E over the types E it checks times the sum of
-# rank F over the box, which is the number of entries its degree arrays hold
+# rank F over the box, which bounds the entries its tables and gathers touch
 MAX_LINE_BUNDLES = 10 ** 6
+
+# entries (types E times line bundles of a table or rank block) that one
+# row block of a partner search holds in each of its arrays
+_ROW_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -108,40 +117,84 @@ def _check_budget(line_bundles, what):
         raise SpaceTooLarge(f"{what} needs more than {MAX_LINE_BUNDLES} line bundles")
 
 
-def _box(rank_bound, search_bound):
-    """The partner box in canonical order, one ``(parts, degrees)`` pair per
-    rank r: an int64 array of shape (n_r, r) whose rows are the types F of
-    rank r, and their degrees, summed apart from the array."""
-    blocks = {}
-    for f in splitting_types(rank_bound, search_bound):
-        blocks.setdefault(f.rank, []).append(f)
-    return [
-        (np.array([f.parts for f in fs], dtype=np.int64),
-         np.array([f.degree for f in fs], dtype=np.int64))
-        for fs in blocks.values()
-    ]
+def _parts(ts, count):
+    """The parts of the types ``ts``, ``count`` in all, one after another."""
+    return np.fromiter(chain.from_iterable(t.parts for t in ts), dtype=np.int64,
+                       count=count)
 
 
-def _first_partner(e, box):
-    """First F of ``box`` (rank blocks in order) with H^0(E (x) F) =
-    H^1(E (x) F) = 0, or None.  Each rank block is evaluated as one
-    (n_r, rank E, r) array of the degrees a_i + b_j, and every row is
-    checked against the Euler characteristic deg E*r + deg F*rank E +
-    rank E*r before a row is taken."""
-    a = np.array(e.parts, dtype=np.int64)
-    s = len(a)
-    for parts, degrees in box:
-        r = parts.shape[1]
-        chi = a[:, None] + parts[:, None, :]
-        chi += 1  # h0 - h1 of each line bundle O(d) is d + 1
-        h0 = np.maximum(chi, 0).sum(axis=(1, 2))
-        h1 = -np.minimum(chi, 0).sum(axis=(1, 2))
-        if not np.array_equal(h0 - h1, e.degree * r + degrees * s + s * r):
-            raise InternalContradiction("Euler characteristic mismatch")
-        hits = np.flatnonzero((h0 == 0) & (h1 == 0))
-        if len(hits):
-            return SplittingType(parts[hits[0]].tolist())
-    return None
+def _degrees(ts):
+    return np.array([t.degree for t in ts], dtype=np.int64)
+
+
+def _first_partners(types, box):
+    """For each E of ``types``, the first F of ``box`` such that
+    H^0(E (x) F) = H^1(E (x) F) = 0, or None.  ``box`` is an iterable that
+    lists its types rank by rank, as :func:`splitting_types` does; it is
+    not consumed when ``types`` is empty.
+
+    Each E gets two tables over the box's part range [lo, hi],
+    g_E(t) = sum_i max(a_i + t + 1, 0) and h_E(t) = sum_i max(-a_i - t - 1, 0),
+    so h0(E (x) F) = sum_j g_E(b_j) and h1(E (x) F) = sum_j h_E(b_j) are
+    gathers from the tables, (types x box line bundles) entries in all.
+    Every pair evaluated is checked against the Euler characteristic
+    h0 - h1 = deg E*r + deg F*s + s*r (s = rank E, r = rank F), with the
+    degrees summed apart from the tables.  The types of each rank s go in
+    row blocks of about ``_ROW_BLOCK_ENTRIES`` entries per array; a row
+    block stops at the first rank block after which each of its rows has
+    a partner."""
+    partners = [None] * len(types)
+    if not types:
+        return partners
+    by_rank = {}
+    for f in box:
+        by_rank.setdefault(f.rank, []).append(f)
+    if not by_rank:
+        return partners
+    # the box as one flat array of parts, so that a rank block costs a few
+    # views however many blocks there are
+    members = [f for fs in by_rank.values() for f in fs]
+    parts = _parts(members, sum(r * len(fs) for r, fs in by_rank.items()))
+    degrees = _degrees(members)
+    lo, hi = int(parts.min()), int(parts.max())
+    t = np.arange(lo, hi + 1, dtype=np.int64)
+    parts -= lo  # indices into the tables
+    blocks, i, j = [], 0, 0
+    for r, fs in by_rank.items():
+        n = len(fs)
+        # row c of the columns holds part c of every F in the block
+        blocks.append((fs, parts[j:j + r * n].reshape(n, r).T, degrees[i:i + n]))
+        i, j = i + n, j + r * n
+    # entries per line bundle of E: its row of a table or of a rank block
+    width = max(len(t), max(len(fs) for fs in by_rank.values()))
+    rows_of_rank = {}
+    for i, e in enumerate(types):
+        rows_of_rank.setdefault(e.rank, []).append(i)
+    for s, index in rows_of_rank.items():
+        step = max(_ROW_BLOCK_ENTRIES // (s * width), 1)  # types E per row block
+        for start in range(0, len(index), step):
+            rows = index[start:start + step]
+            es = [types[i] for i in rows]
+            chi = _parts(es, s * len(es)).reshape(len(es), s, 1) + t
+            chi += 1  # h0 - h1 of each line bundle O(d) is d + 1
+            g = np.maximum(chi, 0).sum(axis=1)
+            h = np.maximum(-chi, 0).sum(axis=1)
+            deg_e = _degrees(es)[:, None]
+            open_rows = len(rows)  # rows without a partner yet
+            for fs, cols, deg_f in blocks:
+                r = len(cols)
+                h0 = g[:, cols].sum(axis=1)
+                h1 = h[:, cols].sum(axis=1)
+                if not np.array_equal(h0 - h1, deg_e * r + (deg_f * s + s * r)):
+                    raise InternalContradiction("Euler characteristic mismatch")
+                hits = h0 + h1 == 0  # both are sums of nonnegative terms
+                for k in np.flatnonzero(hits.any(axis=1)):
+                    if partners[rows[k]] is None:
+                        partners[rows[k]] = fs[int(hits[k].argmax())]
+                        open_rows -= 1
+                if not open_rows:
+                    break  # the later rank blocks come later in the order
+    return partners
 
 
 def find_partner(e, search_bound, rank_bound):
@@ -158,7 +211,7 @@ def find_partner(e, search_bound, rank_bound):
         # a + b = -1 needs |b| >= |a| - 1 > search_bound; with the box empty
         # or bounded by the budget, this keeps parts past int64 out of the arrays
         return None
-    return _first_partner(e, _box(rank_bound, search_bound))
+    return _first_partners([e], splitting_types(rank_bound, search_bound))[0]
 
 
 @dataclass
@@ -188,12 +241,12 @@ def verify_criterion(rank_max, coeff_bound, search_bound, rank_bound):
     # an empty box still leaves one step per type E to take
     _check_budget(types_size * max(line_bundle_count(rank_bound, search_bound), 1),
                   "the scan")
-    box = _box(rank_bound, search_bound) if types_size else []
+    types = list(splitting_types(rank_max, coeff_bound))
+    partners = _first_partners(types, splitting_types(rank_bound, search_bound))
     report = CriterionReport(rank_max, coeff_bound, search_bound, rank_bound)
-    for e in splitting_types(rank_max, coeff_bound):
+    for e, partner in zip(types, partners):
         report.total_types += 1
         ss = is_semistable(e)
-        partner = _first_partner(e, box)
         if ss:
             report.semistable_count += 1
         if partner is not None:

@@ -244,6 +244,21 @@ class TestDiscreteLogTables:
                     break
             assert fld.generator() == cand, (p, k)
 
+    @pytest.mark.parametrize("p,k", [(3, 10), (2, 16)])
+    def test_generator_searched_once(self, p, k, monkeypatch):
+        # field info asks for the generator on every request; the tables
+        # start from the same element and do not search again
+        calls = []
+        pow_slow = FiniteField._pow_slow
+        monkeypatch.setattr(FiniteField, "_pow_slow",
+                            lambda fld, a, e: calls.append(a) or pow_slow(fld, a, e))
+        fld = FiniteField(p, k)
+        g = fld.generator()
+        searched = len(calls)
+        assert searched > 0
+        assert fld.generator() == g and len(calls) == searched
+        assert fld.tables[1][1] == g and len(calls) == searched
+
     @pytest.mark.parametrize("p,k,gen", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 4), (5, 1, 2)])
     def test_golden_generators_unchanged(self, p, k, gen):
         fld = make_field(p, k)

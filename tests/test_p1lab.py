@@ -1,14 +1,16 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffgeom import p1lab
 from ffgeom.errors import InternalContradiction, SpaceTooLarge
 from ffgeom.p1lab import (
     MAX_LINE_BUNDLES,
     SplittingType,
-    _box,
-    _first_partner,
+    _first_partners,
     cohomology_dims,
     find_partner,
     is_semistable,
@@ -44,6 +46,18 @@ def _verify_criterion_python(rank_max, coeff_bound, search_bound, rank_bound):
         if ss != (partner is not None):
             counterexamples.append((e, partner))
     return total, semistable, partnered, max_rank, counterexamples
+
+
+class _Forged(SplittingType):
+    """A splitting type whose degree is given apart from its parts."""
+
+    def __init__(self, parts, degree):
+        super().__init__(parts)
+        object.__setattr__(self, "forged_degree", degree)
+
+    @property
+    def degree(self):
+        return self.forged_degree
 
 
 # ranks up to 4 with parts in [-6, 6]; half the draws repeat one part
@@ -159,24 +173,70 @@ class TestArrayEvaluation:
         # an empty box admits any search bound; the parts still stay out
         assert find_partner(SplittingType([10 ** 20]), 10 ** 21, 0) is None
 
-    def test_box_in_canonical_order(self):
-        rows = [tuple(row) for parts, _ in _box(3, 2) for row in parts.tolist()]
-        assert rows == [f.parts for f in splitting_types(3, 2)]
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 3), st.integers(-1, 1), st.integers(0, 1), st.integers(0, 4),
+           st.sampled_from([1, 3, 40]), _TYPES)
+    def test_row_blocks_match_reference(self, rank_max, coeff_bound, extra, rank_bound,
+                                        entries, e):
+        # blocks of a few entries split the types and cross the rank blocks;
+        # rank_bound 0 gives an empty box, where every semistable type is a
+        # counterexample, in canonical order
+        search_bound = coeff_bound + 1 + extra
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(p1lab, "_ROW_BLOCK_ENTRIES", entries)
+            report = verify_criterion(rank_max, coeff_bound, search_bound, rank_bound)
+            partner = find_partner(e, search_bound, rank_bound)
+        assert (report.total_types, report.semistable_count, report.partnered_count,
+                report.max_partner_rank, report.counterexamples) == \
+            _verify_criterion_python(rank_max, coeff_bound, search_bound, rank_bound)
+        assert partner == _find_partner_python(e, search_bound, rank_bound)
+
+    def test_first_hit_in_box_order(self):
+        # without its rank-1 block the box's first partner of a balanced
+        # type is the rank-2 one; a type found early keeps its partner
+        box = [f for f in splitting_types(3, 2) if f.rank > 1]
+        types = [SplittingType([0]), SplittingType([1, 0]), SplittingType([0, 0])]
+        assert _first_partners(types, box) == \
+            [SplittingType([-1, -1]), None, SplittingType([-1, -1])]
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_corrupted_degrees_raise(self, rank):
-        # the Euler check compares the arrays with degrees summed apart from
+        # the Euler check compares the tables with degrees summed apart from
         # them; it raises, so it holds under python -O as well
-        box = _box(3, 4)
-        box[rank - 1][1][-1] += 1
+        box = list(splitting_types(3, 4))
+        i = max(i for i, f in enumerate(box) if f.rank == rank)
+        box[i] = _Forged(box[i].parts, box[i].degree + 1)
         with pytest.raises(InternalContradiction):
-            _first_partner(SplittingType([1, -1]), box)
+            _first_partners([SplittingType([1, -1])], box)
 
     def test_corrupted_parts_raise(self):
-        box = _box(2, 4)
-        box[0][0][0, 0] += 1  # a part no longer matches its type's degree
+        # a part of E no longer matches its degree
+        types = [SplittingType([0]), _Forged([1], 0)]
         with pytest.raises(InternalContradiction):
-            _first_partner(SplittingType([0]), box)
+            _first_partners(types, splitting_types(2, 4))
+
+    def test_empty_box_or_range_builds_nothing(self):
+        # an empty box admits any search bound; with no type E the box,
+        # however large, is not enumerated
+        report = verify_criterion(1, 3, 10 ** 20, 0)
+        assert report.total_types == 7 and report.partnered_count == 0
+        assert [e for e, _ in report.counterexamples] == list(splitting_types(1, 3))
+        assert verify_criterion(0, 3, 10 ** 20, 10 ** 9).total_types == 0
+        assert _first_partners([], splitting_types(10 ** 9, 10 ** 9)) == []
+
+    def test_widest_scan_fast_and_small(self):
+        # 999 types against a box of 1001 line bundles, inside the budget
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = verify_criterion(1, 499, 500, 1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.total_types == report.partnered_count == 999
+        assert elapsed < 2.0
+        assert peak <= 16 * 2 ** 20
 
 
 class TestCriterion:
