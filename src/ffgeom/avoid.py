@@ -537,7 +537,10 @@ def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
     P^n, and ``(matrices, pluckers)``, of shapes (N, m, n) and
     (N, C(n, m)), on a Grassmannian.  Brute force over every chart, independent of the
     guaranteed searches above; hits are counted block by block, and only
-    listed points are decoded."""
+    listed points are decoded.  ``limit`` may only lower the default
+    budget: a larger one raises SpaceTooLarge before any count."""
+    if limit > DEFAULT_ORACLE_LIMIT:
+        raise SpaceTooLarge(f"oracle limit is more than {DEFAULT_ORACLE_LIMIT} points")
     _check_budget(d, fld, limit)
     count, listed, blocks = 0, 0, []
     for chart, cell in charts(d, fld):

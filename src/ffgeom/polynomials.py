@@ -5,12 +5,16 @@ The text format accepted by :func:`parse_polynomial`:
 
     terms joined by '+' or '-'; a term is a product of factors joined by '*';
     a factor is an integer coefficient, a bracketed coordinate list
-    '[c0,c1,...]' over the power basis, a variable power 'x<i>^<e>', or a
-    parenthesized subexpression.  Whitespace is insignificant.
+    '[c0,c1,...]' over the power basis, a variable 'x<i>', or a parenthesized
+    subexpression, any of them with an exponent '^<e>' ('3^2', '[0,1]^2',
+    '(x0+x1)^3').  A term's constants and variable powers form one monomial.
+    Whitespace is insignificant.
 """
 
 import operator
 from bisect import bisect_left
+from functools import reduce
+from itertools import chain
 
 from . import kernels
 from .errors import (
@@ -115,19 +119,9 @@ class MultivariatePolynomial:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        fld = self.field
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            if cur is None:
-                out[e] = c
-            else:
-                s = fld.add(cur, c)
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultivariatePolynomial(self.nvars, fld, out)
+        return MultivariatePolynomial(
+            self.nvars, self.field, chain(self.terms.items(), other.terms.items())
+        )
 
     def __neg__(self):
         fld = self.field
@@ -136,31 +130,24 @@ class MultivariatePolynomial:
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        neg = self.field.neg
+        negated = ((e, neg(c)) for e, c in other.terms.items())
+        return MultivariatePolynomial(
+            self.nvars, self.field, chain(self.terms.items(), negated))
 
     def __mul__(self, other):
         self._check_compatible(other)
-        fld = self.field
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = fld.mul(c1, c2)
-                cur = out.get(e)
-                if cur is None:
-                    out[e] = c
-                else:
-                    s = fld.add(cur, c)
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return MultivariatePolynomial(self.nvars, fld, out)
+        add, mul = operator.add, self.field.mul
+        products = (
+            (tuple(map(add, e1, e2)), mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
+        return MultivariatePolynomial(self.nvars, self.field, products)
 
     def scale(self, c):
         fld = self.field
-        if c == 0:
-            return MultivariatePolynomial(self.nvars, fld)
         return MultivariatePolynomial(
             self.nvars, fld, {e: fld.mul(c, v) for e, v in self.terms.items()}
         )
@@ -237,7 +224,6 @@ class MultivariatePolynomial:
             raise ArityMismatch("zero-variable substitution unsupported")
         target_nvars = replacements[0].nvars
         fld = replacements[0].field
-        out = MultivariatePolynomial(target_nvars, fld)
         powers = [{} for _ in range(self.nvars)]
 
         def power(i, e):
@@ -246,13 +232,12 @@ class MultivariatePolynomial:
                 cache[e] = replacements[i] ** e
             return cache[e]
 
-        for exps, c in self.terms.items():
-            term = MultivariatePolynomial.constant(c, target_nvars, fld)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        def term(exps, c):
+            factors = (power(i, e) for i, e in enumerate(exps) if e)
+            return reduce(operator.mul, factors, self.constant(c, target_nvars, fld))
+
+        return MultivariatePolynomial(target_nvars, fld, chain.from_iterable(
+            term(exps, c).terms.items() for exps, c in self.terms.items()))
 
     def eliminate(self, var, replacement):
         """Substitute a polynomial in the *remaining* variables for ``var``
@@ -631,7 +616,7 @@ def find_root_in_tower(f, max_degree):
 # ---------------------------------------------------------------------------
 # text format
 
-# parentheses the parser may nest: it descends four calls per level, so this
+# parentheses the parser may nest: it descends two calls per level, so this
 # keeps a parse well inside Python's default recursion limit
 MAX_NESTING = 100
 
@@ -658,6 +643,11 @@ def _power_terms(t, e):
         if bound > MAX_TERMS:
             break
     return bound
+
+
+def _term_count(coef, poly):
+    """The terms of ``coef * poly``; ``poly`` None stands for 1."""
+    return 0 if not coef else 1 if poly is None else len(poly.terms)
 
 
 class _Parser:
@@ -726,62 +716,68 @@ class _Parser:
             self.pos += 1
             negate = ch == "-"
 
+    def check_expansion(self, bound, what):
+        if bound > MAX_TERMS:
+            raise SpaceTooLarge(f"{what} expands to more than {MAX_TERMS} terms")
+        self.check_entries(bound, what)
+
     def parse_term(self):
-        acc = self.parse_factor()
-        while self.peek() == "*":
-            self.pos += 1
-            factor = self.parse_factor()
-            bound = len(acc.terms) * len(factor.terms)
-            if bound > MAX_TERMS:
-                raise SpaceTooLarge(f"product expands to more than {MAX_TERMS} terms")
-            self.check_entries(bound, "product")
-            acc = acc * factor
-        return acc
-
-    def parse_factor(self):
-        base = self.parse_base()
-        if self.peek() == "^":
-            self.pos += 1
-            e = self.parse_int()
-            if e < 0:
-                self.error("negative exponent")
-            bound = _power_terms(len(base.terms), e)
-            if bound > MAX_TERMS:
-                raise SpaceTooLarge(f"power expands to more than {MAX_TERMS} terms")
-            self.check_entries(bound, "power")
-            base = base ** e
-        return base
-
-    def parse_base(self):
-        ch = self.peek()
-        fld = self.field
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return inner
-        if ch == "[":
-            self.pos += 1
-            coords = [self.parse_int()]
-            while self.take(","):
-                coords.append(self.parse_int())
-            if not self.take("]"):
-                self.error("expected ']'")
-            if len(coords) > fld.k:
-                self.error(f"coordinate list longer than field degree {fld.k}")
-            c = fld.from_coords([x % fld.p for x in coords])
-            return MultivariatePolynomial.constant(c, self.nvars, fld)
-        if ch == "x":
-            self.pos += 1
-            i = self.parse_int()
-            if i < 0 or i >= self.nvars:
-                self.error(f"variable x{i} out of range (nvars={self.nvars})")
-            return MultivariatePolynomial.variable(i, self.nvars, fld)
-        if ch.isdigit() or ch == "-":
-            v = self.parse_int()
-            return MultivariatePolynomial.constant(v % fld.p, self.nvars, fld)
-        self.error("expected a factor")
+        """A product of factors.  Constants, coordinate lists and variable
+        powers multiply into one monomial ``coef * x^exps``, parenthesized
+        factors into ``poly``; each budget counts an operand's actual terms."""
+        fld, nvars = self.field, self.nvars
+        coef, exps, poly = 1, [0] * nvars, None
+        first = True
+        while first or self.take("*"):
+            ch = self.peek()
+            c, var, base = 1, None, None
+            if ch == "(":
+                self.pos += 1
+                base = self.parse_expr()
+                if not self.take(")"):
+                    self.error("expected ')'")
+            elif ch == "[":
+                self.pos += 1
+                coords = [self.parse_int()]
+                while self.take(","):
+                    coords.append(self.parse_int())
+                if not self.take("]"):
+                    self.error("expected ']'")
+                if len(coords) > fld.k:
+                    self.error(f"coordinate list longer than field degree {fld.k}")
+                c = fld.from_coords([x % fld.p for x in coords])
+            elif ch == "x":
+                self.pos += 1
+                var = self.parse_int()
+                if var < 0 or var >= nvars:
+                    self.error(f"variable x{var} out of range (nvars={nvars})")
+            elif ch.isdigit() or ch == "-":
+                c = self.parse_int() % fld.p
+            else:
+                self.error("expected a factor")
+            e = 1
+            if self.peek() == "^":
+                self.pos += 1
+                e = self.parse_int()
+                if e < 0:
+                    self.error("negative exponent")
+                self.check_expansion(_power_terms(_term_count(c, base), e), "power")
+                if base is not None:
+                    base = base ** e
+                elif var is None:
+                    c = fld.pow(c, e)
+            if not first:
+                self.check_expansion(
+                    _term_count(coef, poly) * _term_count(c, base), "product")
+            first = False
+            if var is not None:
+                exps[var] += e
+            coef = fld.mul(coef, c)
+            if base is not None and coef:
+                poly = base if poly is None else poly * base
+        unit = [((0,) * nvars, 1)] if poly is None else poly.terms.items()
+        return MultivariatePolynomial(nvars, fld, (
+            (tuple(map(operator.add, pe, exps)), fld.mul(coef, pc)) for pe, pc in unit))
 
 
 def count_variables(text):

@@ -10,6 +10,7 @@ import pytest
 
 from ffgeom.avoid import (
     AFFINE,
+    DEFAULT_ORACLE_LIMIT,
     EXHAUSTIVE,
     FOUND,
     GRASSMANNIAN,
@@ -449,6 +450,12 @@ class TestOracle:
         d = affine("x0 + 1", F5, 12)
         with pytest.raises(SpaceTooLarge):
             exhaustive_oracle(d, F5, limit=10 ** 6)
+        # a limit may lower the default budget, never raise it, even on a
+        # space that fits the limit asked for
+        small = affine("x0 + 1", F5, 1)
+        assert exhaustive_oracle(small, F5, limit=5)[0] == 4
+        with pytest.raises(SpaceTooLarge, match="more than"):
+            exhaustive_oracle(small, F5, limit=DEFAULT_ORACLE_LIMIT + 1)
 
     def test_ambient_counts(self):
         assert ambient_point_count(affine("x0", F5, 3), F5) == 125

@@ -396,6 +396,9 @@ class TestExitCodes:
         # more listed points than avoid.MAX_LISTED
         ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0+1", "--vars", "18",
          "--max-listed", "100001"],
+        # an oracle --limit above avoid.DEFAULT_ORACLE_LIMIT, over 2^60 points
+        ["oracle", "--kind", "affine", "--field", "2^20", "--poly", "x0+1", "--vars", "3",
+         "--limit", "100000000000000000000", "--max-listed", "0"],
         # expansions past polynomials.MAX_TERMS: a power of a sum, and a
         # product of two 400-term sums
         ["avoid", "affine", "--field", "7", "--poly", "(x0+x1)^100000000000000000000"],
@@ -408,7 +411,7 @@ class TestExitCodes:
         ["avoid", "affine", "--field", "7", "--poly", "+".join(f"x{i}" for i in range(10 ** 4))],
     ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
             "p1-scan-empty-box", "vars-from-index", "vars-flag", "grass-plucker-count",
-            "grass-huge-n", "max-listed", "power-of-sum", "product-of-sums",
+            "grass-huge-n", "max-listed", "oracle-limit-raised", "power-of-sum", "product-of-sums",
             "projective-dim-9999", "linear-form-10000-vars"])
     def test_over_budget_fails_fast(self, argv):
         start = time.perf_counter()

@@ -46,6 +46,66 @@ F4 = make_field(2, 2)
 F5 = make_field(5)
 
 
+_TREE_VARS = 3
+# total degree a drawn power or product may reach, so that every expansion
+# stays a few hundred terms at most
+_TREE_DEGREE = 8
+
+
+@st.composite
+def _expressions(draw, depth=4):
+    """(text, polynomial) for an expression tree of at most ``depth`` levels
+    over F_5, F_7, F_4 or F_9, the polynomial computed with the ring
+    operations.  A node is (text, polynomial, is_atom, is_sum): an atom
+    needs no parentheses as the base of a power, and a sum needs them as a
+    factor or on the right of a sum.  A '-' that leads a sum or follows an
+    operator may negate the term or the integer after it; both readings
+    give the same polynomial."""
+    fld = field_for(draw(st.sampled_from((5, 7, 4, 9))))
+
+    def const(c):
+        return MultivariatePolynomial.constant(c, _TREE_VARS, fld)
+
+    def degree(node):
+        return max(node[1].total_degree(), 0)
+
+    def leaf():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            n = draw(st.integers(-12, 12))
+            return str(n), const(n % fld.p), n >= 0, False
+        if kind == 1:
+            i = draw(st.integers(0, _TREE_VARS - 1))
+            return f"x{i}", MultivariatePolynomial.variable(i, _TREE_VARS, fld), True, False
+        cs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=fld.k))
+        text = "[" + ",".join(map(str, cs)) + "]"
+        return text, const(fld.from_coords([c % fld.p for c in cs])), True, False
+
+    def factor(node):
+        return f"({node[0]})" if node[3] else node[0]
+
+    def tree(depth):
+        kind = draw(st.integers(0, 4)) if depth else 0
+        if kind == 0:
+            return leaf()
+        a = tree(depth - 1)
+        if kind == 1:
+            return f"({a[0]})", a[1], True, False
+        if kind == 2:
+            e = draw(st.integers(0, min(3, _TREE_DEGREE // max(degree(a), 1))))
+            base = a[0] if a[2] else f"({a[0]})"
+            return f"{base}^{e}", a[1] ** e, False, False
+        b = tree(depth - 1)
+        if kind == 3 and degree(a) + degree(b) <= _TREE_DEGREE:
+            return f"{factor(a)}*{factor(b)}", a[1] * b[1], False, False
+        if draw(st.booleans()):
+            return f"{a[0]} - {factor(b)}", a[1] - b[1], False, True
+        return f"{a[0]} + {factor(b)}", a[1] + b[1], False, True
+
+    text, poly, _, _ = tree(depth)
+    return text, poly
+
+
 class TestParser:
     def test_simple(self):
         p = parse_polynomial("2*x0^3*x1 + x2 + 1", F5)
@@ -94,6 +154,17 @@ class TestParser:
         with pytest.raises(ParseError) as info:
             parse_polynomial("(" * n + "x0" + ")" * n, F3)
         assert info.value.position == MAX_NESTING
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_polys())
+    def test_format_round_trips(self, poly):
+        assert parse_polynomial(poly.format(), poly.field, poly.nvars) == poly
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_expressions())
+    def test_matches_ring_operations(self, case):
+        text, expected = case
+        assert parse_polynomial(text, expected.field, expected.nvars) == expected
 
 
 class TestEval:
@@ -185,6 +256,18 @@ class TestTermBudget:
         with pytest.raises(SpaceTooLarge, match="product expands to more than 6 terms"):
             parse_polynomial("(x0 + x1)*(x2 + x3 + x4)*(1 + x5)", F5)
 
+    def test_product_counts_each_operands_terms(self, monkeypatch):
+        # a monomial operand counts one term, a zero one none, and a term's
+        # first factor is not a product
+        monkeypatch.setattr(polynomials, "MAX_TERMS", 6)
+        seven = "(" + "+".join(f"x{i}" for i in range(1, 8)) + ")"
+        assert len(parse_polynomial(seven, F5).terms) == 7
+        for text in (f"x0*{seven}", f"{seven}*x0"):
+            with pytest.raises(SpaceTooLarge, match="product expands to more than 6 terms"):
+                parse_polynomial(text, F5)
+        for text in ("0*(x0+x1+x2)*(x3+x4+x5)", "(x0+x1+x2)*0*(x3+x4+x5)"):
+            assert parse_polynomial(text, F5).is_zero()
+
     def test_huge_power_of_sum_fails_fast(self):
         start = time.perf_counter()
         with pytest.raises(SpaceTooLarge):
@@ -227,13 +310,19 @@ class TestTermBudget:
             parse_polynomial(text, F5)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("text,position", [
-        ("(x0+x1)^", 8), ("(x0+x1)^-1", 10), ("(x0+x1)^2*", 10), ("(x0+x1)^2 )", 10),
-        ("x0+", 3), ("-", 1), ("x0 - * x1", 5), ("x0 + - x1", 6),
+    @pytest.mark.parametrize("text,position,q,nvars", [
+        pytest.param(text, position, q, nvars, id=f"{text}-{position}")
+        for text, position, q, nvars in [
+            ("(x0+x1)^", 8, 5, None), ("(x0+x1)^-1", 10, 5, None),
+            ("(x0+x1)^2*", 10, 5, None), ("(x0+x1)^2 )", 10, 5, None), ("x0+", 3, 5, None),
+            ("-", 1, 5, None), ("x0 - * x1", 5, 5, None), ("x0 + - x1", 6, 5, None),
+            ("[1,2", 4, 9, None), ("3^-1", 4, 5, None), ("x0*[1,2,3]", 10, 9, None),
+            ("x0 - (x1)^", 10, 5, None), ("x7", 2, 5, 3),
+        ]
     ])
-    def test_parse_error_positions(self, text, position):
+    def test_parse_error_positions(self, text, position, q, nvars):
         with pytest.raises(ParseError) as info:
-            parse_polynomial(text, F5)
+            parse_polynomial(text, field_for(q), nvars)
         assert info.value.position == position
 
 
