@@ -244,9 +244,11 @@ def _hypersurface_from_args(args, kind):
     m, n = args.m, args.n
     if m is None or n is None:
         raise ValueError("a Grassmannian needs --m and --n")
-    # C(n, m) >= n for 1 <= m < n, so a larger n is past the parser's
-    # variable budget too; refused here, since comb of a huge n is slow
-    if 1 <= m < n and n > MAX_VARS:
+    if not 1 <= m < n:
+        raise ValueError("--m and --n need 1 <= m < n")
+    # C(n, m) >= n, so a larger n is past the parser's variable budget too;
+    # refused here, since comb of a huge n is slow
+    if n > MAX_VARS:
         raise SpaceTooLarge(f"variable count exceeds limit {MAX_VARS}")
     poly = parse_polynomial(args.poly, fld, comb(n, m))
     return Hypersurface(poly, GRASSMANNIAN, (m, n)), fld

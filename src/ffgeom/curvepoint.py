@@ -111,27 +111,26 @@ class CurvePointResult:
     flags: dict
 
 
-def _restrict_to_line(form, a, b, fld):
-    """Binary form form(s*a + t*b) in variables (s, t)."""
+def _on_line(form, a, b, fld):
+    """Coefficients of form(a + v*b) in v, padded to the form's degree e.
+    For a form, entry i is also the coefficient of s^(e-i)*t^i in
+    form(s*a + t*b)."""
     P = MultivariatePolynomial
-    reps = []
-    s = P.variable(0, 2, fld)
-    t = P.variable(1, 2, fld)
-    for l in range(3):
-        reps.append(s.scale(a[l]) + t.scale(b[l]))
-    return form.map_coefficients(fld).substitute(reps)
+    v = P.variable(0, 1, fld)
+    line = [P.constant(x, 1, fld) + v.scale(y) for x, y in zip(a, b)]
+    coeffs = to_univariate(form.map_coefficients(fld).substitute(line)).coeffs
+    return coeffs + [0] * (form.total_degree() + 1 - len(coeffs))
 
 
-def _binary_form_squarefree(b, fld):
-    if b.is_zero():
+def _binary_form_squarefree(coeffs, fld):
+    """Whether the binary form with the coefficients of :func:`_on_line` is
+    nonzero and has no repeated root on either chart, B(1,t) or B(s,1)."""
+    if not any(coeffs):
         return False
-    one = MultivariatePolynomial.constant(1, 1, fld)
-    for var in (0, 1):
-        chart = to_univariate(b.eliminate(var, one))
-        if chart.degree >= 1:
-            g = poly_gcd(chart, chart.derivative())
-            if g.degree > 0:
-                return False
+    for chart in (coeffs, coeffs[::-1]):
+        u = UnivariatePolynomial(chart, fld)
+        if u.degree >= 1 and poly_gcd(u, u.derivative()).degree > 0:
+            return False
     return True
 
 
@@ -160,8 +159,7 @@ def _squarefree_certificate(f):
     fld = f.field
     e = f.total_degree()
     for a, b in _canonical_lines(fld, e + 1):
-        restriction = _restrict_to_line(f, a, b, fld)
-        if _binary_form_squarefree(restriction, fld):
+        if _binary_form_squarefree(_on_line(f, a, b, fld), fld):
             return True
     return False
 
@@ -326,24 +324,15 @@ def point_off_divisor(curve, divisor, k1):
             f"need q > max(2*{e}, {beta}-1) = {max(2 * e, beta - 1)}, got {k1.q}"
         )
     center = projection_center(curve, k1)
-    res_form = fiber_resultant(curve, divisor, center)
-    if res_form.total_degree() == 0:
-        param = ProjectivePoint((1, 0), k1)
-    else:
-        surf = Hypersurface(res_form, PROJECTIVE, (1,))
-        found = avoid_projective(surf, k1)
-        if not (found.found and found.mode == GUARANTEED):
-            raise InternalContradiction("guaranteed search found no good fiber")
-        param = found.point
+    # a constant resultant (an empty divisor) is avoided at (1:0)
+    surf = Hypersurface(fiber_resultant(curve, divisor, center), PROJECTIVE, (1,))
+    found = avoid_projective(surf, k1)
+    if not (found.found and found.mode == GUARANTEED):
+        raise InternalContradiction("guaranteed search found no good fiber")
+    param = found.point
     q_pt = _pencil_base_point(center, param.coords[0], param.coords[1])
-    f1 = curve.poly.map_coefficients(k1)
     # restriction of the curve to the chosen line, in the fiber coordinate v
-    P = MultivariatePolynomial
-    v = P.variable(0, 1, k1)
-    reps = [
-        P.constant(center.coords[l], 1, k1) + v.scale(q_pt[l]) for l in range(3)
-    ]
-    phi = to_univariate(f1.substitute(reps))
+    phi = UnivariatePolynomial(_on_line(curve.poly, center.coords, q_pt, k1), k1)
     if phi.degree >= 1:
         root, k2, ext_degree = find_root_in_tower(phi, e)
         coords = [
@@ -354,7 +343,7 @@ def point_off_divisor(curve, divisor, k1):
         point = ProjectivePoint(coords, k2)
     else:
         # the line meets the curve only at its base point on the axis line
-        if f1.eval(q_pt) != 0:
+        if curve.poly.map_coefficients(k1).eval(q_pt) != 0:
             raise InternalContradiction(
                 "fiber restriction is constant but its base point is off the curve"
             )

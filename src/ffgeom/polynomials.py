@@ -12,6 +12,7 @@ The text format accepted by :func:`parse_polynomial`:
 """
 
 import operator
+import re
 from bisect import bisect_left
 from functools import reduce
 from itertools import chain
@@ -651,39 +652,38 @@ def _term_count(coef, poly):
 
 
 class _Parser:
+    """Recursive descent over (whitespace, token) pairs, where a token is a
+    run of decimal digits or one other character, and a last pair
+    ``(trailing whitespace, "")`` marks the end of the text."""
+
     def __init__(self, text, nvars, field):
-        self.text = text
-        self.pos = 0
+        self.toks = re.findall(r"(\s*)(\d+|\S)", text) + [(text[len(text.rstrip()):], "")]
+        self.i = 0
         self.nvars = nvars
         self.field = field
 
-    def error(self, msg):
-        raise ParseError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, msg, at_next=True):
+        """Raise ParseError at the next token, or with ``at_next`` false
+        just after the last token taken."""
+        pos = sum(len(ws) + len(tok) for ws, tok in self.toks[:self.i])
+        raise ParseError(msg, pos + len(self.toks[self.i][0]) if at_next else pos)
 
     def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.toks[self.i][1]
 
-    def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, tok):
+        if self.toks[self.i][1] == tok:
+            self.i += 1
             return True
         return False
 
     def parse_int(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        sign = self.take("-")
+        ws, tok = self.toks[self.i]
+        if not tok.isdecimal() or sign and ws:
+            self.error("expected an integer", at_next=not sign)
+        self.i += 1
+        return -int(tok) if sign else int(tok)
 
     def check_entries(self, terms, what):
         if terms * self.nvars > MAX_TERM_ENTRIES:
@@ -700,7 +700,7 @@ class _Parser:
             self.take("+")
         acc = {}
         while True:
-            for e, c in self.parse_term().terms.items():
+            for e, c in self.parse_term():
                 if negate:
                     c = fld.neg(c)
                 cur = acc.get(e)
@@ -713,7 +713,7 @@ class _Parser:
             ch = self.peek()
             if ch not in ("+", "-"):
                 return MultivariatePolynomial(self.nvars, fld, acc)
-            self.pos += 1
+            self.i += 1
             negate = ch == "-"
 
     def check_expansion(self, bound, what):
@@ -722,9 +722,10 @@ class _Parser:
         self.check_entries(bound, what)
 
     def parse_term(self):
-        """A product of factors.  Constants, coordinate lists and variable
-        powers multiply into one monomial ``coef * x^exps``, parenthesized
-        factors into ``poly``; each budget counts an operand's actual terms."""
+        """A product of factors, as its (exponents, coefficient) pairs.
+        Constants, coordinate lists and variable powers multiply into one
+        monomial ``coef * x^exps``, parenthesized factors into ``poly``;
+        each budget counts an operand's actual terms."""
         fld, nvars = self.field, self.nvars
         coef, exps, poly = 1, [0] * nvars, None
         first = True
@@ -732,35 +733,36 @@ class _Parser:
             ch = self.peek()
             c, var, base = 1, None, None
             if ch == "(":
-                self.pos += 1
+                self.i += 1
                 base = self.parse_expr()
                 if not self.take(")"):
                     self.error("expected ')'")
             elif ch == "[":
-                self.pos += 1
+                self.i += 1
                 coords = [self.parse_int()]
                 while self.take(","):
                     coords.append(self.parse_int())
                 if not self.take("]"):
                     self.error("expected ']'")
                 if len(coords) > fld.k:
-                    self.error(f"coordinate list longer than field degree {fld.k}")
+                    self.error(f"coordinate list longer than field degree {fld.k}",
+                               at_next=False)
                 c = fld.from_coords([x % fld.p for x in coords])
             elif ch == "x":
-                self.pos += 1
+                self.i += 1
                 var = self.parse_int()
                 if var < 0 or var >= nvars:
-                    self.error(f"variable x{var} out of range (nvars={nvars})")
-            elif ch.isdigit() or ch == "-":
+                    self.error(f"variable x{var} out of range (nvars={nvars})",
+                               at_next=False)
+            elif ch.isdecimal() or ch == "-":
                 c = self.parse_int() % fld.p
             else:
                 self.error("expected a factor")
             e = 1
-            if self.peek() == "^":
-                self.pos += 1
+            if self.take("^"):
                 e = self.parse_int()
                 if e < 0:
-                    self.error("negative exponent")
+                    self.error("negative exponent", at_next=False)
                 self.check_expansion(_power_terms(_term_count(c, base), e), "power")
                 if base is not None:
                     base = base ** e
@@ -775,15 +777,16 @@ class _Parser:
             coef = fld.mul(coef, c)
             if base is not None and coef:
                 poly = base if poly is None else poly * base
-        unit = [((0,) * nvars, 1)] if poly is None else poly.terms.items()
-        return MultivariatePolynomial(nvars, fld, (
-            (tuple(map(operator.add, pe, exps)), fld.mul(coef, pc)) for pe, pc in unit))
+        if not coef:
+            return []
+        if poly is None:
+            return [(tuple(exps), coef)]
+        return [(tuple(map(operator.add, pe, exps)), fld.mul(coef, pc))
+                for pe, pc in poly.terms.items()]
 
 
 def count_variables(text):
     """Highest variable index mentioned, plus one."""
-    import re
-
     indices = [int(m) for m in re.findall(r"x(\d+)", text)]
     return (max(indices) + 1) if indices else 0
 
@@ -792,13 +795,10 @@ def _check_nesting(text):
     """Raise ParseError where the parentheses of ``text`` first nest deeper
     than ``MAX_NESTING``."""
     depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-        elif ch == ")":
-            depth -= 1
+    for m in re.finditer(r"[()]", text):
+        depth += 1 if m.group() == "(" else -1
+        if depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", m.start())
 
 
 def parse_polynomial(text, field, nvars=None):
@@ -810,8 +810,7 @@ def parse_polynomial(text, field, nvars=None):
         raise SpaceTooLarge(f"variable count exceeds limit {MAX_VARS}")
     parser = _Parser(text, nvars, field)
     poly = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
+    if parser.peek():
         parser.error("trailing input")
     return poly
 

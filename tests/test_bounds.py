@@ -27,6 +27,18 @@ class TestInputs:
         with pytest.raises(ValueError):
             BoundInputs(1, 1, 1, CHAR_P)
 
+    @pytest.mark.parametrize("p", [4, 9, 561, 3317044064679887385961981, 10 ** 36])
+    def test_char_p_refuses_composite_or_past_exact_range(self, p):
+        # 561 is a Carmichael number; the last two lie past the range where
+        # thirteen Miller-Rabin bases decide primality exactly
+        with pytest.raises(ValueError, match="needs a prime p"):
+            BoundInputs(1, 1, 1, CHAR_P, p=p)
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (2 ** 61 - 1, 1)])
+    def test_char_p_accepts_prime(self, p, m):
+        # M = ceil(log_p 3)
+        assert bound_M(BoundInputs(1, 1, 1, CHAR_P, p=p)) == m
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             BoundInputs(1, 1, 1, "weird")

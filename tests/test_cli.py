@@ -371,7 +371,10 @@ class TestExitCodes:
         (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--vars", "0"], "--vars"),
         (["avoid", "projective", "--field", "2", "--poly", "1", "--dim", "0"], "--dim"),
         (["avoid", "affine", "--field", "2", "--poly", "1", "--vars", "-1"], "--vars"),
-    ], ids=["vars-0", "dim-0", "vars-negative"])
+        (["avoid", "grass", "--field", "2", "--poly", "1", "--m", "-1", "--n", "4"], "--m"),
+        (["oracle", "--kind", "grass", "--field", "2", "--poly", "1", "--m", "2",
+          "--n", "-1"], "--n"),
+    ], ids=["vars-0", "dim-0", "vars-negative", "grass-m-negative", "grass-n-negative"])
     def test_size_flag_below_one(self, argv, flag):
         code, out, err = invoke(argv)
         assert (code, out) == (EXIT_PRECONDITION, "")
@@ -497,6 +500,12 @@ class TestExitCodes:
              "--vars", "12", "--limit", "1000"]
         )
         assert code == EXIT_PRECONDITION
+
+    def test_bound_char_p_refuses_composite(self):
+        code, out, err = invoke(["bound", "m", "--n", "1", "--alpha", "1", "--beta", "1",
+                                 "--mode", "char_p", "--p", "4"])
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "needs a prime p" in err
 
     def test_oracle_grass_without_shape(self):
         code, out, err = invoke(["oracle", "--kind", "grass", "--field", "2", "--poly", "x0"])

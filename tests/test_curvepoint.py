@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffgeom.avoid import ProjectivePoint
 from ffgeom.curvepoint import (
     CurveDivisor,
     PlaneCurve,
+    _binary_form_squarefree,
     _line_frame,
+    _on_line,
     enumerate_curve_points,
     fiber_resultant,
     galois_orbit,
@@ -244,6 +247,47 @@ def _params_through(center, pt, fld):
             if det == 0:
                 out.append(ProjectivePoint((s, t), fld))
     return out
+
+
+def _restrict_to_line(form, a, b, fld):
+    """Reference restriction to a line: the binary form form(s*a + t*b) in
+    variables (s, t), from a substitution in both."""
+    P = MultivariatePolynomial
+    s, t = P.variable(0, 2, fld), P.variable(1, 2, fld)
+    line = [s.scale(x) + t.scale(y) for x, y in zip(a, b)]
+    return form.map_coefficients(fld).substitute(line)
+
+
+@st.composite
+def _line_cases(draw):
+    """(field, form, a, b).  Where a and b span a line, half the forms are
+    multiplied by the cross product a x b, a linear form that vanishes on
+    the line, so the line lies inside the curve."""
+    fld = field_for(draw(st.sampled_from([5, 7, 4, 9])))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a, b = ([rng.randrange(fld.q) for _ in range(3)] for _ in range(2))
+    form = random_homogeneous_poly(rng, fld, 3, rng.randint(1, 4))
+    mul, sub = fld.mul, fld.sub
+    cross = [sub(mul(a[i - 2], b[i - 1]), mul(a[i - 1], b[i - 2])) for i in range(3)]
+    if any(cross) and draw(st.booleans()):
+        form = form * MultivariatePolynomial(3, fld, {
+            tuple(int(i == j) for j in range(3)): c for i, c in enumerate(cross)})
+    return fld, form, a, b
+
+
+class TestLineRestriction:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_line_cases())
+    def test_matches_binary_form(self, case):
+        fld, form, a, b = case
+        e = form.total_degree()
+        expected = [0] * (e + 1)
+        for (_, i), c in _restrict_to_line(form, a, b, fld).terms.items():
+            expected[i] = c
+        coeffs = _on_line(form, a, b, fld)
+        assert coeffs == expected
+        if not any(coeffs):
+            assert not _binary_form_squarefree(coeffs, fld)
 
 
 class TestGaloisOrbit:

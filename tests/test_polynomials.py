@@ -106,6 +106,10 @@ def _expressions(draw, depth=4):
     return text, poly
 
 
+_FUZZ_TOKENS = [*"x0123456789+-*^()[],", " ", "\t", "²", "٣", "x1", "x2",
+                "99999999999999999999"]
+
+
 class TestParser:
     def test_simple(self):
         p = parse_polynomial("2*x0^3*x1 + x2 + 1", F5)
@@ -165,6 +169,18 @@ class TestParser:
     def test_matches_ring_operations(self, case):
         text, expected = case
         assert parse_polynomial(text, expected.field, expected.nvars) == expected
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14), st.sampled_from([5, 4, 9]))
+    def test_fuzzed_text_parses_or_raises_parse_error(self, tokens, q):
+        # '²' is a digit to str.isdigit but not to int(); '٣' is a decimal 3
+        text = "".join(tokens)
+        try:
+            parse_polynomial(text, field_for(q))
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+        except SpaceTooLarge:
+            pass
 
 
 class TestEval:
@@ -317,7 +333,8 @@ class TestTermBudget:
             ("(x0+x1)^2*", 10, 5, None), ("(x0+x1)^2 )", 10, 5, None), ("x0+", 3, 5, None),
             ("-", 1, 5, None), ("x0 - * x1", 5, 5, None), ("x0 + - x1", 6, 5, None),
             ("[1,2", 4, 9, None), ("3^-1", 4, 5, None), ("x0*[1,2,3]", 10, 9, None),
-            ("x0 - (x1)^", 10, 5, None), ("x7", 2, 5, 3),
+            ("x0 - (x1)^", 10, 5, None), ("x7", 2, 5, 3), ("x²", 1, 5, None),
+            ("x0 + \t", 6, 5, None),
         ]
     ])
     def test_parse_error_positions(self, text, position, q, nvars):
