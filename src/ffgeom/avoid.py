@@ -175,17 +175,10 @@ def plucker(matrix, field, at=None):
     """m x m minors in lexicographic column-set order: of ``matrix``, as a
     tuple; or, when ``at`` is an int64 array of grid indices of a chart from
     :func:`charts` and ``matrix`` is its :class:`Cell`, of the cell's
-    echelon matrices at those indices, as an (N, C(n, m)) int64 array, every
-    minor's terms evaluated from one decode of ``at``."""
+    echelon matrices at those indices, as an (N, C(n, m)) int64 array, one
+    :func:`kernels.grid_eval` of the cell's minors."""
     if at is not None:
-        values = kernels.term_values(
-            [t for minor in matrix.minors for t in minor.sorted_terms()], at,
-            len(matrix.free), field)
-        block = np.zeros((len(at), len(matrix.minors)), dtype=np.int64)
-        for j, minor in enumerate(matrix.minors):
-            for _ in minor.terms:
-                block[:, j] = field.add(block[:, j], next(values))
-        return block
+        return kernels.grid_eval(matrix.minors, at)
     m = len(matrix)
     n = len(matrix[0])
     if not (1 <= m < n):

@@ -308,11 +308,10 @@ def _cmd_oracle(args, out):
         raise ValueError(f"--max-listed must be >= 0, got {args.max_listed}")
     if args.max_listed > MAX_LISTED:
         raise SpaceTooLarge(f"--max-listed exceeds limit {MAX_LISTED}")
+    limit = _positive(args.limit, "--limit")
     kind = GRASSMANNIAN if args.kind == "grass" else args.kind
     surf, fld = _hypersurface_from_args(args, kind)
-    count, blocks = exhaustive_oracle(
-        surf, fld, limit=args.limit, max_listed=args.max_listed
-    )
+    count, blocks = exhaustive_oracle(surf, fld, limit=limit, max_listed=args.max_listed)
     doc = {
         "subcommand": "oracle",
         "inputs_echo": {"field": args.field, "poly": args.poly, "kind": args.kind},

@@ -340,10 +340,18 @@ def make_field(p, k=1, size_limit=DEFAULT_SIZE_LIMIT):
 def parse_field_spec(spec, size_limit=DEFAULT_SIZE_LIMIT):
     """Parse 'p^k' or a plain prime-power cardinality into a field."""
     spec = str(spec).strip()
-    if "^" in spec:
-        ps, ks = spec.split("^", 1)
-        return make_field(int(ps), int(ks), size_limit=size_limit)
-    q = int(spec)
+    parts = spec.split("^", 1)
+    try:
+        nums = [int(part) for part in parts]
+    except ValueError:
+        if not all(part.strip().lstrip("+-").isdecimal() for part in parts):
+            raise
+        # more digits than int() converts: far past any size limit
+        raise SizeLimitExceeded(f"p^k with a {max(map(len, parts))}-digit number "
+                                f"exceeds limit {size_limit}") from None
+    if len(nums) == 2:
+        return make_field(*nums, size_limit=size_limit)
+    q = nums[0]
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
     if q > size_limit:

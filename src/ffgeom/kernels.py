@@ -1,7 +1,8 @@
 """Grid-evaluation kernels for exhaustive scans over F_q^n.
 
-The hot loop of the exhaustive oracles evaluates one sparse polynomial at
-every point of F_q^n in canonical order (last variable varying fastest).
+Every evaluation on the grid F_q^n (canonical order, last variable varying
+fastest) goes through :func:`grid_eval`, which evaluates a list of sparse
+polynomials at an array of grid indices from one decode of the indices.
 Multiplication goes through the field's discrete-log tables and addition
 through :meth:`FiniteField.add`, the rule scalar arithmetic uses, applied
 to whole arrays.  Every field has tables, so one kernel serves every field
@@ -10,10 +11,10 @@ up to the size limit.
 Scans go through :func:`hits`, which splits the grid into its last s
 (*inner*) variables and the rest (*outer*), and writes the polynomial as a
 sum of inner monomials with polynomial coefficients in the outer ones.
-Each inner monomial is evaluated once per scan over the inner grid, each
-coefficient once per block of outer points, and a block's values are their
-products, taken as one broadcast in the log domain.  The scan stops when
-its caller does.
+The inner monomials are evaluated in one call per scan over the inner grid,
+the coefficients in one call per block of outer points, and a block's
+values are their products, taken as one broadcast in the log domain.  The
+scan stops when its caller does.
 """
 
 import numpy as np
@@ -39,49 +40,36 @@ def field_tables(field):
     return field.tables
 
 
-def term_values(terms, idx, nvars, field):
-    """The values of each term ``(exps, c)`` of ``terms`` at the grid indices
-    of the int64 array ``idx`` (grid F_q^nvars), one int64 array per term,
-    in order: every term reads the same decode of ``idx``."""
-    q = field.q
-    logt, expt = field_tables(field)
-    coords = decode(idx, q, nvars).T
-    for exps, c in terms:
-        logval = np.full(len(idx), logt[c], dtype=np.int64)
-        alive = np.ones(len(idx), dtype=bool)
-        for x, e in zip(coords, exps):
-            if e:
-                alive &= x != 0
-                logval += e * logt[x]  # log[0] garbage masked by `alive`
-        yield np.where(alive, expt[logval % (q - 1)], 0)
+def grid_eval(polys, idx):
+    """Values of ``polys``, a non-empty sequence of polynomials over one field
+    in one variable count, at the grid indices of the int64 array ``idx``,
+    from one decode of ``idx``: an (N, len(polys)) int64 array of encoded
+    field elements, column j the values of ``polys[j]`` in ``idx``'s order.
 
-
-def grid_eval(poly, start=0, stop=None):
-    """Values of ``poly`` at grid points ``start .. stop-1`` (default: all
-    q^nvars points), canonical order, or at the grid indices of the int64
-    array ``start``, in its order.
-
-    Returns an int64 array of encoded field elements.  The caller passes
-    reduced polynomials (see :meth:`MultivariatePolynomial.reduced`) or, as
-    the Pluecker minors of a cell, multilinear ones: every exponent is below
-    q, so ``e * log`` stays far inside int64.
+    The caller passes reduced polynomials (see
+    :meth:`MultivariatePolynomial.reduced`) or, as the Pluecker minors of a
+    cell, multilinear ones: every exponent is below q, so ``e * log`` stays
+    far inside int64.
     """
-    field = poly.field
-    if isinstance(start, np.ndarray):
-        idx = start
-    else:
-        idx = np.arange(start, field.q ** poly.nvars if stop is None else stop, dtype=np.int64)
-    acc = np.zeros(len(idx), dtype=np.int64)
-    for val in term_values(poly.sorted_terms(), idx, poly.nvars, field):
-        acc = field.add(acc, val)
-    return acc
+    field, q = polys[0].field, polys[0].field.q
+    logt, expt = field_tables(field)
+    coords = decode(idx, q, polys[0].nvars).T
+    out = np.zeros((len(polys), len(idx)), dtype=np.int64)  # returned transposed
+    for row, poly in zip(out, polys):
+        for exps, c in poly.terms.items():
+            logval = np.full(len(idx), logt[c], dtype=np.int64)
+            alive = np.ones(len(idx), dtype=bool)
+            for x, e in zip(coords, exps):
+                if e:
+                    alive &= x != 0
+                    logval += e * logt[x]  # log[0] garbage masked by `alive`
+            row[:] = field.add(row, np.where(alive, expt[logval % (q - 1)], 0))
+    return out.T
 
 
-def _grid_eval_python(poly, stop, start=0):
+def _grid_eval_python(poly, stop):
     q, n = poly.field.q, poly.nvars
-    return np.array(
-        [poly.eval(decode_point(t, q, n)) for t in range(start, stop)], dtype=np.int64
-    )
+    return np.array([poly.eval(decode_point(t, q, n)) for t in range(stop)], dtype=np.int64)
 
 
 def _split(poly):
@@ -126,10 +114,11 @@ def hits(poly, zero=False):
     The polynomial is reduced first, so one that vanishes on the whole grid
     has no nonzero point to scan for.  It is then :func:`_split` into its
     last s variables, whose q^s points make the inner grid, and the outer
-    rest.  ``base`` and every inner monomial are evaluated once, over the
-    inner grid.  A block is max(1, ``_CHUNK`` // q^s) outer points times
-    the inner grid: its values are ``base`` plus each group's coefficient,
-    evaluated at the block's outer points, times its monomial.  So a caller
+    rest.  ``base`` and every inner monomial are one :func:`grid_eval`
+    over the inner grid.  A block is max(1, ``_CHUNK`` // q^s) outer points
+    times the inner grid: its values are ``base`` plus each group's
+    coefficient, all evaluated in one call at the block's outer points,
+    times its monomial.  So a caller
     that stops at the first array evaluates only the blocks up to its first
     hit, and a caller that counts never holds more than a block.
     """
@@ -139,27 +128,30 @@ def hits(poly, zero=False):
     field, q = poly.field, poly.field.q
     s, base, groups = _split(poly)
     width = q ** s
-    base = grid_eval(base) if base else None
+    monos = [mono for mono, _ in groups if any(mono)]
+    if base or monos:  # else nothing to evaluate on the inner grid
+        inner = grid_eval([base] + [type(poly)(s, field, {mono: 1}) for mono in monos],
+                          np.arange(width, dtype=np.int64))
+    base = inner[:, 0] if base else None
     # products in the log domain with neither a modulus nor a mask: a
     # factor's log is below q - 1, or 2(q - 1) for 0, and ``prod`` holds
     # g^i at every sum i < 2(q - 1) and 0 from there on.  Only a scan with
     # a nonconstant monomial builds it, and there q^s <= _CHUNK.
     zlog, logs = 2 * (q - 1), {}
-    monos = [mono for mono, _ in groups if any(mono)]
     if monos:
         logt, expt = field_tables(field)
         prod = np.concatenate([expt, expt, np.zeros(zlog + 1, dtype=np.int64)])
-        inner = term_values([(mono, 1) for mono in monos],
-                            np.arange(width, dtype=np.int64), s, field)
-        logs = {mono: np.where(v != 0, logt[v], zlog) for mono, v in zip(monos, inner)}
+        logs = {mono: np.where(v != 0, logt[v], zlog)
+                for mono, v in zip(monos, inner[:, 1:].T)}
+    coefs = [coef for _, coef in groups]
     outer = q ** (poly.nvars - s)
     step = max(1, _CHUNK // width)
     for o0 in range(0, outer, step):
         o1 = min(o0 + step, outer)
         shape = (o1 - o0, width)
         values = None if base is None else np.broadcast_to(base, shape)
-        for mono, coef in groups:
-            a = grid_eval(coef, o0, o1)
+        block = grid_eval(coefs, np.arange(o0, o1, dtype=np.int64)).T if coefs else ()
+        for (mono, _), a in zip(groups, block):
             if not a.any():
                 continue
             if mono in logs:

@@ -682,8 +682,12 @@ class _Parser:
         ws, tok = self.toks[self.i]
         if not tok.isdecimal() or sign and ws:
             self.error("expected an integer", at_next=not sign)
+        try:
+            value = int(tok)
+        except ValueError:  # more digits than int() converts
+            self.error(f"integer of {len(tok)} digits is too long")
         self.i += 1
-        return -int(tok) if sign else int(tok)
+        return -value if sign else value
 
     def check_entries(self, terms, what):
         if terms * self.nvars > MAX_TERM_ENTRIES:
@@ -787,7 +791,10 @@ class _Parser:
 
 def count_variables(text):
     """Highest variable index mentioned, plus one."""
-    indices = [int(m) for m in re.findall(r"x(\d+)", text)]
+    try:
+        indices = [int(m) for m in re.findall(r"x(\d+)", text)]
+    except ValueError:  # an index of more digits than int() converts
+        raise SpaceTooLarge(f"variable count exceeds limit {MAX_VARS}") from None
     return (max(indices) + 1) if indices else 0
 
 

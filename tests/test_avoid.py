@@ -595,8 +595,8 @@ class TestSharedCharts:
         requested = []
         grid_eval = kernels.grid_eval
 
-        def recording(poly, start=0, stop=None):
-            values = grid_eval(poly, start, stop)
+        def recording(polys, idx):
+            values = grid_eval(polys, idx)
             requested.append(len(values))
             return values
 

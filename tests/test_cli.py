@@ -347,8 +347,12 @@ class TestExitCodes:
         code, _, err = invoke(["field", "info", "--nope"])
         assert code == EXIT_PRECONDITION
 
-    @pytest.mark.parametrize("spec", ["1000000000039", "4294967296",
-                                      "1000000000000000000000000000057^1", "3^100000000"])
+    @pytest.mark.parametrize("spec", [
+        "1000000000039", "4294967296", "1000000000000000000000000000057^1", "3^100000000",
+        # more digits than int() converts
+        pytest.param("9" * 5000, id="5000-nines"),
+        pytest.param("2^" + "9" * 5000, id="2^5000-nines"),
+    ])
     def test_huge_field_fails_fast(self, spec):
         start = time.perf_counter()
         code, _, err = invoke(["field", "info", "--field", spec])
@@ -374,7 +378,11 @@ class TestExitCodes:
         (["avoid", "grass", "--field", "2", "--poly", "1", "--m", "-1", "--n", "4"], "--m"),
         (["oracle", "--kind", "grass", "--field", "2", "--poly", "1", "--m", "2",
           "--n", "-1"], "--n"),
-    ], ids=["vars-0", "dim-0", "vars-negative", "grass-m-negative", "grass-n-negative"])
+        (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--limit", "0"], "--limit"),
+        (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--limit", "-1"],
+         "--limit"),
+    ], ids=["vars-0", "dim-0", "vars-negative", "grass-m-negative", "grass-n-negative",
+            "limit-0", "limit-negative"])
     def test_size_flag_below_one(self, argv, flag):
         code, out, err = invoke(argv)
         assert (code, out) == (EXIT_PRECONDITION, "")
@@ -393,6 +401,7 @@ class TestExitCodes:
         # more variables than polynomials.MAX_VARS, from the text or a flag
         ["avoid", "affine", "--field", "7", "--poly", "x999999"],
         ["avoid", "affine", "--field", "7", "--poly", "x0", "--vars", "1000000"],
+        ["avoid", "affine", "--field", "7", "--poly", "x" + "9" * 5000],
         ["avoid", "grass", "--field", "7", "--poly", "x0", "--m", "2", "--n", "300"],
         ["avoid", "grass", "--field", "7", "--poly", "x0", "--m", str(10 ** 8),
          "--n", str(2 * 10 ** 8)],
@@ -413,7 +422,8 @@ class TestExitCodes:
         # a sum past polynomials.MAX_TERM_ENTRIES: 10^4 terms of 10^4 exponents
         ["avoid", "affine", "--field", "7", "--poly", "+".join(f"x{i}" for i in range(10 ** 4))],
     ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
-            "p1-scan-empty-box", "vars-from-index", "vars-flag", "grass-plucker-count",
+            "p1-scan-empty-box", "vars-from-index", "vars-flag", "vars-index-5000-digits",
+            "grass-plucker-count",
             "grass-huge-n", "max-listed", "oracle-limit-raised", "power-of-sum", "product-of-sums",
             "projective-dim-9999", "linear-form-10000-vars"])
     def test_over_budget_fails_fast(self, argv):

@@ -50,6 +50,12 @@ class TestDecode:
             kernels.decode_point(t, q, n) for t in idx.tolist()]
 
 
+def _grid_values(poly):
+    """``poly`` at every grid point, in canonical order."""
+    idx = np.arange(poly.field.q ** poly.nvars, dtype=np.int64)
+    return kernels.grid_eval([poly], idx)[:, 0]
+
+
 class TestGridEval:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_matches_pointwise_eval(self, q):
@@ -59,50 +65,52 @@ class TestGridEval:
             nvars = rng.randint(1, 3)
             poly = random_poly(rng, fld, nvars, 4)
             reference = kernels._grid_eval_python(poly, q ** nvars)
-            assert np.array_equal(kernels.grid_eval(poly), reference)
+            assert np.array_equal(_grid_values(poly), reference)
 
     def test_zero_polynomial(self):
         z = MultivariatePolynomial(2, make_field(3))
-        assert np.array_equal(kernels.grid_eval(z), np.zeros(9, dtype=np.int64))
+        assert np.array_equal(_grid_values(z), np.zeros(9, dtype=np.int64))
 
     def test_constant_polynomial(self):
         p = MultivariatePolynomial.constant(2, 2, make_field(5))
-        assert np.array_equal(kernels.grid_eval(p), np.full(25, 2, dtype=np.int64))
+        assert np.array_equal(_grid_values(p), np.full(25, 2, dtype=np.int64))
 
     def test_example_f4(self):
         f4 = make_field(2, 2)
         poly = parse_polynomial("x0*x1 + 1", f4)
-        values = kernels.grid_eval(poly)
+        values = _grid_values(poly)
         # value at (g, g) where g = index 2: g^2 + 1 = (1+g) + 1 = g
         assert values[2 * 4 + 2] == 2
         assert values[0] == 1
 
     def test_nullary(self):
         p = MultivariatePolynomial.constant(4, 0, make_field(5))
-        assert np.array_equal(kernels.grid_eval(p), np.array([4]))
+        assert np.array_equal(_grid_values(p), np.array([4]))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_index_array_matches_range_form(self, q):
+        # a list with a zero polynomial and different term counts, at empty,
+        # unsorted and repeated indices: column j is the per-point reference
+        # over the whole range of the grid, polys[j] at each index
         rng = random.Random(320 + q)
         fld = field_for(q)
         for _ in range(20):
             nvars = rng.randint(1, 3)
-            poly = random_poly(rng, fld, nvars, 4).reduced()
             total = q ** nvars
-            start = rng.randrange(total)
-            stop = rng.randint(start, total)
-            whole = kernels.grid_eval(poly)
+            polys = [random_poly(rng, fld, nvars, 4, nterms=rng.randint(1, 6)).reduced()
+                     for _ in range(rng.randint(1, 4))]
+            polys.insert(rng.randint(0, len(polys)), MultivariatePolynomial(nvars, fld))
             cases = [
-                np.arange(start, stop, dtype=np.int64),  # the range form's indices
-                np.array([rng.randrange(total) for _ in range(30)], dtype=np.int64),  # unsorted
-                np.array([start] * 5 + [total - 1, 0, start], dtype=np.int64),  # repeated
                 np.array([], dtype=np.int64),
+                np.array([rng.randrange(total) for _ in range(30)], dtype=np.int64),  # unsorted
+                np.array([total - 1] * 5 + [0, rng.randrange(total), total - 1], dtype=np.int64),
             ]
-            assert np.array_equal(kernels.grid_eval(poly, cases[0]),
-                                  kernels.grid_eval(poly, start, stop))
             for idx in cases:
-                values = kernels.grid_eval(poly, idx)
-                assert values.dtype == np.int64 and np.array_equal(values, whole[idx])
+                values = kernels.grid_eval(polys, idx)
+                assert values.shape == (len(idx), len(polys)) and values.dtype == np.int64
+                for j, poly in enumerate(polys):
+                    assert np.array_equal(values[:, j],
+                                          kernels._grid_eval_python(poly, total)[idx])
 
 
 class TestTables:
@@ -179,7 +187,7 @@ class TestHits:
         fld = field_for(q)
         for _ in range(3):
             poly = random_poly(rng, fld, n, 3)
-            values = kernels.grid_eval(poly)
+            values = _grid_values(poly)
             for zero, expected in ((False, values != 0), (True, values == 0)):
                 arrays = list(kernels.hits(poly, zero=zero))
                 assert all(a.dtype == np.int64 and len(a) for a in arrays)
@@ -203,7 +211,7 @@ class TestHits:
     def test_first_hit_at_chunk_edge(self, text, zero, first):
         poly = parse_polynomial(text, make_field(2), 17)
         assert next(kernels.hits(poly, zero=zero))[0] == first
-        values = kernels.grid_eval(poly)
+        values = _grid_values(poly)
         assert np.flatnonzero(values == 0 if zero else values)[0] == first
 
     def test_point_scan_above_table_limit(self):
@@ -335,11 +343,12 @@ class TestSplitScan:
         poly = parse_polynomial("x0*x3 + 2*x1*x3 + x2^2*x3 + x3^2 + x0*x1 + 1", field_for(3))
         with _scanning(9):
             coef = dict(kernels._split(poly)[2])[(0, 1)]
-            assert [o for o in range(9) if not kernels.grid_eval(coef, o, o + 1).any()] == [0, 4, 8]
+            assert [o for o in range(9)
+                    if not kernels.grid_eval([coef], np.array([o])).any()] == [0, 4, 8]
             for zero in (False, True):
                 assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
 
-    def test_many_groups_cache_in_bounded_memory(self):
+    def test_many_groups_cache_in_bounded_memory(self, monkeypatch):
         # 300 terms over F_2 in 20 variables, each an outer variable times a
         # distinct inner monomial: at s = 14 their inner logs would take
         # 300 * 2^14 * 8 bytes (~39 MB); the cap lowers s until they fit.
@@ -357,11 +366,19 @@ class TestSplitScan:
             terms[tuple(int(i == o) for i in range(6)) + mono] = 1
         poly = MultivariatePolynomial(20, make_field(2), terms)
         assert len(poly.terms) == 300
+        calls = []
+        grid_eval = kernels.grid_eval
+        monkeypatch.setattr(kernels, "grid_eval", lambda *a: calls.append(a) or grid_eval(*a))
         tracemalloc.start()
         try:
             arrays = list(itertools.islice(kernels.hits(poly), 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(arrays) == 4 and kernels._split(poly)[0] < 14
+        s = kernels._split(poly)[0]
+        assert len(arrays) == 4 and s < 14
         assert peak < 32 * 2 ** 20
+        # one grid_eval for the inner grid, then one per block scanned,
+        # whatever the number of groups
+        scanned = int(arrays[-1][0]) // (max(1, kernels._CHUNK // 2 ** s) * 2 ** s) + 1
+        assert len(calls) <= scanned + 1

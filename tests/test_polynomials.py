@@ -106,6 +106,9 @@ def _expressions(draw, depth=4):
     return text, poly
 
 
+# an integer past the 4300 digits int() converts by default
+_NINES = "9" * 5000
+
 _FUZZ_TOKENS = [*"x0123456789+-*^()[],", " ", "\t", "²", "٣", "x1", "x2",
                 "99999999999999999999"]
 
@@ -327,7 +330,8 @@ class TestTermBudget:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("text,position,q,nvars", [
-        pytest.param(text, position, q, nvars, id=f"{text}-{position}")
+        pytest.param(text, position, q, nvars,
+                     id=f"{text}-{position}".replace(_NINES, "<5000 nines>"))
         for text, position, q, nvars in [
             ("(x0+x1)^", 8, 5, None), ("(x0+x1)^-1", 10, 5, None),
             ("(x0+x1)^2*", 10, 5, None), ("(x0+x1)^2 )", 10, 5, None), ("x0+", 3, 5, None),
@@ -335,6 +339,10 @@ class TestTermBudget:
             ("[1,2", 4, 9, None), ("3^-1", 4, 5, None), ("x0*[1,2,3]", 10, 9, None),
             ("x0 - (x1)^", 10, 5, None), ("x7", 2, 5, 3), ("x²", 1, 5, None),
             ("x0 + \t", 6, 5, None),
+            # integers of more digits than int() converts, at their first digit
+            ("x0^" + _NINES, 3, 5, None), ("x0*-" + _NINES, 4, 5, None),
+            ("x" + _NINES, 1, 5, 2), ("[1," + _NINES + "]", 3, 9, None),
+            (_NINES + "9", 0, 5, None),
         ]
     ])
     def test_parse_error_positions(self, text, position, q, nvars):
