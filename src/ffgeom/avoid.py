@@ -110,10 +110,6 @@ class ProjectivePoint:
         self.coords = coords
         self.field = field
 
-    @property
-    def dim(self):
-        return len(self.coords) - 1
-
     def __eq__(self, other):
         return (
             isinstance(other, ProjectivePoint)
@@ -142,10 +138,6 @@ class GrassmannianPoint:
         self.matrix = matrix
         self.field = field
         self.plucker = plucker(matrix, field)
-
-    @property
-    def shape(self):
-        return len(self.matrix), len(self.matrix[0])
 
     def __eq__(self, other):
         return (
@@ -248,7 +240,6 @@ def _affine_recurse(poly, fld):
         if choice is None:  # q > t guarantees a choice
             raise InternalContradiction("degree bound violated in the affine recursion")
         point = point[:var] + [choice] + point[var:]
-        trace = [(i if i < var else i + 1, v) for i, v in trace]
         trace.append((var, choice))
     return point, trace
 

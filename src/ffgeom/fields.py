@@ -12,6 +12,7 @@ multiplies through them in every field, and scalar arithmetic in extension
 fields; prime fields multiply scalars mod p.
 """
 
+import operator
 from functools import lru_cache, cached_property
 
 import numpy as np
@@ -57,22 +58,32 @@ def _base_p(m, p, k):
     return out
 
 
-def _poly_divmod(num, den, p):
-    """Quotient and remainder of ``num`` by ``den`` in F_p[t], as digit
-    lists, low degree first; the last digit of ``den`` must be nonzero."""
+def _poly_mod(num, den, p):
+    """Remainder of ``num`` by the monic ``den`` in F_p[t], as a digit list
+    of length deg ``den``, low degree first."""
     rem = list(num)
     dd = len(den) - 1
-    lead_inv = pow(den[dd], -1, p)
-    quo = [0] * max(len(rem) - dd, 1)
-    for i in range(len(rem) - 1 - dd, -1, -1):
-        c = rem[i + dd]
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
         if c:
-            f = c * lead_inv % p
-            quo[i] = f
-            # digit i + dd cancels and is never read again
+            # digit i cancels and is never read again
             for j in range(dd):
-                rem[i + j] = (rem[i + j] - f * den[j]) % p
-    return quo, rem[:dd]
+                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
+    return rem[:dd]
+
+
+def power(x, e, mul, one=1):
+    """x^e for an integer e >= 0 by square-and-multiply: ``mul`` is the
+    product and ``one`` its identity.  The last squaring, whose square no
+    step reads, is skipped."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
 
 
 class FiniteField:
@@ -105,7 +116,7 @@ class FiniteField:
         k = len(coeffs) - 1
         for deg in range(1, k // 2 + 1):
             for m in range(p ** deg):
-                if not any(_poly_divmod(coeffs, _base_p(m, p, deg) + [1], p)[1]):
+                if not any(_poly_mod(coeffs, _base_p(m, p, deg) + [1], p)):
                     return False
         return True
 
@@ -170,51 +181,42 @@ class FiniteField:
             return (a + b) % p
         if p == 2:
             return a ^ b
+        return self._digitwise(operator.add, a, b)
+
+    def neg(self, a):
+        """Negation by the same rules as :meth:`add`."""
+        return self.sub(0, a)
+
+    def sub(self, a, b):
+        """Difference by the same rules as :meth:`add`."""
+        if self.k == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        return self._digitwise(operator.sub, a, b)
+
+    def _digitwise(self, op, a, b):
+        """``op`` on each pair of base-p digits of a and b, mod p."""
+        p = self.p
         out = 0
         mult = 1
         for _ in range(self.k):
-            out = out + ((a + b) % p) * mult
+            out = out + op(a, b) % p * mult
             a = a // p
             b = b // p
             mult *= p
         return out
 
-    def neg(self, a):
-        """Negation by the same rules as :meth:`add`."""
-        p = self.p
-        if self.k == 1:
-            return (-a) % p
-        if p == 2:
-            return a
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out = out + ((-a) % p) * mult
-            a = a // p
-            mult *= p
-        return out
-
-    def sub(self, a, b):
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
-
     def _mul_slow(self, a, b):
-        p, k = self.p, self.k
-        da, db = self.coords(a), self.coords(b)
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
+        """a * b from the coordinates, reduced by the modulus: no tables."""
+        p = self.p
+        db = self.coords(b)
+        prod = [0] * (2 * self.k - 1)
+        for i, ca in enumerate(self.coords(a)):
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        # subtract multiples of the monic modulus, top degree first
-        mod = self.modulus
-        for j in range(2 * k - 2, k - 1, -1):
-            c = prod[j]
-            if c:
-                for i, m in zip(range(j - k, j), mod):
-                    prod[i] = (prod[i] - c * m) % p
-        return self.from_coords(prod[:k])
+        return self.from_coords(prod if self.k == 1 else _poly_mod(prod, self.modulus, p))
 
     def mul(self, a, b):
         if self.k == 1:
@@ -234,15 +236,8 @@ class FiniteField:
 
     def pow(self, a, e):
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        return power(a, e, self.mul)
 
     def frobenius(self, a, base_degree=1):
         """a ^ (p^base_degree); base_degree must divide k."""
@@ -311,20 +306,12 @@ class FiniteField:
         if n == 1:
             return 1
         factors = _prime_factors(n)
+        # the tables start from the generator, so the search multiplies without them
+        mul = self.mul if self.k == 1 else self._mul_slow
         for cand in range(2 if self.k == 1 else self.p, self.q):
-            if all(self._pow_slow(cand, n // f) != 1 for f in factors):
+            if all(power(cand, n // f, mul) != 1 for f in factors):
                 return cand
         raise RuntimeError("no generator found")  # unreachable
-
-    def _pow_slow(self, a, e):
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_slow(result, base) if self.k > 1 else (result * base) % self.p
-            base = self._mul_slow(base, base) if self.k > 1 else (base * base) % self.p
-            e >>= 1
-        return result
 
 
 @lru_cache(maxsize=None)

@@ -234,13 +234,17 @@ class CriterionReport:
 def verify_criterion(rank_max, coeff_bound, search_bound, rank_bound):
     """Exhaustively check "semistable <=> partner exists in the box" for
     every splitting type in the range.  search_bound must be at least
-    coeff_bound + 1 so the analytic partner lies inside the box."""
+    coeff_bound + 1, and rank_bound at least 1 when the range holds a type,
+    so the analytic partner lies inside the box."""
     if search_bound < coeff_bound + 1:
         raise ValueError("search_bound must be >= coeff_bound + 1")
     types_size = line_bundle_count(rank_max, coeff_bound)
     # an empty box still leaves one step per type E to take
     _check_budget(types_size * max(line_bundle_count(rank_bound, search_bound), 1),
                   "the scan")
+    if types_size and rank_bound < 1:
+        # the analytic partner O(-a-1) has rank 1
+        raise ValueError("rank_bound must be >= 1")
     types = list(splitting_types(rank_max, coeff_bound))
     partners = _first_partners(types, splitting_types(rank_bound, search_bound))
     report = CriterionReport(rank_max, coeff_bound, search_bound, rank_bound)

@@ -28,7 +28,7 @@ from .errors import (
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from .fields import embed, make_field
+from .fields import embed, make_field, power
 
 
 class MultivariatePolynomial:
@@ -154,15 +154,8 @@ class MultivariatePolynomial:
         )
 
     def __pow__(self, e):
-        out = MultivariatePolynomial.constant(1, self.nvars, self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return out
+        return power(self, e, operator.mul,
+                     MultivariatePolynomial.constant(1, self.nvars, self.field))
 
     # -- evaluation and substitution -------------------------------------
 

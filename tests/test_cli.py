@@ -474,6 +474,15 @@ class TestExitCodes:
         assert code == EXIT_OK and json.loads(out)["total_types"] == 0
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("rank_bound", ["0", "-1"])
+    def test_scan_with_empty_box_is_refused(self, rank_bound):
+        # the box cannot hold a type's rank-1 partner, so the scan is a
+        # precondition error, not a failed criterion (exit 1)
+        code, out, err = invoke(["p1", "scan", "--rank-max", "1", "--coeff-bound", "1",
+                                 "--rank-bound", rank_bound])
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert "rank_bound" in err
+
     def test_huge_part_with_empty_box_has_no_partner(self):
         code, out, _ = invoke(["p1", "verify", "--type=" + str(10 ** 20),
                                "--search-bound", str(10 ** 21), "--rank-bound", "0"])

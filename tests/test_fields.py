@@ -12,7 +12,7 @@ from ffgeom.errors import (
     NotPrime,
     SizeLimitExceeded,
 )
-from ffgeom import kernels
+from ffgeom import fields, kernels
 from ffgeom.fields import (
     DEFAULT_SIZE_LIMIT,
     FiniteField,
@@ -20,7 +20,9 @@ from ffgeom.fields import (
     _prime_factors,
     embed,
     make_field,
+    power,
 )
+from ffgeom.polynomials import UnivariatePolynomial
 
 from conftest import PRIME_POWERS_64, field_for
 
@@ -113,6 +115,38 @@ class TestArithmetic:
             for b in range(q):
                 assert fld.mul(a, b) == fld._mul_slow(a, b)
 
+    @pytest.mark.parametrize("p,k", [(2, 2), (2, 5), (3, 3), (5, 2), (7, 2), (2, 10), (3, 7),
+                                     (5, 4), (13, 3), (2, 16), (31, 4)])
+    def test_slow_mul_matches_schoolbook_reference(self, p, k):
+        # _mul_slow builds the tables, so it is checked against a product
+        # that shares no code with it
+        fld = make_field(p, k)
+        rng = random.Random(fld.q)
+        pairs = [(a, b) for a in range(fld.q) for b in range(fld.q)] if fld.q <= 64 else \
+            [(rng.randrange(fld.q), rng.randrange(fld.q)) for _ in range(300)]
+        for a, b in pairs:
+            assert fld._mul_slow(a, b) == _ref_mul(fld, a, b), (a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(PRIME_POWERS_64), st.integers(0, 63), st.integers(0, 3 * 64))
+    @example(q=64, a=0, e=0)
+    @example(q=64, a=0, e=3 * 64)
+    @example(q=9, a=5, e=0)
+    def test_power_is_repeated_product(self, q, a, e):
+        fld = field_for(q)
+        a, e = a % q, e % (3 * q + 1)
+        expected = 1
+        for _ in range(e):
+            expected = fld.mul(expected, a)
+        assert power(a, e, fld.mul) == expected
+        assert fld.pow(a, e) == expected
+        if fld.k > 1:
+            assert power(a, e, fld._mul_slow) == expected
+        if a:
+            inverse = 1
+            for _ in range(e):
+                inverse = fld.mul(inverse, fld.inv(a))
+            assert fld.pow(a, -e) == inverse
 
 def _primes_up_to(n):
     sieve = np.ones(n + 1, dtype=bool)
@@ -150,6 +184,18 @@ def _ref_add(fld, a, b):
 
 def _ref_neg(fld, a):
     return fld.from_coords([-x for x in fld.coords(a)])
+
+
+def _ref_mul(fld, a, b):
+    """Schoolbook product of the coordinate vectors, reduced by the modulus
+    with :meth:`UnivariatePolynomial.divmod` over F_p."""
+    fp = make_field(fld.p)
+    prod = [0] * (2 * fld.k - 1)
+    for i, x in enumerate(fld.coords(a)):
+        for j, y in enumerate(fld.coords(b)):
+            prod[i + j] = (prod[i + j] + x * y) % fld.p
+    modulus = UnivariatePolynomial(list(fld.modulus), fp)
+    return fld.from_coords(UnivariatePolynomial(prod, fp).divmod(modulus)[1].coeffs)
 
 
 class TestAdditionRule:
@@ -249,9 +295,8 @@ class TestDiscreteLogTables:
         # field info asks for the generator on every request; the tables
         # start from the same element and do not search again
         calls = []
-        pow_slow = FiniteField._pow_slow
-        monkeypatch.setattr(FiniteField, "_pow_slow",
-                            lambda fld, a, e: calls.append(a) or pow_slow(fld, a, e))
+        monkeypatch.setattr(fields, "power",
+                            lambda x, e, mul, one=1: calls.append(x) or power(x, e, mul, one))
         fld = FiniteField(p, k)
         g = fld.generator()
         searched = len(calls)

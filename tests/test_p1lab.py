@@ -179,16 +179,22 @@ class TestArrayEvaluation:
     def test_row_blocks_match_reference(self, rank_max, coeff_bound, extra, rank_bound,
                                         entries, e):
         # blocks of a few entries split the types and cross the rank blocks;
-        # rank_bound 0 gives an empty box, where every semistable type is a
-        # counterexample, in canonical order
+        # rank_bound 0 gives an empty box: the scan refuses it when the range
+        # holds a type, and the partner search finds nothing in it
         search_bound = coeff_bound + 1 + extra
+        refused = rank_bound < 1 and any(splitting_types(rank_max, coeff_bound))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(p1lab, "_ROW_BLOCK_ENTRIES", entries)
-            report = verify_criterion(rank_max, coeff_bound, search_bound, rank_bound)
             partner = find_partner(e, search_bound, rank_bound)
-        assert (report.total_types, report.semistable_count, report.partnered_count,
-                report.max_partner_rank, report.counterexamples) == \
-            _verify_criterion_python(rank_max, coeff_bound, search_bound, rank_bound)
+            if refused:
+                with pytest.raises(ValueError):
+                    verify_criterion(rank_max, coeff_bound, search_bound, rank_bound)
+            else:
+                report = verify_criterion(rank_max, coeff_bound, search_bound, rank_bound)
+        if not refused:
+            assert (report.total_types, report.semistable_count, report.partnered_count,
+                    report.max_partner_rank, report.counterexamples) == \
+                _verify_criterion_python(rank_max, coeff_bound, search_bound, rank_bound)
         assert partner == _find_partner_python(e, search_bound, rank_bound)
 
     def test_first_hit_in_box_order(self):
@@ -216,11 +222,13 @@ class TestArrayEvaluation:
             _first_partners(types, splitting_types(2, 4))
 
     def test_empty_box_or_range_builds_nothing(self):
-        # an empty box admits any search bound; with no type E the box,
-        # however large, is not enumerated
-        report = verify_criterion(1, 3, 10 ** 20, 0)
-        assert report.total_types == 7 and report.partnered_count == 0
-        assert [e for e, _ in report.counterexamples] == list(splitting_types(1, 3))
+        # an empty box cannot hold the rank-1 partner O(-a-1) of a type, so
+        # a scan with types refuses it; with no type E the box, however
+        # large or empty, is not enumerated
+        for rank_bound in (0, -1):
+            with pytest.raises(ValueError, match="rank_bound"):
+                verify_criterion(1, 3, 10 ** 20, rank_bound)
+            assert verify_criterion(0, 3, 10 ** 20, rank_bound).total_types == 0
         assert verify_criterion(0, 3, 10 ** 20, 10 ** 9).total_types == 0
         assert _first_partners([], splitting_types(10 ** 9, 10 ** 9)) == []
 

@@ -201,6 +201,19 @@ class TestEval:
         assert z.eval([3, 4]) == 0
 
 
+class TestPower:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([2, 3, 4, 7, 9]), st.integers(1, 3), st.integers(0, 7),
+           st.integers(0, 2 ** 32))
+    def test_power_is_repeated_product(self, q, nvars, e, seed):
+        fld = field_for(q)
+        poly = random_poly(random.Random(seed), fld, nvars, 3, nterms=3)
+        expected = MultivariatePolynomial.constant(1, nvars, fld)
+        for _ in range(e):
+            expected = expected * poly
+        assert poly ** e == expected
+
+
 def _grid_values(poly):
     q, n = poly.field.q, poly.nvars
     return [poly.eval(kernels.decode_point(t, q, n)) for t in range(q ** n)]
