@@ -360,15 +360,12 @@ def _embedding_powers(sub, sup):
         return None
     if sub.k == 1:
         return None
-    # image of sub's generator: first root of sub's modulus in sup, found by
-    # the grid kernel (imported here: polynomials imports this module)
-    from .kernels import first_zero
-    from .polynomials import MultivariatePolynomial
+    # image of sub's generator: the smallest root of sub's modulus, an
+    # irreducible of degree sub.k over F_p, in sup (imported here:
+    # polynomials imports this module)
+    from .polynomials import UnivariatePolynomial, _smallest_root
 
-    img = first_zero(MultivariatePolynomial(
-        1, sup, {(i,): c for i, c in enumerate(sub.modulus) if c}))
-    if img is None:
-        raise NoEmbedding("modulus has no root in the larger field")  # unreachable
+    img = _smallest_root(UnivariatePolynomial(sub.modulus, make_field(sub.p)), sub.k, sup)
     powers = [1]
     for _ in range(sub.k - 1):
         powers.append(sup.mul(powers[-1], img))

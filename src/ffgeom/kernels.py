@@ -3,6 +3,8 @@
 Every evaluation on the grid F_q^n (canonical order, last variable varying
 fastest) goes through :func:`grid_eval`, which evaluates a list of sparse
 polynomials at an array of grid indices from one decode of the indices.
+With n = 1 an index is an element's encoding, which is how the root search
+of :mod:`ffgeom.polynomials` evaluates a polynomial at its candidate roots.
 Multiplication goes through the field's discrete-log tables and addition
 through :meth:`FiniteField.add`, the rule scalar arithmetic uses, applied
 to whole arrays.  Every field has tables, so one kernel serves every field
@@ -166,13 +168,6 @@ def hits(poly, zero=False):
         if len(found):
             found += o0 * width
             yield found
-
-
-def first_zero(poly):
-    """Index of the first grid point (canonical order) where ``poly``
-    vanishes, or None."""
-    found = next(hits(poly, zero=True), None)
-    return None if found is None else int(found[0])
 
 
 def decode_point(t, q, n):

@@ -15,7 +15,9 @@ import operator
 import re
 from bisect import bisect_left
 from functools import reduce
-from itertools import chain
+from itertools import chain, zip_longest
+
+import numpy as np
 
 from . import kernels
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from .fields import embed, make_field, power
+from .fields import _base_p, _poly_mod, embed, make_field, power
 
 
 class MultivariatePolynomial:
@@ -335,6 +337,18 @@ class UnivariatePolynomial:
             acc = add(mul(acc, x), c)
         return acc
 
+    def __add__(self, other):
+        add = self.field.add
+        return UnivariatePolynomial(
+            [add(a, b) for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
+            self.field)
+
+    def __sub__(self, other):
+        sub = self.field.sub
+        return UnivariatePolynomial(
+            [sub(a, b) for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
+            self.field)
+
     def derivative(self):
         fld = self.field
         out = []
@@ -361,17 +375,18 @@ class UnivariatePolynomial:
         fld = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        sub, mul = fld.sub, fld.mul
         rem = list(self.coeffs)
+        den = other.coeffs
         dd = other.degree
-        lead_inv = fld.inv(other.coeffs[-1])
+        lead_inv = fld.inv(den[-1])
         quo = [0] * max(len(rem) - dd, 0)
+        # step i cancels rem[i] and reads rem only below it
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
-                f = fld.mul(c, lead_inv)
-                quo[i - dd] = f
-                for j in range(dd + 1):
-                    rem[i - dd + j] = fld.sub(rem[i - dd + j], fld.mul(f, other.coeffs[j]))
+                c = quo[i - dd] = mul(c, lead_inv)
+                rem[i - dd:i] = [sub(a, mul(c, b)) for a, b in zip(rem[i - dd:i], den)]
         return (
             UnivariatePolynomial(quo, fld),
             UnivariatePolynomial(rem[:dd] if dd else [], fld),
@@ -585,26 +600,126 @@ def sylvester_resultant(f, g):
 
 
 def find_root_in_tower(f, max_degree):
-    """Scan F_{q^j} for j = 1..max_degree for the first root of ``f``.
+    """The first root of ``f`` in the tower F_{q^j}, j = 1..max_degree, over
+    its field F_q: (root, extension_field, j) for the least such j and the
+    smallest encoding of a root in F_{q^j}, or None when no root exists
+    within the bound.
 
-    Each F_{q^j} is searched by :func:`kernels.first_zero`, and its answer
-    is re-checked by Horner's rule.  Returns (root, extension_field, j) or
-    None when no root exists within the bound.
+    j is found by distinct-degree factorization over F_q: the first j with
+    d = gcd(f, x^(q^j) - x) nonconstant, with x^(q^j) mod f the q-th power
+    of x^(q^(j-1)).  Every irreducible factor of f has degree at most deg f,
+    so no j past it is tried, and no field is built before j is known.  The
+    root is :func:`_smallest_root` of d in F_{q^j}, re-checked by Horner's
+    rule.
     """
     if f.is_zero() or f.degree < 1:
         raise ZeroPolynomial("root search needs a nonconstant polynomial")
     base = f.field
-    for j in range(1, max_degree + 1):
-        ext = make_field(base.p, base.k * j)
-        fe = f.map_coefficients(ext)
-        x = kernels.first_zero(
-            MultivariatePolynomial(1, ext, {(i,): c for i, c in enumerate(fe.coeffs)})
-        )
-        if x is not None:
-            if fe.eval(x) != 0:
-                raise InternalContradiction(f"root search returned a non-root {x}")
-            return x, ext, j
-    return None
+    monic = f.monic()
+    x = UnivariatePolynomial([0, 1], base)
+    xq = x
+    for j in range(1, min(max_degree, f.degree) + 1):
+        xq = _power_mod(xq, base.q, monic)
+        d = poly_gcd(monic, xq - x)
+        if d.degree >= 1:
+            break
+    else:
+        return None
+    ext = make_field(base.p, base.k * j)
+    root = _smallest_root(d, j, ext)
+    if f.map_coefficients(ext).eval(root) != 0:
+        raise InternalContradiction(f"root search returned a non-root {root}")
+    return root, ext, j
+
+
+def _power_mod(a, e, f):
+    """a^e mod the monic ``f``, for an integer e >= 0, by square-and-multiply
+    on coefficient lists.  Over F_p a product's coefficients add up as plain
+    integers, reduced once by :func:`fields._poly_mod`."""
+    fld = f.field
+    add, mul = (operator.add, operator.mul) if fld.k == 1 else (fld.add, fld.mul)
+
+    def mul_mod(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, c in enumerate(u):
+            if c:
+                for j, b in enumerate(v):
+                    out[i + j] = add(out[i + j], mul(c, b))
+        if fld.k == 1:
+            return _poly_mod([c % fld.p for c in out], f.coeffs, fld.p)
+        return UnivariatePolynomial(out, fld).divmod(f)[1].coeffs
+
+    return UnivariatePolynomial(power(a.divmod(f)[1].coeffs, e, mul_mod, [1]), fld)
+
+
+def _equal_degree_factors(d, degree):
+    """The monic irreducible factors of ``d``, a monic product of distinct
+    irreducibles of one degree over F_q, by Cantor-Zassenhaus splitting.
+
+    The splitting polynomials a are the nonconstant polynomials of degree
+    below deg d, in encoding order.  Each a splits every factor g of
+    degree above ``degree`` by gcd(g, t), with t = a^((q^degree - 1)/2) - 1
+    mod g for odd q, and the trace a + a^2 + ... + a^(2^(k*degree - 1)) mod
+    g for q = 2^k.  Two distinct factors of d are told apart by some a of
+    degree below deg d, so the sequence cannot run out.
+    """
+    fld, q = d.field, d.field.q
+    one = UnivariatePolynomial([1], fld)
+    splitters = (UnivariatePolynomial(_base_p(m, q, d.degree), fld)
+                 for m in range(q, q ** d.degree))
+    done, todo = [], [d]
+    while True:
+        done += [g for g in todo if g.degree == degree]
+        todo = [g for g in todo if g.degree > degree]
+        if not todo:
+            return done
+        a = next(splitters, None)
+        if a is None:
+            raise InternalContradiction(f"no splitting polynomial splits {d!r}")
+        split = []
+        for g in todo:
+            if fld.p == 2:
+                t = term = a.divmod(g)[1]
+                for _ in range(fld.k * degree - 1):
+                    term = _power_mod(term, 2, g)
+                    t = t + term
+            else:
+                t = _power_mod(a, (q ** degree - 1) // 2, g) - one
+            h = poly_gcd(g, t)
+            split += [h, g.divmod(h)[0]] if 0 < h.degree < g.degree else [g]
+        todo = split
+
+
+def _smallest_root(d, degree, target):
+    """Smallest encoding in ``target`` of a root of ``d``, a monic product of
+    distinct irreducibles of one degree J over F_q whose F_{q^J} lies in
+    ``target``.
+
+    A root r of an irreducible factor phi has norm r^M = (-1)^J phi(0) to
+    F_q, M = (q^J - 1)/(q - 1).  With g the generator of ``target``, F_q* is
+    the powers of g^b, b = (|target| - 1)/(q - 1), and F_{q^J}* those of g^a,
+    a = (|target| - 1)/(q^J - 1).  So if the norm is g^(b*v), the roots of
+    phi are among the M elements g^(a*(v + (q - 1)*t)), t < M.  Classes of
+    distinct norms are disjoint.  d is evaluated at the sorted union of its
+    factors' classes in one :func:`kernels.grid_eval` call; a d with d(0) = 0
+    has the root 0.
+    """
+    if not d.coeffs[0]:
+        return 0
+    base, q = d.field, d.field.q
+    logt, expt = target.tables
+    a, b = (target.q - 1) // (q ** degree - 1), (target.q - 1) // (q - 1)
+    norms = {phi.coeffs[0] if degree % 2 == 0 else base.neg(phi.coeffs[0])
+             for phi in _equal_degree_factors(d, degree)}
+    steps = (q - 1) * np.arange((q ** degree - 1) // (q - 1), dtype=np.int64)
+    classes = [expt[a * (int(logt[embed(norm, base, target)]) // b + steps)] for norm in norms]
+    idx = np.sort(np.concatenate(classes))
+    de = d.map_coefficients(target)
+    poly = MultivariatePolynomial(1, target, {(i,): c for i, c in enumerate(de.coeffs)})
+    zeros = idx[kernels.grid_eval([poly], idx)[:, 0] == 0]
+    if not len(zeros):
+        raise InternalContradiction(f"no root of {d!r} in its norm classes")
+    return int(zeros[0])
 
 
 # ---------------------------------------------------------------------------

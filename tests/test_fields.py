@@ -382,7 +382,8 @@ class TestEmbedding:
         with pytest.raises(NoEmbedding):
             embed(1, make_field(2, 2), make_field(2, 3))
 
-    @pytest.mark.parametrize("p,k,n", [(2, 2, 4), (2, 3, 6), (3, 2, 4)])
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 4), (2, 3, 6), (3, 2, 4), (2, 2, 6), (3, 2, 6),
+                                       (5, 2, 4)])
     def test_image_matches_scalar_scan(self, p, k, n):
         sub, sup = make_field(p, k), make_field(p, n)
 

@@ -3,6 +3,7 @@ import time
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from ffgeom.errors import (
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from ffgeom.fields import make_field
+from ffgeom.fields import FiniteField, make_field
 from ffgeom.polynomials import (
     MAX_NESTING,
     MAX_TERMS,
@@ -705,20 +706,44 @@ def _scan_tower(f, max_degree):
     return None
 
 
+def _product(*factors):
+    """The product of univariate polynomials over one field, by convolution."""
+    fld, out = factors[0].field, [1]
+    for g in factors:
+        acc = [0] * (len(out) + len(g.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g.coeffs):
+                acc[i + j] = fld.add(acc[i + j], fld.mul(a, b))
+        out = acc
+    return UnivariatePolynomial(out, fld)
+
+
 @st.composite
 def _tower_cases(draw):
-    """(f, max_degree) over F_7, F_11 or F_13, deg f <= 5, max_degree <= 3."""
-    fld = make_field(draw(st.sampled_from([7, 11, 13])))
-    deg = draw(st.integers(1, 5))
-    coeffs = draw(st.lists(st.integers(0, fld.q - 1), min_size=deg, max_size=deg))
-    lead = draw(st.integers(1, fld.q - 1))
-    return UnivariatePolynomial(coeffs + [lead], fld), draw(st.integers(1, 3))
+    """(f, max_degree): f over one of F_2, F_4, F_7, F_8, F_9, F_11, F_13,
+    F_16 or F_25, of degree <= 6, a product of one to three factors of
+    degree <= 3 with the first possibly repeated; max_degree <= 3."""
+    fld = field_for(draw(st.sampled_from([2, 4, 7, 8, 9, 11, 13, 16, 25])))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(st.integers(0, fld.q - 1), min_size=deg, max_size=deg))
+        factors.append(UnivariatePolynomial(coeffs + [draw(st.integers(1, fld.q - 1))], fld))
+    if draw(st.booleans()):
+        factors.append(factors[0])
+    while sum(g.degree for g in factors) > 6:
+        factors.pop()
+    return _product(*factors), draw(st.integers(1, 3))
 
 
 def _irreducible(p, k):
     """The modulus of F_{p^k}: irreducible of degree k over F_p, so it has no
-    root in F_{p^j} for j < k."""
-    return UnivariatePolynomial(make_field(p, k).modulus, make_field(p))
+    root in F_{p^j} for j < k.  Found without building F_{p^k}, which may be
+    past the size limit."""
+    return UnivariatePolynomial(FiniteField._find_modulus(p, k), make_field(p))
+
+
+F7, F11, F13 = make_field(7), make_field(11), make_field(13)
 
 
 class TestRootSearchKernel:
@@ -727,15 +752,43 @@ class TestRootSearchKernel:
     @example((_irreducible(7, 4), 3))
     @example((_irreducible(11, 5), 3))
     @example((_irreducible(13, 4), 3))
+    # two distinct quadratics of norms 1 and 2: two norm classes of F_121
+    @example((_product(UnivariatePolynomial([1, 0, 1], F11),
+                       UnivariatePolynomial([2, 2, 1], F11)), 2))
+    # x times a cubic without roots in F_7: the root 0
+    @example((_product(UnivariatePolynomial([0, 1], F7), _irreducible(7, 3)), 3))
+    # (x - 3)^2 times a quadratic without roots in F_13
+    @example((_product(UnivariatePolynomial([10, 1], F13), UnivariatePolynomial([10, 1], F13),
+                       _irreducible(13, 2)), 2))
     def test_matches_scalar_scan(self, case):
         f, max_degree = case
         assert find_root_in_tower(f, max_degree) == _scan_tower(f, max_degree)
 
     def test_non_root_from_kernel_is_caught(self, monkeypatch):
-        monkeypatch.setattr(kernels, "first_zero", lambda poly: 0)
-        f = UnivariatePolynomial([1, 0, 1], F3)  # x^2 + 1, nonzero at 0
+        # the evaluation at the norm class reports a zero at every candidate
+        monkeypatch.setattr(kernels, "grid_eval",
+                            lambda polys, idx: np.zeros((len(idx), len(polys)), dtype=np.int64))
+        f = UnivariatePolynomial([1, 0, 1], F3)  # x^2 + 1, nonzero at 1, the first candidate
         with pytest.raises(InternalContradiction):
             find_root_in_tower(f, 2)
+
+    @pytest.mark.parametrize("p,k", [(3, 14), (7, 8)])
+    def test_no_root_within_bound_builds_no_field(self, p, k, monkeypatch):
+        built = []
+        monkeypatch.setattr(polynomials, "make_field", lambda *args: built.append(args))
+        assert find_root_in_tower(_irreducible(p, k), k - 1) is None
+        assert built == []
+
+    def test_root_builds_only_its_field(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return make_field(*args)
+
+        monkeypatch.setattr(polynomials, "make_field", spy)
+        _, ext, j = find_root_in_tower(_irreducible(13, 4), 4)
+        assert (ext.q, j) == (13 ** 4, 4) and built == [(13, 4)]
 
 
 class TestSubstitution:
