@@ -11,6 +11,7 @@ from decimal import Decimal
 from math import factorial, gcd, lcm
 
 from .errors import InvalidRank, SizeLimitExceeded
+from .fields import _is_prime
 
 # largest M for which rank_pipeline computes M! and lcm(1..M) (~0.1 s);
 # M = 24 000 takes ~0.5 s, and M grows linearly in alpha
@@ -36,30 +37,6 @@ class BoundInputs:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == CHAR_P and (self.p is None or not _is_prime(self.p)):
             raise ValueError("char_p mode needs a prime p below 3.3e24")
-
-
-def _is_prime(n):
-    """Miller-Rabin with the first 13 primes as bases, which is exact for
-    n < 3317044064679887385961981; False for every larger n."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2 or n >= 3317044064679887385961981:
-        return False
-    if n in bases:
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def ceil_log(base, x):

@@ -31,7 +31,7 @@ from .errors import (
     NotSquarefree,
     ZeroPolynomial,
 )
-from .fields import embed
+from .fields import embed, poly_mul
 from .polynomials import (
     MultivariatePolynomial,
     UnivariatePolynomial,
@@ -213,8 +213,7 @@ def _v_coefficients(form, center, fld):
         # row e: C(e, i) x^(e-i) for i = 0..e, the coefficients of (x + y)^e
         rows = [[1]]
         for _ in range(deg):
-            prev = rows[-1]
-            rows.append([add(mul(x, a), b) for a, b in zip(prev + [0], [0] + prev)])
+            rows.append(poly_mul([x, 1], rows[-1], fld))
         return rows
 
     b1, b2 = binomials(c[j1]), binomials(c[j2])

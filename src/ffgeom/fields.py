@@ -10,6 +10,10 @@ Every field up to the size limit has one pair of discrete-log tables
 (:attr:`FiniteField.tables`), built on first use.  The grid kernel
 multiplies through them in every field, and scalar arithmetic in extension
 fields; prime fields multiply scalars mod p.
+
+Coefficient lists (low degree first) have one product, :func:`poly_mul`,
+and one quotient with remainder, :func:`poly_divmod`; over F_p each takes a
+branch of plain integer operations mod p in place of the field's methods.
 """
 
 import operator
@@ -35,7 +39,7 @@ _TABLE_ROWS = 2 ** 16
 
 def _prime_factors(n):
     """Distinct prime factors of n in ascending order, by trial division
-    (none for n < 2); n is prime exactly when the list is [n]."""
+    (none for n < 2): of q - 1, and of a plain prime-power field size."""
     out = []
     d = 2
     while d * d <= n:
@@ -58,18 +62,77 @@ def _base_p(m, p, k):
     return out
 
 
-def _poly_mod(num, den, p):
-    """Remainder of ``num`` by the monic ``den`` in F_p[t], as a digit list
-    of length deg ``den``, low degree first."""
-    rem = list(num)
+def _is_prime(n):
+    """Miller-Rabin with the first 13 primes as bases, which is exact for
+    n < 3317044064679887385961981; False for every larger n."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n >= 3317044064679887385961981:
+        return False
+    if n in bases:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def poly_mul(u, v, fld):
+    """Product of two coefficient lists over ``fld``, low degree first, with
+    len(u) + len(v) - 1 entries; the loop over ``u`` is the outer one."""
+    out = [0] * (len(u) + len(v) - 1)
+    if fld.k == 1:
+        p = fld.p
+        for i, c in enumerate(u):
+            if c:
+                for j, b in enumerate(v, i):
+                    out[j] = (out[j] + c * b) % p
+        return out
+    add, mul = fld.add, fld.mul
+    for i, c in enumerate(u):
+        if c:
+            for j, b in enumerate(v, i):
+                out[j] = add(out[j], mul(c, b))
+    return out
+
+
+def poly_divmod(num, den, fld):
+    """Quotient and remainder of ``num`` by ``den``, whose last entry is
+    nonzero, over ``fld``.  The remainder keeps its zeros: it has
+    min(len(num), len(den) - 1) entries.  Step i cancels entry i and then
+    reads only below it."""
     dd = len(den) - 1
+    low = den[:dd]
+    rem = list(num)
+    quo = [0] * (len(rem) - dd)
+    if fld.k == 1:
+        p, lead = fld.p, den[-1]
+        inv = 1 if lead == 1 else pow(lead, -1, p)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i]
+            if c:
+                c = quo[i - dd] = c * inv % p
+                for j, b in enumerate(low, i - dd):
+                    rem[j] = (rem[j] - c * b) % p
+        return quo, rem[:dd]
+    sub, mul = fld.sub, fld.mul
+    inv = fld.inv(den[-1])
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c:
-            # digit i cancels and is never read again
-            for j in range(dd):
-                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-    return rem[:dd]
+            c = quo[i - dd] = mul(c, inv)
+            for j, b in enumerate(low, i - dd):
+                rem[j] = sub(rem[j], mul(c, b))
+    return quo, rem[:dd]
 
 
 def power(x, e, mul, one=1):
@@ -93,9 +156,9 @@ class FiniteField:
     """
 
     def __init__(self, p, k, size_limit=DEFAULT_SIZE_LIMIT):
-        if p > size_limit:  # checked before the trial division of p
+        if p > size_limit:  # checked before the primality test of p
             raise SizeLimitExceeded(f"p = {p} exceeds limit {size_limit}")
-        if _prime_factors(p) != [p]:
+        if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if k < 1:
             raise SizeLimitExceeded("degree must be >= 1")
@@ -111,21 +174,14 @@ class FiniteField:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def _poly_is_irreducible(coeffs, p):
-        """Trial division of a monic polynomial (dense, low-to-high) over F_p."""
-        k = len(coeffs) - 1
-        for deg in range(1, k // 2 + 1):
-            for m in range(p ** deg):
-                if not any(_poly_mod(coeffs, _base_p(m, p, deg) + [1], p)):
-                    return False
-        return True
-
-    @classmethod
-    def _find_modulus(cls, p, k):
-        """First irreducible monic degree-k polynomial, constant digit fastest."""
+    def _find_modulus(p, k):
+        """First irreducible monic degree-k polynomial, constant digit
+        fastest: no monic divisor of degree 1..k/2 leaves remainder zero."""
+        fp = make_field(p)
+        divisors = [_base_p(m, p, d) + [1] for d in range(1, k // 2 + 1) for m in range(p ** d)]
         for m in range(p ** k):
             coeffs = _base_p(m, p, k) + [1]
-            if cls._poly_is_irreducible(coeffs, p):
+            if all(any(poly_divmod(coeffs, den, fp)[1]) for den in divisors):
                 return tuple(coeffs)
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -149,9 +205,9 @@ class FiniteField:
     def from_coords(self, coords):
         if len(coords) > self.k:
             raise FieldMismatch(f"coordinate vector too long for {self!r}")
-        a = 0
+        p, a = self.p, 0
         for c in reversed(coords):
-            a = a * self.p + c % self.p
+            a = a * p + c % p
         return a
 
     def enumerate_elements(self):
@@ -208,15 +264,17 @@ class FiniteField:
         return out
 
     def _mul_slow(self, a, b):
-        """a * b from the coordinates, reduced by the modulus: no tables."""
-        p = self.p
-        db = self.coords(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, ca in enumerate(self.coords(a)):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        return self.from_coords(prod if self.k == 1 else _poly_mod(prod, self.modulus, p))
+        """a * b without tables: in an extension field, the product of the
+        coordinates over F_p, reduced by the modulus."""
+        if self.k == 1:
+            return a * b % self.p
+        fp = self._prime_field
+        prod = poly_mul(self.coords(a), self.coords(b), fp)
+        return self.from_coords(poly_divmod(prod, self.modulus, fp)[1])
+
+    @cached_property
+    def _prime_field(self):  # looked up once, not per product
+        return make_field(self.p)
 
     def mul(self, a, b):
         if self.k == 1:
@@ -307,9 +365,8 @@ class FiniteField:
             return 1
         factors = _prime_factors(n)
         # the tables start from the generator, so the search multiplies without them
-        mul = self.mul if self.k == 1 else self._mul_slow
         for cand in range(2 if self.k == 1 else self.p, self.q):
-            if all(power(cand, n // f, mul) != 1 for f in factors):
+            if all(power(cand, n // f, self._mul_slow) != 1 for f in factors):
                 return cand
         raise RuntimeError("no generator found")  # unreachable
 

@@ -30,7 +30,7 @@ from .errors import (
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from .fields import _base_p, _poly_mod, embed, make_field, power
+from .fields import _base_p, embed, make_field, poly_divmod, poly_mul, power
 
 
 class MultivariatePolynomial:
@@ -366,35 +366,20 @@ class UnivariatePolynomial:
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.field.inv(self.coeffs[-1])
-        return UnivariatePolynomial(
-            [self.field.mul(inv, c) for c in self.coeffs], self.field
-        )
+        return UnivariatePolynomial([self.field.inv(self.coeffs[-1])], self.field) * self
+
+    def __mul__(self, other):
+        return UnivariatePolynomial(poly_mul(self.coeffs, other.coeffs, self.field), self.field)
 
     def divmod(self, other):
-        fld = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        sub, mul = fld.sub, fld.mul
-        rem = list(self.coeffs)
-        den = other.coeffs
-        dd = other.degree
-        lead_inv = fld.inv(den[-1])
-        quo = [0] * max(len(rem) - dd, 0)
-        # step i cancels rem[i] and reads rem only below it
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                c = quo[i - dd] = mul(c, lead_inv)
-                rem[i - dd:i] = [sub(a, mul(c, b)) for a, b in zip(rem[i - dd:i], den)]
-        return (
-            UnivariatePolynomial(quo, fld),
-            UnivariatePolynomial(rem[:dd] if dd else [], fld),
-        )
+        quo, rem = poly_divmod(self.coeffs, other.coeffs, self.field)
+        return UnivariatePolynomial(quo, self.field), UnivariatePolynomial(rem, self.field)
 
 
 def poly_gcd(f, g):
-    """Monic Euclidean gcd; independent oracle for the resultant."""
+    """Monic Euclidean gcd, by the remainders of :func:`fields.poly_divmod`."""
     while not g.is_zero():
         f, g = g, f.divmod(g)[1]
     return f.monic()
@@ -509,11 +494,7 @@ def interpolate(xs, ys, field):
             interp = UnivariatePolynomial(
                 [add(c, mul(scale, b)) for c, b in zip(low, basis.coeffs)], field
             )
-        # basis *= (t - x)
-        b = basis.coeffs
-        basis = UnivariatePolynomial(
-            [sub(s, mul(x, c)) for s, c in zip([0] + b, b + [0])], field
-        )
+        basis = UnivariatePolynomial([field.neg(x), 1], field) * basis
     return interp
 
 
@@ -554,7 +535,7 @@ def resultant(fc, gc, m, n, field):
     becomes (g, f mod g) at declared degree n - 1, with the factor
     (-1)^(mn) * g_n^(m-n+1).  A constant f gives f_0^n, a constant g g_0^m.
     """
-    mul, sub, neg = field.mul, field.sub, field.neg
+    mul, neg = field.mul, field.neg
     f = list(fc) + [0] * (m + 1 - len(fc))
     g = list(gc) + [0] * (n + 1 - len(gc))
     acc = 1
@@ -576,16 +557,10 @@ def resultant(fc, gc, m, n, field):
                 f, g, m, n = g, f, n, m
             elif m * n % 2:
                 acc = neg(acc)
-            lead = g[n]
-            inv = field.inv(lead)
-            # f mod g in place: step i cancels f[i] and reads f only below it
-            for i in range(m, n - 1, -1):
-                c = f[i]
-                if c:
-                    c = mul(c, inv)
-                    f[i - n:i] = [sub(a, mul(c, b)) for a, b in zip(f[i - n:i], g)]
-            acc = mul(acc, field.pow(lead, m - n + 1))
-            f, g, m, n = g, f[:n], n, n - 1
+            # the lists may run past the declared degrees in zeros
+            rem = poly_divmod(f[:m + 1], g[:n + 1], field)[1]
+            acc = mul(acc, field.pow(g[n], m - n + 1))
+            f, g, m, n = g, rem, n, n - 1
 
 
 def sylvester_resultant(f, g):
@@ -633,23 +608,14 @@ def find_root_in_tower(f, max_degree):
 
 
 def _power_mod(a, e, f):
-    """a^e mod the monic ``f``, for an integer e >= 0, by square-and-multiply
-    on coefficient lists.  Over F_p a product's coefficients add up as plain
-    integers, reduced once by :func:`fields._poly_mod`."""
+    """a^e mod ``f`` of degree >= 1, for an integer e >= 0: :func:`fields.power`
+    over the product of coefficient lists, then the remainder by ``f``."""
     fld = f.field
-    add, mul = (operator.add, operator.mul) if fld.k == 1 else (fld.add, fld.mul)
 
-    def mul_mod(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, c in enumerate(u):
-            if c:
-                for j, b in enumerate(v):
-                    out[i + j] = add(out[i + j], mul(c, b))
-        if fld.k == 1:
-            return _poly_mod([c % fld.p for c in out], f.coeffs, fld.p)
-        return UnivariatePolynomial(out, fld).divmod(f)[1].coeffs
+    def mulmod(u, v):
+        return poly_divmod(poly_mul(u, v, fld), f.coeffs, fld)[1]
 
-    return UnivariatePolynomial(power(a.divmod(f)[1].coeffs, e, mul_mod, [1]), fld)
+    return UnivariatePolynomial(power(a.divmod(f)[1].coeffs, e, mulmod, [1]), fld)
 
 
 def _equal_degree_factors(d, degree):

@@ -347,6 +347,13 @@ class TestExitCodes:
         code, _, err = invoke(["field", "info", "--nope"])
         assert code == EXIT_PRECONDITION
 
+    # a Carmichael number and a strong pseudoprime to base 2: the
+    # characteristic goes through the same Miller-Rabin test as --p
+    @pytest.mark.parametrize("spec", ["561^1", "2047^1"])
+    def test_pseudoprime_characteristic_refused(self, spec):
+        code, _, err = invoke(["field", "info", "--field", spec])
+        assert code == EXIT_PRECONDITION and "not prime" in err
+
     @pytest.mark.parametrize("spec", [
         "1000000000039", "4294967296", "1000000000000000000000000000057^1", "3^100000000",
         # more digits than int() converts

@@ -17,12 +17,12 @@ from ffgeom.fields import (
     DEFAULT_SIZE_LIMIT,
     FiniteField,
     _embedding_powers,
+    _is_prime,
     _prime_factors,
     embed,
     make_field,
     power,
 )
-from ffgeom.polynomials import UnivariatePolynomial
 
 from conftest import PRIME_POWERS_64, field_for
 
@@ -50,6 +50,16 @@ class TestConstruction:
         with pytest.raises(NotPrime):
             make_field(6, 1)
 
+    # a Carmichael number and strong pseudoprimes to the bases 2; 2, 3;
+    # 2, 3, 5; and 2, 3, 5, 7
+    @pytest.mark.parametrize("p", [561, 2047, 1373653, 25326001])
+    def test_pseudoprime_not_prime(self, p):
+        with pytest.raises(NotPrime):
+            FiniteField(p, 1, size_limit=p)
+
+    def test_largest_prime_below_limit(self):
+        assert make_field(1048573).q == 1048573
+
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):
             make_field(2, 21)
@@ -70,6 +80,16 @@ class TestConstruction:
             for c in reversed(fld.modulus):
                 acc = base.add(base.mul(acc, x), c)
             assert acc != 0
+
+
+class TestPrimality:
+    def test_matches_trial_division_below_two_to_the_sixteen(self):
+        for n in range(2 ** 16):
+            assert _is_prime(n) == (_prime_factors(n) == [n]), n
+
+    @pytest.mark.parametrize("n", [561, 2047, 1373653, 25326001, 3215031751, 1048573])
+    def test_pseudoprimes_and_a_prime(self, n):
+        assert _is_prime(n) == (_prime_factors(n) == [n])
 
 
 class TestArithmetic:
@@ -187,15 +207,19 @@ def _ref_neg(fld, a):
 
 
 def _ref_mul(fld, a, b):
-    """Schoolbook product of the coordinate vectors, reduced by the modulus
-    with :meth:`UnivariatePolynomial.divmod` over F_p."""
-    fp = make_field(fld.p)
-    prod = [0] * (2 * fld.k - 1)
+    """Schoolbook product of the coordinate vectors, reduced by rewriting
+    t^k as -(m_0 + m_1 t + ... + m_{k-1} t^{k-1}) from the top degree down,
+    with m the monic modulus."""
+    p, k, m = fld.p, fld.k, fld.modulus
+    prod = [0] * (2 * k - 1)
     for i, x in enumerate(fld.coords(a)):
         for j, y in enumerate(fld.coords(b)):
-            prod[i + j] = (prod[i + j] + x * y) % fld.p
-    modulus = UnivariatePolynomial(list(fld.modulus), fp)
-    return fld.from_coords(UnivariatePolynomial(prod, fp).divmod(modulus)[1].coeffs)
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c, prod[top] = prod[top], 0
+        for i in range(k):
+            prod[top - k + i] = (prod[top - k + i] - c * m[i]) % p
+    return fld.from_coords(prod[:k])
 
 
 class TestAdditionRule:

@@ -24,6 +24,7 @@ from ffgeom.polynomials import (
     MAX_VARS,
     MultivariatePolynomial,
     UnivariatePolynomial,
+    _power_mod,
     _power_terms,
     det_poly,
     det_scalar,
@@ -39,7 +40,7 @@ from ffgeom.polynomials import (
     to_univariate,
 )
 
-from conftest import field_for, grid_polys, random_poly
+from conftest import PRIME_POWERS_64, field_for, grid_polys, random_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -494,6 +495,10 @@ class TestEuclideanResultant:
     @example((make_field(7), [4, 0, 1], [5], 2, 0))  # 5^2
     @example((make_field(7), [3], [5], 0, 0))  # the empty determinant
     @example((make_field(2, 4), [0, 0, 0], [1, 1], 2, 1))  # f vanishes
+    # g's top entry vanishes: once n is lowered, the list g still holds it,
+    # and f mod g must divide by g up to its declared degree only
+    @example((make_field(7), [1, 1, 1], [1, 1, 0], 2, 2))
+    @example((make_field(2, 4), [3, 5, 7], [2, 9, 0], 2, 2))
     def test_matches_bareiss_on_sylvester_matrix(self, case):
         fld, fc, gc, m, n = case
         rows = sylvester_matrix(fc, gc, m, n)
@@ -716,6 +721,50 @@ def _product(*factors):
                 acc[i + j] = fld.add(acc[i + j], fld.mul(a, b))
         out = acc
     return UnivariatePolynomial(out, fld)
+
+
+@st.composite
+def _dense_cases(draw, min_degree=0):
+    """(f, g, r): polynomials over one field F_q, q <= 64 (prime, 2^k or odd
+    p^k).  g has degree min_degree..6 and a leading coefficient other than
+    1 whenever q > 2, and deg r < deg g."""
+    fld = field_for(draw(st.sampled_from(PRIME_POWERS_64)))
+    element = st.integers(0, fld.q - 1)
+
+    def coeffs(n):
+        return draw(st.lists(element, min_size=n, max_size=n))
+
+    f = UnivariatePolynomial(coeffs(draw(st.integers(0, 8))), fld)
+    deg = draw(st.integers(min_degree, 6))
+    lead = draw(st.integers(2, fld.q - 1)) if fld.q > 2 else 1
+    return f, UnivariatePolynomial(coeffs(deg) + [lead], fld), UnivariatePolynomial(coeffs(deg), fld)
+
+
+class TestDenseArithmetic:
+    """The one product and the one quotient with remainder, over prime
+    fields and both kinds of extension field."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_dense_cases())
+    def test_product_matches_convolution(self, case):
+        f, g, _ = case
+        assert f * g == _product(f, g)
+        assert g * f == _product(f, g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_dense_cases())
+    def test_divmod_recovers_quotient_and_remainder(self, case):
+        f, g, r = case
+        assert (f * g + r).divmod(g) == (f, r)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_dense_cases(min_degree=1), st.integers(0, 40))
+    def test_power_mod_is_repeated_product(self, case, e):
+        a, m, _ = case
+        expected = UnivariatePolynomial([1], m.field)
+        for _ in range(e):
+            expected = _product(expected, a).divmod(m)[1]
+        assert _power_mod(a, e, m) == expected
 
 
 @st.composite
