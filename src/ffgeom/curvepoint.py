@@ -41,15 +41,14 @@ from .polynomials import (
     poly_gcd,
     resultant,
     sylvester_matrix,
-    to_univariate,
 )
 
-# The perfbench tracer wraps curvepoint.det_poly and avoid.det_scalar by
-# name.  det_poly is unused here, but stays importable; the determinant that
-# checks the fiber resultant is looked up on the avoid module at call time
-# (the package rebinds the name avoid to a function) so that the tracer
-# counts it.
-from .polynomials import det_poly  # noqa: F401
+# The perfbench tracer wraps curvepoint.det_poly, curvepoint.to_univariate
+# and avoid.det_scalar by name.  det_poly and to_univariate are unused here,
+# but stay importable; the determinant that checks the fiber resultant is
+# looked up on the avoid module at call time (the package rebinds the name
+# avoid to a function) so that the tracer counts it.
+from .polynomials import det_poly, to_univariate  # noqa: F401
 
 _avoid = importlib.import_module(".avoid", __package__)
 
@@ -111,15 +110,50 @@ class CurvePointResult:
     flags: dict
 
 
-def _on_line(form, a, b, fld):
-    """Coefficients of form(a + v*b) in v, padded to the form's degree e.
-    For a form, entry i is also the coefficient of s^(e-i)*t^i in
-    form(s*a + t*b)."""
-    P = MultivariatePolynomial
-    v = P.variable(0, 1, fld)
-    line = [P.constant(x, 1, fld) + v.scale(y) for x, y in zip(a, b)]
-    coeffs = to_univariate(form.map_coefficients(fld).substitute(line)).coeffs
-    return coeffs + [0] * (form.total_degree() + 1 - len(coeffs))
+def _on_line(form, a, b, fld, s_at=None):
+    """Coefficients of v^0..v^e in form(a + v*b), e the form's degree.
+
+    Coordinate j contributes the row C(e_j, i) a_j^(e_j-i) b_j^i of
+    (a_j + v*b_j)^e_j, built once per exponent; a term adds the product of
+    one entry from each of its three rows to the coefficient of v^(sum of
+    the entry indices).  Without ``s_at`` each coefficient is a field
+    element, and entry i is also the coefficient of x^(e-i)*y^i in the
+    binary form form(x*a + y*b).
+
+    With ``s_at = j`` the entry b_j also carries the pencil parameter s, and
+    the coefficient c_i of v^i is a list of i + 1 coefficients in s, low
+    degree first: the exponent of s is the index of the entry from row j.
+    Nothing is lost at t = 1: c_i(s, t) is a binary form of degree i, so
+    c_i(s, t) = t^i * c_i(s/t, 1), and the last entry is c_i(1, 0).
+    """
+    e = form.total_degree()
+    add, mul = fld.add, fld.mul
+    rows = []
+    for aj, bj in zip(a, b):
+        # row n: the coefficients of (aj + v*bj)^n; bj = 0 leaves one entry
+        rows.append([[1]])
+        for _ in range(e):
+            r = rows[-1][-1]
+            rows[-1].append(poly_mul([aj, bj], r, fld) if bj else [mul(aj, r[0])])
+    pencil = s_at is not None
+    # one-entry rows (b_j = 0) in the outer loop, the row carrying s in the
+    # middle one
+    order = sorted((j for j in range(3) if j != s_at), key=lambda j: bool(b[j]))
+    first, mid, last = order[:1] + [s_at] + order[1:] if pencil else order
+    out = [[0] * (i + 1 if pencil else 1) for i in range(e + 1)]
+    for exps, c in form.map_coefficients(fld).terms.items():
+        for i, x in enumerate(rows[first][exps[first]]):
+            if x:
+                cx = mul(c, x)
+                for k, y in enumerate(rows[mid][exps[mid]], i):
+                    if y:
+                        cxy = mul(cx, y)
+                        m = k - i if pencil else 0
+                        for l, z in enumerate(rows[last][exps[last]], k):
+                            if z:
+                                row = out[l]
+                                row[m] = add(row[m], mul(cxy, z))
+    return out if pencil else [row[0] for row in out]
 
 
 def _binary_form_squarefree(coeffs, fld):
@@ -192,48 +226,6 @@ def _pencil_base_point(center, s, t):
     return tuple(coords)
 
 
-def _v_coefficients(form, center, fld):
-    """Coefficients c_0..c_deg of v^0..v^deg in form(u*c + v*Q(s,t)), each
-    restricted to t = 1 as a dense UnivariatePolynomial in s.
-
-    The form is restricted to the pencil at u = t = 1, in (v, s) only.
-    Nothing is lost: c_i is a binary form of degree i, so
-    c_i(s, t) = t^i * c_i(s/t, 1), and c_i(1, 0) is the coefficient of s^i.
-    On the line, x_axis = c_axis = 1 (the first nonzero coordinate of a
-    projective point), x_j1 = c_j1 + v*s and x_j2 = c_j2 + v, so a term
-    a*x^e adds a * C(e_j1, i) c_j1^(e_j1-i) * C(e_j2, k) c_j2^(e_j2-k) to
-    the coefficient of v^(i+k) s^i.
-    """
-    deg = form.total_degree()
-    _, j1, j2 = _line_frame(center)
-    c = center.coords
-    add, mul = fld.add, fld.mul
-
-    def binomials(x):
-        # row e: C(e, i) x^(e-i) for i = 0..e, the coefficients of (x + y)^e
-        rows = [[1]]
-        for _ in range(deg):
-            rows.append(poly_mul([x, 1], rows[-1], fld))
-        return rows
-
-    b1, b2 = binomials(c[j1]), binomials(c[j2])
-    coeffs = [[0] * (i + 1) for i in range(deg + 1)]
-    for exps, a in form.map_coefficients(fld).terms.items():
-        for i, x in enumerate(b1[exps[j1]]):
-            if x:
-                ax = mul(a, x)
-                for k, y in enumerate(b2[exps[j2]]):
-                    if y:
-                        row = coeffs[i + k]
-                        row[i] = add(row[i], mul(ax, y))
-    return [UnivariatePolynomial(row, fld) for row in coeffs]
-
-
-def _top(coeffs):
-    """c_i(1, 0) for each c_i of :func:`_v_coefficients`."""
-    return [c.coeffs[i] if c.degree == i else 0 for i, c in enumerate(coeffs)]
-
-
 def fiber_resultant(curve, divisor, center):
     """Binary form in the pencil parameter (s:t) vanishing exactly at the
     lines through the center that meet the curve-divisor intersection.
@@ -241,14 +233,14 @@ def fiber_resultant(curve, divisor, center):
     The form R(s,t) is the resultant in v of the restrictions of F and G to
     the line through the center and (s:t); it has degree beta = e*deg G.
     Its coefficient of s^beta, R(1,0), is the resultant of the top
-    coefficients of the restrictions.  At (x:1) for beta elements x of the
-    field, the coefficients in v are Horner evaluations, and one Euclidean
-    :func:`resultant` each fixes R(x,1) - R(1,0)*x^beta, of degree < beta,
-    by interpolation.  Evaluation commutes with the resultant over the
-    declared degrees, so the form is exact even where a leading coefficient
-    vanishes.  When the field has a spare element, the form is checked there
-    against an independent algorithm: the Bareiss determinant of the
-    Sylvester matrix.
+    coefficients c_i(1, 0) of the restrictions from :func:`_on_line`.  At
+    (x:1) for beta elements x of the field, the coefficients in v are
+    Horner evaluations, and one Euclidean :func:`resultant` each fixes
+    R(x,1) - R(1,0)*x^beta, of degree < beta, by interpolation.
+    Evaluation commutes with the resultant over the declared degrees, so
+    the form is exact even where a leading coefficient vanishes.  When the
+    field has a spare element, the form is checked there against an
+    independent algorithm: the Bareiss determinant of the Sylvester matrix.
     """
     fld = center.field
     f = curve.poly.map_coefficients(fld)
@@ -266,14 +258,16 @@ def fiber_resultant(curve, divisor, center):
         raise FieldTooSmall(
             f"interpolating the fiber resultant needs q >= {beta}, got {fld.q}"
         )
-    fc = _v_coefficients(f, center, fld)
-    gc = _v_coefficients(g, center, fld)
+    # the pencil at t = 1: the line through the center and (s:1)
+    base, j1 = _pencil_base_point(center, 1, 1), _line_frame(center)[1]
+    fc, gc = (_on_line(h, center.coords, base, fld, s_at=j1) for h in (f, g))
+    top = resultant([c[-1] for c in fc], [c[-1] for c in gc], e, mg, fld)
+    fc, gc = ([UnivariatePolynomial(c, fld) for c in cs] for cs in (fc, gc))
 
     def values(x):
         # the coefficients in v at (x:1), by Horner's rule
         return [c.eval(x) for c in fc], [c.eval(x) for c in gc]
 
-    top = resultant(_top(fc), _top(gc), e, mg, fld)
     xs = list(islice(fld.enumerate_elements(), beta + 1))
     # R(x,1) - top*x^beta has degree < beta: interpolate it from beta values
     ys = [

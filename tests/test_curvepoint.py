@@ -10,6 +10,7 @@ from ffgeom.curvepoint import (
     _binary_form_squarefree,
     _line_frame,
     _on_line,
+    _pencil_base_point,
     enumerate_curve_points,
     fiber_resultant,
     galois_orbit,
@@ -225,8 +226,6 @@ def _pencil_coefficients(form, center, fld):
 
 def _params_through(center, pt, fld):
     """Pencil parameters (s:t) whose line through the center contains pt."""
-    from ffgeom.curvepoint import _pencil_base_point
-
     out = []
     for s in fld.enumerate_elements():
         for t in fld.enumerate_elements():
@@ -275,6 +274,18 @@ def _line_cases(draw):
     return fld, form, a, b
 
 
+@st.composite
+def _pencil_cases(draw):
+    """(field, form, center, axis): the center's first nonzero coordinate,
+    the frame axis of its pencil, is drawn from 0, 1 and 2."""
+    fld = field_for(draw(st.sampled_from([5, 7, 4, 9, 8])))
+    axis = draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    coords = [0] * axis + [1] + [rng.randrange(fld.q) for _ in range(2 - axis)]
+    form = random_homogeneous_poly(rng, fld, 3, rng.randint(1, 5), rng.randint(1, 10))
+    return fld, form, ProjectivePoint(coords, fld), axis
+
+
 class TestLineRestriction:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_line_cases())
@@ -288,6 +299,24 @@ class TestLineRestriction:
         assert coeffs == expected
         if not any(coeffs):
             assert not _binary_form_squarefree(coeffs, fld)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_pencil_cases())
+    def test_pencil_matches_reference(self, case):
+        # the restriction fiber_resultant takes: the line through the center
+        # and (s:1), with s on the frame's j1; every declared coefficient of
+        # c_i(s, 1), zeros included, against the four-variable substitution
+        fld, form, center, axis = case
+        frame = _line_frame(center)
+        assert frame[0] == axis
+        coeffs = _on_line(
+            form, center.coords, _pencil_base_point(center, 1, 1), fld, s_at=frame[1]
+        )
+        expected = [
+            [c.terms.get((m, i - m), 0) for m in range(i + 1)]
+            for i, c in enumerate(_pencil_coefficients(form, center, fld))
+        ]
+        assert coeffs == expected
 
 
 class TestGaloisOrbit:
