@@ -7,10 +7,9 @@ q >= deg for projective, q > m*deg for the Grassmannian), and otherwise
 downgrades to an exhaustive scan with an explicit mode flag, so small-field
 boundary cases report NoPointExists instead of erroring.
 
-The exhaustive paths (the fallbacks, the oracle, and the curve-point
-listing) share one chart enumerator, :func:`charts`, one blocked scan,
-:func:`kernels.hits`, and one decoder of hits into points,
-:func:`chart_rows`.
+The exhaustive paths (the fallbacks and the oracle) share one chart
+enumerator, :func:`charts`, one blocked scan, :func:`kernels.hits`, and one
+decoder of hits into points, :func:`chart_rows`.
 """
 
 import operator
@@ -289,15 +288,19 @@ def _projective_search(poly, fld):
 def _pencil_member(poly, fld):
     """``(restricted, member)``: the section on the first member of the
     coordinate pencil x0 = lam*x1 (then x1 = 0, member "inf") where it is
-    not identically zero, in the member's n-1 variables."""
-    P = MultivariatePolynomial
+    not identically zero, in the member's n-1 variables.
+
+    A member is one pass over the exponent table: x0 := lam*x1 sends
+    c*x0^a*x1^b*rest to c*lam^a*x1^(a+b)*rest, and x1 := 0 keeps the terms
+    free of x1 with that coordinate dropped; the constructor merges the
+    terms that meet and drops those that cancel."""
+    P, n = MultivariatePolynomial, poly.nvars - 1
     for lam in fld.enumerate_elements():
-        # x0 := lam * x1, leaving variables x1..xn reindexed to 0..n-1
-        restricted = poly.eliminate(0, P.variable(0, poly.nvars - 1, fld).scale(lam))
+        restricted = P(n, fld, (((e[0] + e[1],) + e[2:], fld.mul(c, fld.pow(lam, e[0])))
+                                for e, c in poly.terms.items()))
         if not restricted.is_zero():
             return restricted, lam
-    # member at infinity: x1 := 0
-    restricted = poly.eliminate(1, P.constant(0, poly.nvars - 1, fld))
+    restricted = P(n, fld, ((e[:1] + e[2:], c) for e, c in poly.terms.items() if not e[1]))
     if restricted.is_zero():
         raise InternalContradiction("degree bound violated in the pencil")
     return restricted, "inf"

@@ -11,15 +11,12 @@ import importlib
 from dataclasses import dataclass
 from itertools import islice
 
-from . import kernels
 from .avoid import (
     GUARANTEED,
     PROJECTIVE,
     Hypersurface,
     ProjectivePoint,
     avoid_projective,
-    chart_rows,
-    charts,
     projective_points,
 )
 from .errors import (
@@ -129,10 +126,11 @@ def _on_line(form, a, b, fld, s_at=None):
     e = form.total_degree()
     add, mul = fld.add, fld.mul
     rows = []
-    for aj, bj in zip(a, b):
-        # row n: the coefficients of (aj + v*bj)^n; bj = 0 leaves one entry
+    for j, (aj, bj) in enumerate(zip(a, b)):
+        # row n: the coefficients of (aj + v*bj)^n, up to the largest n the
+        # form uses; bj = 0 leaves one entry
         rows.append([[1]])
-        for _ in range(e):
+        for _ in range(form.degree_in(j)):
             r = rows[-1][-1]
             rows[-1].append(poly_mul([aj, bj], r, fld) if bj else [mul(aj, r[0])])
     pencil = s_at is not None
@@ -379,15 +377,3 @@ def verify_on_curve(result, curve, divisor):
         "orbit_closed": closed,
         "orbit_size_divides": result.ext_degree % len(result.orbit) == 0,
     }
-
-
-def enumerate_curve_points(curve, fld):
-    """All points of the curve over ``fld``, canonical order (brute force):
-    the zeros of the curve's form over the charts of P^2."""
-    plane = Hypersurface(curve.poly.map_coefficients(fld), PROJECTIVE, (2,))
-    return [
-        ProjectivePoint(rows[0], fld)
-        for chart, cell in charts(plane, fld)
-        for found in kernels.hits(chart, zero=True)
-        for rows in chart_rows(chart, cell, found).tolist()
-    ]

@@ -108,10 +108,9 @@ def _split(poly):
         s -= 1
 
 
-def hits(poly, zero=False):
-    """Grid indices (canonical order) where ``poly`` is nonzero, or where it
-    vanishes when ``zero`` is set: one ascending int64 array of absolute
-    indices per block that has any.
+def hits(poly):
+    """Grid indices (canonical order) where ``poly`` is nonzero: one
+    ascending int64 array of absolute indices per block that has any.
 
     The polynomial is reduced first, so one that vanishes on the whole grid
     has no nonzero point to scan for.  It is then :func:`_split` into its
@@ -125,7 +124,7 @@ def hits(poly, zero=False):
     hit, and a caller that counts never holds more than a block.
     """
     poly = poly.reduced()
-    if poly.is_zero() and not zero:
+    if poly.is_zero():
         return
     field, q = poly.field, poly.field.q
     s, base, groups = _split(poly)
@@ -163,8 +162,8 @@ def hits(poly, zero=False):
                 term = np.broadcast_to(a[:, None], shape)
             values = term if values is None else field.add(values, term)
         if values is None:  # a zero base and every coefficient 0 on the block
-            values = np.zeros(shape, dtype=np.int64)
-        found = np.flatnonzero(values == 0 if zero else values)
+            continue
+        found = np.flatnonzero(values)
         if len(found):
             found += o0 * width
             yield found

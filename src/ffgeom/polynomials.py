@@ -149,12 +149,6 @@ class MultivariatePolynomial:
         )
         return MultivariatePolynomial(self.nvars, self.field, products)
 
-    def scale(self, c):
-        fld = self.field
-        return MultivariatePolynomial(
-            self.nvars, fld, {e: fld.mul(c, v) for e, v in self.terms.items()}
-        )
-
     def __pow__(self, e):
         return power(self, e, operator.mul,
                      MultivariatePolynomial.constant(1, self.nvars, self.field))
@@ -234,32 +228,6 @@ class MultivariatePolynomial:
 
         return MultivariatePolynomial(target_nvars, fld, chain.from_iterable(
             term(exps, c).terms.items() for exps, c in self.terms.items()))
-
-    def eliminate(self, var, replacement):
-        """Substitute a polynomial in the *remaining* variables for ``var``
-        and drop that variable, reindexing the ones above it down by one.
-
-        ``replacement`` must be a polynomial in nvars-1 variables.  Each
-        term maps directly: its exponents without ``var``, times a cached
-        power of the replacement, so the cost is linear in nvars per term.
-        """
-        if replacement.nvars != self.nvars - 1:
-            raise ArityMismatch("replacement needs one variable fewer")
-        if replacement.field != self.field:
-            raise FieldMismatch("replacement over another field")
-        fld = self.field
-        powers = {}
-
-        def terms():
-            for exps, c in self.terms.items():
-                e = exps[var]
-                if e not in powers:
-                    powers[e] = replacement ** e
-                rest = exps[:var] + exps[var + 1:]
-                for pe, pc in powers[e].terms.items():
-                    yield tuple(map(operator.add, rest, pe)), fld.mul(c, pc)
-
-        return MultivariatePolynomial(self.nvars - 1, fld, terms())
 
     def decompose_top_variable(self, var):
         """Coefficients (phi_0, ..., phi_t) of powers of ``var``, each in

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ffgeom import kernels
 from ffgeom.avoid import (
     AFFINE,
     PROJECTIVE,
     GrassmannianPoint,
+    Hypersurface,
     ProjectivePoint,
+    chart_rows,
+    charts,
     exhaustive_oracle,
     projective_points,
 )
@@ -150,6 +154,31 @@ def oracle_points(d, fld, **kwargs):
     """``exhaustive_oracle`` with its listing as point objects."""
     count, blocks = exhaustive_oracle(d, fld, **kwargs)
     return count, listed_points(d.kind, blocks, fld)
+
+
+def grid_zeros(poly):
+    """Grid indices (canonical order) where ``poly`` vanishes, as one
+    ascending int64 array: the complement of :func:`kernels.hits`, filled in
+    between its hits block by block."""
+    zeros, start = [], 0
+    for found in kernels.hits(poly):
+        stop = int(found[-1]) + 1
+        zeros.append(np.setdiff1d(np.arange(start, stop, dtype=np.int64), found,
+                                  assume_unique=True))
+        start = stop
+    zeros.append(np.arange(start, poly.field.q ** poly.nvars, dtype=np.int64))
+    return np.concatenate(zeros)
+
+
+def enumerate_curve_points(curve, fld):
+    """All points of the curve over ``fld``, canonical order (brute force):
+    the zeros of the curve's form on each chart of P^2."""
+    plane = Hypersurface(curve.poly.map_coefficients(fld), PROJECTIVE, (2,))
+    return [
+        ProjectivePoint(rows[0], fld)
+        for chart, cell in charts(plane, fld)
+        for rows in chart_rows(chart, cell, grid_zeros(chart)).tolist()
+    ]
 
 
 @pytest.fixture

@@ -42,7 +42,6 @@ from ffgeom.cli import run as cli_run
 from ffgeom.curvepoint import (
     CurveDivisor,
     PlaneCurve,
-    enumerate_curve_points,
     point_off_divisor,
 )
 from ffgeom.errors import (
@@ -55,7 +54,13 @@ from ffgeom.errors import (
 from ffgeom.p1lab import SplittingType, find_partner, verify_criterion
 from ffgeom.polynomials import parse_polynomial
 
-from conftest import field_for, oracle_points, random_homogeneous_poly, random_poly
+from conftest import (
+    enumerate_curve_points,
+    field_for,
+    oracle_points,
+    random_homogeneous_poly,
+    random_poly,
+)
 from test_cli import GOLDEN_CASES, GOLDEN_DIR, invoke
 
 

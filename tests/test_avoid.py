@@ -3,10 +3,12 @@ import random
 import sys
 import time
 import tracemalloc
+from itertools import islice
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ffgeom.avoid import (
     AFFINE,
@@ -20,6 +22,7 @@ from ffgeom.avoid import (
     Hypersurface,
     ProjectivePoint,
     _affine_recurse,
+    _pencil_member,
     _section_coords,
     ambient_point_count,
     avoid,
@@ -290,6 +293,67 @@ class TestProjective:
                 assert res.outcome == NO_POINT
 
 
+def _first_members_vanish(fld, nvars, count=None):
+    """The product of x0 - lam*x1 over the first ``count`` elements lam of
+    F_q (all of them when None): zero on those members x0 = lam*x1 of the
+    pencil, nonzero on the others and on x1 = 0."""
+    P = MultivariatePolynomial
+    x0, x1 = P.variable(0, nvars, fld), P.variable(1, nvars, fld)
+    poly = P.constant(1, nvars, fld)
+    for lam in islice(fld.enumerate_elements(), count):
+        poly = poly * (x0 - P.constant(lam, nvars, fld) * x1)
+    return poly
+
+
+@st.composite
+def _pencil_cases(draw):
+    """A polynomial over F_q in 3 to 6 variables, with a term free of x1,
+    times :func:`_first_members_vanish` of a drawn count: the first member
+    that survives may be any element, or, for a count of q, only the member
+    at infinity.  Now and then also times x1, so that no member survives."""
+    fld = field_for(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25))))
+    nvars = draw(st.integers(3, 6))
+    exps = st.lists(st.just(0) | st.integers(1, 4), min_size=nvars, max_size=nvars)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, fld.q - 1)), min_size=1, max_size=6))
+    terms[0][0][1] = 0  # a term free of x1: the member at infinity survives
+    count = draw(st.one_of(st.just(fld.q), st.integers(0, fld.q)))
+    poly = MultivariatePolynomial(nvars, fld, terms) * _first_members_vanish(fld, nvars, count)
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        poly = poly * MultivariatePolynomial.variable(1, nvars, fld)
+    return poly
+
+
+def _pencil_member_reference(poly, fld):
+    """``(restricted, member)`` through the general substitution: x0 := lam*y0
+    for lam in element order, then x1 := 0, the other variables becoming
+    y0, y1, ... in order; None when every member vanishes."""
+    P, n = MultivariatePolynomial, poly.nvars - 1
+    y = [P.variable(i, n, fld) for i in range(n)]
+    for lam in fld.enumerate_elements():
+        restricted = poly.substitute([P.constant(lam, n, fld) * y[0]] + y)
+        if not restricted.is_zero():
+            return restricted, lam
+    restricted = poly.substitute([y[0], P.constant(0, n, fld)] + y[1:])
+    return None if restricted.is_zero() else (restricted, "inf")
+
+
+class TestPencilMember:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_pencil_cases())
+    @example(_first_members_vanish(F4, 3))
+    @example(_first_members_vanish(F9, 4) * parse_polynomial("x2 + x3", F9, 4))
+    # every member vanishes: the degree bound is violated
+    @example(_first_members_vanish(F4, 3) * parse_polynomial("x1", F4, 3))
+    def test_matches_substitute_reference(self, poly):
+        fld = poly.field
+        expected = _pencil_member_reference(poly, fld)
+        if expected is None:
+            with pytest.raises(InternalContradiction):
+                _pencil_member(poly, fld)
+        else:
+            assert _pencil_member(poly, fld) == expected
+
+
 class TestPlucker:
     def test_symbolic_example(self):
         mat = ((1, 0, 1, 0), (0, 1, 0, 2))
@@ -466,26 +530,35 @@ class TestOracle:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_search_agrees_with_oracle_all_kinds(self, q):
+        # A^1..A^3, P^1..P^3 (P^3 takes two pencil levels), Grass(1,3) and
+        # Grass(2,4): random sections, and on each space one that vanishes
+        # at every F_q-point, x0^q*x1 - x0*x1^q (x0^q - x0 on A^1)
         rng = random.Random(1100 + q)
         fld = field_for(q)
-        for _ in range(25):
-            kind = rng.choice([AFFINE, PROJECTIVE])
-            if kind == AFFINE:
-                n = rng.randint(1, 3)
-                poly = random_poly(rng, fld, n, 4)
-                d = Hypersurface(poly, AFFINE, (n,))
-            else:
-                n = rng.randint(1, 2)
-                poly = random_homogeneous_poly(rng, fld, n + 1, rng.randint(1, 4))
-                d = Hypersurface(poly, PROJECTIVE, (n,))
-            res = avoid(d, fld)
-            _, oracle = oracle_points(d, fld)
-            assert res.found == bool(oracle)
-            if res.found:
-                if res.mode == EXHAUSTIVE:
+        spaces = [(AFFINE, (n,), n) for n in (1, 2, 3)]
+        spaces += [(PROJECTIVE, (n,), n + 1) for n in (1, 2, 3)]
+        spaces += [(GRASSMANNIAN, (m, n), comb(n, m)) for m, n in ((1, 3), (2, 4))]
+        no_point = 0
+        for kind, params, nvars in spaces:
+            vanishing = f"x0^{q} - x0" if nvars == 1 else f"x0^{q}*x1 - x0*x1^{q}"
+            polys = [parse_polynomial(vanishing, fld, nvars)]
+            for _ in range(8):
+                if kind == AFFINE:
+                    polys.append(random_poly(rng, fld, nvars, 4))
+                else:
+                    polys.append(random_homogeneous_poly(rng, fld, nvars, rng.randint(1, 4)))
+            for poly in polys:
+                d = Hypersurface(poly, kind, params)
+                res = avoid(d, fld)
+                count, oracle = oracle_points(d, fld)
+                if res.outcome == NO_POINT:
+                    no_point += 1
+                    assert res.mode == EXHAUSTIVE and count == 0 and oracle == []
+                elif res.mode == EXHAUSTIVE:
                     assert res.point == oracle[0]
                 else:
                     assert res.point in oracle or tuple(res.point) in oracle
+        assert no_point >= len(spaces)
 
 
 def _shapes(q):
@@ -587,7 +660,7 @@ class TestSharedCharts:
                                                       params, nvars, bad):
         # the soundness check runs on fallback results too, under python -O
         d = Hypersurface(parse_polynomial(text, F2, nvars), kind, params)
-        monkeypatch.setattr(kernels, "hits", lambda poly, zero=False: iter([np.array([bad])]))
+        monkeypatch.setattr(kernels, "hits", lambda poly: iter([np.array([bad])]))
         with pytest.raises(InternalContradiction):
             avoid(d, F2)
 

@@ -11,7 +11,6 @@ from ffgeom.curvepoint import (
     _line_frame,
     _on_line,
     _pencil_base_point,
-    enumerate_curve_points,
     fiber_resultant,
     galois_orbit,
     point_off_divisor,
@@ -33,7 +32,7 @@ from ffgeom.polynomials import (
     sylvester_matrix,
 )
 
-from conftest import field_for, random_homogeneous_poly
+from conftest import enumerate_curve_points, field_for, random_homogeneous_poly
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -212,7 +211,7 @@ def _pencil_coefficients(form, center, fld):
     u, v, s, t = (P.variable(i, 4, fld) for i in range(4))
     reps = []
     for l in range(3):
-        term = u.scale(center.coords[l])
+        term = P.constant(center.coords[l], 4, fld) * u
         if l in (j1, j2):
             term = term + (s if l == j1 else t) * v
         reps.append(term)
@@ -253,7 +252,7 @@ def _restrict_to_line(form, a, b, fld):
     variables (s, t), from a substitution in both."""
     P = MultivariatePolynomial
     s, t = P.variable(0, 2, fld), P.variable(1, 2, fld)
-    line = [s.scale(x) + t.scale(y) for x, y in zip(a, b)]
+    line = [P.constant(x, 2, fld) * s + P.constant(y, 2, fld) * t for x, y in zip(a, b)]
     return form.map_coefficients(fld).substitute(line)
 
 

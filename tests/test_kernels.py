@@ -20,7 +20,7 @@ from ffgeom.polynomials import (
     parse_polynomial,
 )
 
-from conftest import field_for, grid_polys, random_poly
+from conftest import field_for, grid_polys, grid_zeros, random_poly
 
 
 class TestDecode:
@@ -139,9 +139,10 @@ class TestTables:
 
 
 def _first_zero(poly):
-    """Index of the first grid point where ``poly`` vanishes, or None."""
-    found = next(kernels.hits(poly, zero=True), None)
-    return None if found is None else int(found[0])
+    """Index of the first grid point where ``poly`` vanishes, or None: the
+    first index the nonzero scan does not list."""
+    zeros = grid_zeros(poly)
+    return int(zeros[0]) if len(zeros) else None
 
 
 class TestFirstZero:
@@ -194,15 +195,15 @@ class TestHits:
         for _ in range(3):
             poly = random_poly(rng, fld, n, 3)
             values = _grid_values(poly)
-            for zero, expected in ((False, values != 0), (True, values == 0)):
-                arrays = list(kernels.hits(poly, zero=zero))
-                assert all(a.dtype == np.int64 and len(a) for a in arrays)
-                # one array per block that has a hit
-                blocks = {int(t) // block for t in np.flatnonzero(expected)}
-                assert [int(a[0]) // block for a in arrays] == sorted(blocks)
-                assert all(a[-1] // block == a[0] // block for a in arrays)
-                joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
-                assert joined.tolist() == np.flatnonzero(expected).tolist()
+            arrays = list(kernels.hits(poly))
+            assert all(a.dtype == np.int64 and len(a) for a in arrays)
+            # one array per block that has a hit
+            blocks = {int(t) // block for t in np.flatnonzero(values)}
+            assert [int(a[0]) // block for a in arrays] == sorted(blocks)
+            assert all(a[-1] // block == a[0] // block for a in arrays)
+            joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+            assert joined.tolist() == np.flatnonzero(values).tolist()
+            assert grid_zeros(poly).tolist() == np.flatnonzero(values == 0).tolist()
 
     @pytest.mark.parametrize("text,zero,first", [
         ("x0", False, 2 ** 16),
@@ -215,8 +216,13 @@ class TestHits:
         (_LOW_PRODUCT + " + 1", True, kernels._CHUNK - 1),
     ])
     def test_first_hit_at_chunk_edge(self, text, zero, first):
+        # with ``zero`` the polynomial is nonzero up to ``first`` and the
+        # scan's hits must stop there: ``first`` is its first zero
         poly = parse_polynomial(text, make_field(2), 17)
-        assert next(kernels.hits(poly, zero=zero))[0] == first
+        if zero:
+            assert _first_zero(poly) == first
+        else:
+            assert next(kernels.hits(poly))[0] == first
         values = _grid_values(poly)
         assert np.flatnonzero(values == 0 if zero else values)[0] == first
 
@@ -226,25 +232,23 @@ class TestHits:
         assert next(kernels.hits(poly))[:6].tolist() == [0, 1, 2, 3, 4, 6]
 
 
-def _joined_hits(poly, zero):
-    arrays = list(kernels.hits(poly, zero=zero))
+def _joined_hits(poly):
+    arrays = list(kernels.hits(poly))
     return np.concatenate(arrays).tolist() if arrays else []
 
 
-def _scalar_hits(poly, zero):
+def _scalar_hits(poly):
     """Per-point reference: the grid indices where ``poly`` itself, not its
-    reduction, is nonzero (or zero)."""
+    reduction, is nonzero."""
     q, n = poly.field.q, poly.nvars
-    return [t for t in range(q ** n)
-            if (poly.eval(kernels.decode_point(t, q, n)) == 0) == zero]
+    return [t for t in range(q ** n) if poly.eval(kernels.decode_point(t, q, n))]
 
 
 class TestReducedScan:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(grid_polys())
     def test_hits_match_unreduced_scalar_reference(self, poly):
-        for zero in (False, True):
-            assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
+        assert _joined_hits(poly) == _scalar_hits(poly)
 
     @pytest.mark.parametrize("q,text,kind,params,zero_charts", [
         # vanishes on all of P^1(F_q): every chart reduces to zero
@@ -264,8 +268,7 @@ class TestReducedScan:
         reduced_to_zero = 0
         for chart, _ in charts(d, fld):
             reduced_to_zero += chart.reduced().is_zero()
-            for zero in (False, True):
-                assert _joined_hits(chart, zero) == _scalar_hits(chart, zero)
+            assert _joined_hits(chart) == _scalar_hits(chart)
         assert reduced_to_zero == zero_charts
 
     def test_zero_chart_costs_no_evaluation(self, monkeypatch):
@@ -309,11 +312,10 @@ class TestSplitScan:
     def test_hits_match_unreduced_scalar_reference(self, case):
         poly, chunk, cap = case
         with _scanning(chunk, cap):
-            for zero in (False, True):
-                arrays = list(kernels.hits(poly, zero=zero))
-                joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
-                assert all(len(a) for a in arrays) and np.all(np.diff(joined) > 0)
-                assert joined.tolist() == _scalar_hits(poly, zero)
+            arrays = list(kernels.hits(poly))
+            joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
+            assert all(len(a) for a in arrays) and np.all(np.diff(joined) > 0)
+            assert joined.tolist() == _scalar_hits(poly)
 
     # base and the group monomials are over the last s variables, renamed
     # x0 .. x(s-1); None keeps the real _CHUNK or _MAX_CACHED
@@ -339,8 +341,7 @@ class TestSplitScan:
             assert split[:2] == (s, parse_polynomial(base, fld, s))
             assert sorted(mono for mono, _ in split[2]) == monos
             assert all(coef.total_degree() > 0 for _, coef in split[2])
-            for zero in (False, True):
-                assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
+            assert _joined_hits(poly) == _scalar_hits(poly)
 
     def test_group_zero_on_a_block(self):
         # blocks of one outer point (x0, x1) times the 9 points of (x2, x3):
@@ -351,8 +352,7 @@ class TestSplitScan:
             coef = dict(kernels._split(poly)[2])[(0, 1)]
             assert [o for o in range(9)
                     if not kernels.grid_eval([coef], np.array([o])).any()] == [0, 4, 8]
-            for zero in (False, True):
-                assert _joined_hits(poly, zero) == _scalar_hits(poly, zero)
+            assert _joined_hits(poly) == _scalar_hits(poly)
 
     def test_many_groups_cache_in_bounded_memory(self, monkeypatch):
         # 300 terms over F_2 in 20 variables, each an outer variable times a

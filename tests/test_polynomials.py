@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ffgeom import kernels, polynomials
 from ffgeom.errors import (
-    ArityMismatch,
     BothZero,
-    FieldMismatch,
     InternalContradiction,
     ParseError,
     SpaceTooLarge,
@@ -841,39 +839,6 @@ class TestRootSearchKernel:
 
 
 class TestSubstitution:
-    def test_eliminate_shifts_indices(self):
-        p = parse_polynomial("x0*x1 + x2^2", F3)
-        lam = MultivariatePolynomial.variable(0, 2, F3)  # x0 := x1 (new x0)
-        q = p.eliminate(0, lam)
-        assert q == parse_polynomial("x0^2 + x1^2", F3, 2)
-
-    @pytest.mark.parametrize("q", [2, 4, 5, 9])
-    def test_eliminate_matches_substitute(self, rng, q):
-        # the reference: every variable but ``var`` replaced by a variable of
-        # the smaller ring, through the general substitution
-        fld = field_for(q)
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            poly = random_poly(rng, fld, n, 5)
-            var = rng.randrange(n)
-            if n > 1:
-                replacement = random_poly(rng, fld, n - 1, 2)
-            else:
-                replacement = MultivariatePolynomial.constant(rng.randrange(q), 0, fld)
-            reps = [
-                replacement if i == var
-                else MultivariatePolynomial.variable(i - (i > var), n - 1, fld)
-                for i in range(n)
-            ]
-            assert poly.eliminate(var, replacement) == poly.substitute(reps)
-
-    def test_eliminate_checks_its_replacement(self):
-        p = parse_polynomial("x0*x1 + x2^2", F3)
-        with pytest.raises(ArityMismatch):
-            p.eliminate(0, MultivariatePolynomial.variable(0, 3, F3))
-        with pytest.raises(FieldMismatch):
-            p.eliminate(0, MultivariatePolynomial.variable(0, 2, F5))
-
     def test_to_univariate(self):
         p = parse_polynomial("x0^2 + 2", F3)
         u = to_univariate(p)
