@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import numpy as np
 import pytest
@@ -179,6 +179,32 @@ def enumerate_curve_points(curve, fld):
         for chart, cell in charts(plane, fld)
         for rows in chart_rows(chart, cell, grid_zeros(chart)).tolist()
     ]
+
+
+def first_members_vanish(fld, nvars, count=None):
+    """The product of x0 - lam*x1 over the first ``count`` elements lam of
+    F_q (all of them when None): zero on those members x0 = lam*x1 of the
+    pencil, nonzero on the others and on x1 = 0."""
+    P = MultivariatePolynomial
+    x0, x1 = P.variable(0, nvars, fld), P.variable(1, nvars, fld)
+    poly = P.constant(1, nvars, fld)
+    for lam in islice(fld.enumerate_elements(), count):
+        poly = poly * (x0 - P.constant(lam, nvars, fld) * x1)
+    return poly
+
+
+def pencil_member_reference(poly, fld):
+    """``(restricted, member)`` through the general substitution: x0 := lam*y0
+    for lam in element order, then x1 := 0, the other variables becoming
+    y0, y1, ... in order; None when every member vanishes."""
+    P, n = MultivariatePolynomial, poly.nvars - 1
+    y = [P.variable(i, n, fld) for i in range(n)]
+    for lam in fld.enumerate_elements():
+        restricted = poly.substitute([P.constant(lam, n, fld) * y[0]] + y)
+        if not restricted.is_zero():
+            return restricted, lam
+    restricted = poly.substitute([y[0], P.constant(0, n, fld)] + y[1:])
+    return None if restricted.is_zero() else (restricted, "inf")
 
 
 @pytest.fixture

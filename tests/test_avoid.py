@@ -3,7 +3,6 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -51,8 +50,10 @@ from ffgeom.polynomials import MultivariatePolynomial, UnivariatePolynomial, par
 
 from conftest import (
     field_for,
+    first_members_vanish,
     grassmannian_points,
     oracle_points,
+    pencil_member_reference,
     per_point_oracle,
     random_homogeneous_poly,
     random_poly,
@@ -293,22 +294,10 @@ class TestProjective:
                 assert res.outcome == NO_POINT
 
 
-def _first_members_vanish(fld, nvars, count=None):
-    """The product of x0 - lam*x1 over the first ``count`` elements lam of
-    F_q (all of them when None): zero on those members x0 = lam*x1 of the
-    pencil, nonzero on the others and on x1 = 0."""
-    P = MultivariatePolynomial
-    x0, x1 = P.variable(0, nvars, fld), P.variable(1, nvars, fld)
-    poly = P.constant(1, nvars, fld)
-    for lam in islice(fld.enumerate_elements(), count):
-        poly = poly * (x0 - P.constant(lam, nvars, fld) * x1)
-    return poly
-
-
 @st.composite
 def _pencil_cases(draw):
     """A polynomial over F_q in 3 to 6 variables, with a term free of x1,
-    times :func:`_first_members_vanish` of a drawn count: the first member
+    times :func:`first_members_vanish` of a drawn count: the first member
     that survives may be any element, or, for a count of q, only the member
     at infinity.  Now and then also times x1, so that no member survives."""
     fld = field_for(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25))))
@@ -317,36 +306,22 @@ def _pencil_cases(draw):
     terms = draw(st.lists(st.tuples(exps, st.integers(1, fld.q - 1)), min_size=1, max_size=6))
     terms[0][0][1] = 0  # a term free of x1: the member at infinity survives
     count = draw(st.one_of(st.just(fld.q), st.integers(0, fld.q)))
-    poly = MultivariatePolynomial(nvars, fld, terms) * _first_members_vanish(fld, nvars, count)
+    poly = MultivariatePolynomial(nvars, fld, terms) * first_members_vanish(fld, nvars, count)
     if draw(st.sampled_from((False,) * 7 + (True,))):
         poly = poly * MultivariatePolynomial.variable(1, nvars, fld)
     return poly
 
 
-def _pencil_member_reference(poly, fld):
-    """``(restricted, member)`` through the general substitution: x0 := lam*y0
-    for lam in element order, then x1 := 0, the other variables becoming
-    y0, y1, ... in order; None when every member vanishes."""
-    P, n = MultivariatePolynomial, poly.nvars - 1
-    y = [P.variable(i, n, fld) for i in range(n)]
-    for lam in fld.enumerate_elements():
-        restricted = poly.substitute([P.constant(lam, n, fld) * y[0]] + y)
-        if not restricted.is_zero():
-            return restricted, lam
-    restricted = poly.substitute([y[0], P.constant(0, n, fld)] + y[1:])
-    return None if restricted.is_zero() else (restricted, "inf")
-
-
 class TestPencilMember:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_pencil_cases())
-    @example(_first_members_vanish(F4, 3))
-    @example(_first_members_vanish(F9, 4) * parse_polynomial("x2 + x3", F9, 4))
+    @example(first_members_vanish(F4, 3))
+    @example(first_members_vanish(F9, 4) * parse_polynomial("x2 + x3", F9, 4))
     # every member vanishes: the degree bound is violated
-    @example(_first_members_vanish(F4, 3) * parse_polynomial("x1", F4, 3))
+    @example(first_members_vanish(F4, 3) * parse_polynomial("x1", F4, 3))
     def test_matches_substitute_reference(self, poly):
         fld = poly.field
-        expected = _pencil_member_reference(poly, fld)
+        expected = pencil_member_reference(poly, fld)
         if expected is None:
             with pytest.raises(InternalContradiction):
                 _pencil_member(poly, fld)
