@@ -276,13 +276,15 @@ def _projective_search(poly, fld):
     base = next((pt.coords for pt in projective_points(fld, 1) if poly.eval(pt.coords)), None)
     if base is None:
         raise InternalContradiction("degree bound violated in the base case")
-    coords = list(base)
+    # lifted back level by level, the coordinates grow at the front: collect
+    # them reversed, so each level appends, and reverse once
+    rev = list(reversed(base))
     for member in reversed(members):
         if member == "inf":
-            coords = [coords[0], 0] + coords[1:]
+            rev[-1:] = [0, rev[-1]]
         else:
-            coords = [fld.mul(member, coords[0])] + coords
-    return coords, [("pencil", member) for member in members] + [("point", base)]
+            rev.append(fld.mul(member, rev[-1]))
+    return rev[::-1], [("pencil", member) for member in members] + [("point", base)]
 
 
 def _pencil_member(poly, fld):

@@ -9,7 +9,11 @@ the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
 Every field up to the size limit has one pair of discrete-log tables
 (:attr:`FiniteField.tables`), built on first use.  The grid kernel
 multiplies through them in every field, and scalar arithmetic in extension
-fields; prime fields multiply scalars mod p.
+fields; prime fields multiply scalars mod p.  A field's construction is
+vectorised apart from the generator search: the modulus search tests
+batches of candidates with one remainder product per block of divisors, and
+the tables double on an array of coordinates with the square of the last
+step's matrix, so neither calls the tableless product.
 
 Coefficient lists (low degree first) have one product, :func:`poly_mul`,
 and one quotient with remainder, :func:`poly_divmod`; over F_p each takes a
@@ -32,9 +36,15 @@ from .errors import (
 
 DEFAULT_SIZE_LIMIT = 2 ** 20
 
-# table entries written per vectorised step of the doubling build: O(rows * k)
-# scratch memory at any field size
+# table entries written per vectorised step of the doubling build: scratch
+# beyond the tables is (q - 1) * k bytes of coordinates plus one run of
+# O(rows * k) int64s, at any field size
 _TABLE_ROWS = 2 ** 16
+
+# remainder coefficients per block of divisors in the modulus search (d for
+# each of degree d): for a field of at most 2^20 elements the p^d divisors
+# of each degree d <= k/2 fit in one block
+_MODULUS_COLUMNS = 2 ** 10 * 10
 
 
 def _prime_factors(n):
@@ -84,6 +94,49 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def _remainder_table(p, k, d, divisors):
+    """int64 array (k + 1) x d x len(divisors) whose entry [i, j, c] is
+    coefficient j of x^i mod the monic degree-d polynomial with low
+    coefficients the base-p digits of ``divisors[c]``.  Below d a row is x^i
+    itself; each later row is the last one times x, reduced."""
+    low = divisors // p ** np.arange(d, dtype=np.int64)[:, None] % p
+    out = np.zeros((k + 1, d, len(divisors)), dtype=np.int64)
+    for i in range(d):
+        out[i, i] = 1
+    for i in range(d, k + 1):
+        out[i, 1:] = out[i - 1, :-1]
+        out[i] -= out[i - 1, -1] * low
+        out[i] %= p
+    return out
+
+
+def _double(exp, mat, p):
+    """Fill ``exp`` from ``exp[0]`` = 1 with the powers of g by doubling:
+    g^0 .. g^(m-1) times g^m give g^m .. g^(2m-1).  ``mat`` is the k x k
+    int64 matrix over F_p of a -> a * g^m on coordinate rows, squared after
+    each step.  Each step reads and writes runs of at most ``_TABLE_ROWS``
+    entries: of coordinate rows when ``exp`` is two-dimensional, else of
+    encodings, XOR of the images of the set bits in characteristic 2 and
+    times g^m mod p in a prime field."""
+    pw = p ** np.arange(len(mat), dtype=np.int64)
+    m, total = 1, len(exp)
+    while m < total:
+        n = min(m, total - m)
+        for start in range(0, n, _TABLE_ROWS):
+            run = exp[start:min(start + _TABLE_ROWS, n)]
+            out = exp[m + start:m + start + len(run)]  # no scratch outlives the run
+            if exp.ndim == 2:
+                out[:] = run @ mat % p
+            elif p == 2:
+                out[:] = 0
+                for i, c in enumerate((mat @ pw).tolist()):
+                    out ^= -((run >> i) & 1) & c
+            else:
+                out[:] = run * mat[0, 0] % p
+        m += n
+        mat = mat @ mat % p
 
 
 def poly_mul(u, v, fld):
@@ -176,13 +229,32 @@ class FiniteField:
     @staticmethod
     def _find_modulus(p, k):
         """First irreducible monic degree-k polynomial, constant digit
-        fastest: no monic divisor of degree 1..k/2 leaves remainder zero."""
-        fp = make_field(p)
-        divisors = [_base_p(m, p, d) + [1] for d in range(1, k // 2 + 1) for m in range(p ** d)]
-        for m in range(p ** k):
-            coeffs = _base_p(m, p, k) + [1]
-            if all(any(poly_divmod(coeffs, den, fp)[1]) for den in divisors):
-                return tuple(coeffs)
+        fastest: no monic divisor of degree 1..k/2 leaves remainder zero.
+
+        Candidates are tested in batches that grow from 32, so an early hit
+        costs one small product.  The divisors go in blocks of one degree d
+        and at most ``_MODULUS_COLUMNS`` remainder coefficients: a batch's
+        coefficient rows times a block's :func:`_remainder_table`, mod p,
+        give every remainder at once, and a candidate with an all-zero
+        remainder drops out before the next block."""
+        blocks = []
+        for d in range(1, k // 2 + 1):
+            step = _MODULUS_COLUMNS // d
+            blocks += [_remainder_table(p, k, d, np.arange(lo, min(lo + step, p ** d),
+                                                            dtype=np.int64))
+                       for lo in range(0, p ** d, step)]
+        pw = p ** np.arange(k, dtype=np.int64)
+        start, size = 0, 32
+        while start < p ** k:
+            m = np.arange(start, min(start + size, p ** k), dtype=np.int64)
+            rows = np.ones((len(m), k + 1), dtype=np.int64)
+            rows[:, :k] = m[:, None] // pw % p
+            for table in blocks:
+                rem = (rows @ table.reshape(k + 1, -1) % p).reshape(len(rows), *table.shape[1:])
+                rows = rows[rem.any(axis=1).all(axis=1)]
+            if len(rows):
+                return tuple(rows[0].tolist())
+            start, size = start + size, 2 * size
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
     # -- identity ---------------------------------------------------------
@@ -313,36 +385,44 @@ class FiniteField:
         element.
 
         ``exp[i]`` encodes g^i for the generator g and ``log`` inverts
-        ``exp`` (``log[0]`` is 0 and meaningless).  The entries g^0 ..
-        g^(m-1) double to g^0 .. g^(2m-1) by multiplying by g^m, an F_p-linear
-        map of the coordinates, so the build takes about log2(q) vectorised
-        steps instead of q scalar multiplications.  Each step reads and
-        writes ``exp`` in runs of at most ``_TABLE_ROWS`` entries.
+        ``exp`` (``log[0]`` is 0 and meaningless).  :func:`_double` fills
+        ``exp`` in about log2(q) vectorised steps and no scalar product.  In
+        a prime field and in characteristic 2 it doubles the encodings
+        themselves; otherwise it doubles a (q-1) x k array of coordinates,
+        one byte each for p < 256 and two above, which is encoded once at
+        the end.
         """
         p, k, q = self.p, self.k, self.q
-        exp = np.empty(q - 1, dtype=np.int64)
-        exp[0] = 1
-        pw = p ** np.arange(k, dtype=np.int64)
-        m, gm = 1, self.generator()  # gm = g^m
-        while m < q - 1:
-            # images of the power basis 1, x, ..., x^(k-1) under a -> a * g^m
-            images = [self._mul_slow(p ** i, gm) for i in range(k)]
-            mat = np.array([self.coords(c) for c in images], dtype=np.int64)
-            n = min(m, q - 1 - m)
-            for start in range(0, n, _TABLE_ROWS):
-                run = exp[start:min(start + _TABLE_ROWS, n)]
-                if p == 2:  # XOR the images of the set bits
-                    out = np.zeros_like(run)
-                    for i, c in enumerate(images):
-                        out ^= -((run >> i) & 1) & c
-                else:
-                    out = (run[:, None] // pw % p) @ mat % p @ pw
-                exp[m + start:m + start + len(run)] = out
-            m += n
-            gm = self._mul_slow(gm, gm)
+        mat = self._mul_matrix(self.generator())
+        if k == 1 or p == 2:
+            exp = np.empty(q - 1, dtype=np.int64)
+            exp[0] = 1
+            _double(exp, mat, p)
+        else:
+            coords = np.zeros((q - 1, k), dtype=np.uint8 if p < 256 else np.uint16)
+            coords[0, 0] = 1
+            _double(coords, mat, p)
+            exp = np.zeros(q - 1, dtype=np.int64)
+            for i in reversed(range(k)):  # Horner over the digits, in place
+                exp *= p
+                exp += coords[:, i]
+            del coords  # before log is allocated
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         return log, exp
+
+    def _mul_matrix(self, a):
+        """k x k int64 matrix over F_p of b -> a * b on coordinate rows: row
+        i holds the coordinates of a * x^i, each row the last one times x
+        reduced by the modulus."""
+        p = self.p
+        row = self.coords(a)
+        rows = [row]
+        for _ in range(self.k - 1):
+            top = row[-1]
+            row = [(c - top * f) % p for c, f in zip([0] + row[:-1], self.modulus)]
+            rows.append(row)
+        return np.array(rows, dtype=np.int64)
 
     @cached_property
     def _dlog(self):

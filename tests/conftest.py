@@ -17,7 +17,7 @@ from ffgeom.avoid import (
     exhaustive_oracle,
     projective_points,
 )
-from ffgeom.fields import make_field
+from ffgeom.fields import make_field, poly_divmod
 from ffgeom.polynomials import MultivariatePolynomial
 
 PRIME_POWERS_64 = [
@@ -35,6 +35,24 @@ def field_for(q):
                 k += 1
             return make_field(p, k)
     raise ValueError(q)
+
+
+def first_irreducible_reference(p, k):
+    """The first irreducible monic degree-k polynomial over F_p, constant
+    digit fastest, by trial division of one candidate at a time by every
+    monic divisor of degree 1..k/2: the scalar scan that the batched
+    modulus search must match."""
+    fp = make_field(p)
+
+    def digits(m, n):
+        return [m // p ** i % p for i in range(n)]
+
+    divisors = [digits(m, d) + [1] for d in range(1, k // 2 + 1) for m in range(p ** d)]
+    for m in range(p ** k):
+        coeffs = digits(m, k) + [1]
+        if all(any(poly_divmod(coeffs, den, fp)[1]) for den in divisors):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial")
 
 
 def random_poly(rng, fld, nvars, max_deg, nterms=None):

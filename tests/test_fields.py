@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import takewhile
 
 import numpy as np
@@ -24,7 +25,7 @@ from ffgeom.fields import (
     power,
 )
 
-from conftest import PRIME_POWERS_64, field_for
+from conftest import PRIME_POWERS_64, field_for, first_irreducible_reference
 
 
 def op_tables(fld):
@@ -68,6 +69,24 @@ class TestConstruction:
         a = make_field(5, 3)
         b = make_field(5, 3)
         assert a is b and a.modulus == b.modulus
+
+    def test_modulus_matches_scalar_scan(self):
+        # the batches hold candidates 0-31, 32-95 and 96-223: the first
+        # irreducible is candidate 33 for 2^14 and 29^3, 64 for 3^9, 102 for
+        # 101^3, and for 31^4 exactly 32, the first of the second batch.
+        # 3^14, past the size limit, splits its 3^7 divisors of degree 7
+        # into two blocks
+        cases = [(p, k) for p in range(2, 200) if _is_prime(p)
+                 for k in range(2, 17) if p ** k <= 2 ** 16]
+        for p, k in cases + [(23, 3), (13, 4), (1021, 2), (101, 3), (31, 4), (3, 14)]:
+            assert FiniteField._find_modulus(p, k) == first_irreducible_reference(p, k), (p, k)
+
+    def test_modulus_with_small_divisor_blocks(self, monkeypatch):
+        # blocks of at most 6 remainder coefficients: 1 to 6 divisors each,
+        # so most divisors sit next to a block boundary
+        monkeypatch.setattr(fields, "_MODULUS_COLUMNS", 6)
+        for p, k in [(2, 8), (2, 12), (3, 6), (3, 8), (5, 4), (7, 4), (13, 3), (31, 3)]:
+            assert FiniteField._find_modulus(p, k) == first_irreducible_reference(p, k), (p, k)
 
     @pytest.mark.parametrize("q", PRIME_POWERS_64)
     def test_modulus_irreducible_no_roots(self, q):
@@ -283,8 +302,10 @@ class TestDiscreteLogTables:
             logt, expt = kernels.field_tables(fld)
             assert logt.tolist() == log and expt.tolist() == exp, (p, k)
 
+    # past the p <= 64 that the sequential reference reaches for k >= 2:
+    # 1021^2 doubles two-byte coordinates (p >= 256), 101^3 one-byte ones
     @pytest.mark.parametrize("p,k", [(2, 16), (3, 10), (2, 17), (2, 20), (3, 12), (31, 4),
-                                     (1048573, 1)])
+                                     (1048573, 1), (1021, 2), (101, 3)])
     def test_largest_tables(self, p, k):
         fld = FiniteField(p, k)
         q, g = fld.q, fld.generator()
@@ -301,6 +322,29 @@ class TestDiscreteLogTables:
         for a in random.Random(fld.q).sample(range(1, fld.q), 200):
             b = fld.inv(a)
             assert fld.mul(b, a) == 1 and fld._mul_slow(b, a) == 1
+
+    def test_build_peak_memory(self):
+        # the doubling holds 6.1 MB of one-byte coordinates and one run's
+        # 12 MB of int64 scratch (18.1 MB); the 8.1 MB tables come after
+        fld = FiniteField(3, 12)
+        fld.generator()
+        tracemalloc.start()
+        try:
+            fld.tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
+    @pytest.mark.parametrize("p,k", [(23, 3), (2, 16), (3, 10), (1021, 2)])
+    def test_build_without_scalar_products(self, p, k, monkeypatch):
+        # each doubling step squares the last step's matrix
+        fld = FiniteField(p, k)
+        fld.generator()
+        calls = []
+        monkeypatch.setattr(FiniteField, "_mul_slow", lambda self, a, b: calls.append(a))
+        fld.tables
+        assert calls == []
 
     def test_generator_is_first_element_of_full_order(self):
         # the order of each element by repeated multiplication
