@@ -9,11 +9,11 @@ the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
 Every field up to the size limit has one pair of discrete-log tables
 (:attr:`FiniteField.tables`), built on first use.  The grid kernel
 multiplies through them in every field, and scalar arithmetic in extension
-fields; prime fields multiply scalars mod p.  A field's construction is
-vectorised apart from the generator search: the modulus search tests
-batches of candidates with one remainder product per block of divisors, and
-the tables double on an array of coordinates with the square of the last
-step's matrix, so neither calls the tableless product.
+fields; prime fields multiply scalars mod p.  A field's construction runs
+on matrices over F_p: the modulus search tests batches of candidates with
+one remainder product per block of divisors, the generator search powers
+each candidate's multiplication matrix, and the tables double on an array
+of coordinates with the square of the last step's matrix.
 
 Coefficient lists (low degree first) have one product, :func:`poly_mul`,
 and one quotient with remainder, :func:`poly_divmod`; over F_p each takes a
@@ -218,6 +218,10 @@ class FiniteField:
         # p^k >= 2^k, so a huge k is rejected before p^k is computed
         if k >= size_limit.bit_length() or p ** k > size_limit:
             raise SizeLimitExceeded(f"p^k = {p}^{k} exceeds limit {size_limit}")
+        # construction multiplies int64 matrices over F_p: each entry of a
+        # product is a sum of at most k + 1 products below p^2
+        if (k + 1) * (p - 1) ** 2 >= 2 ** 63:
+            raise SizeLimitExceeded(f"p = {p} is too large for int64 arithmetic")
         q = p ** k
         self.p = p
         self.k = k
@@ -335,19 +339,6 @@ class FiniteField:
             mult *= p
         return out
 
-    def _mul_slow(self, a, b):
-        """a * b without tables: in an extension field, the product of the
-        coordinates over F_p, reduced by the modulus."""
-        if self.k == 1:
-            return a * b % self.p
-        fp = self._prime_field
-        prod = poly_mul(self.coords(a), self.coords(b), fp)
-        return self.from_coords(poly_divmod(prod, self.modulus, fp)[1])
-
-    @cached_property
-    def _prime_field(self):  # looked up once, not per product
-        return make_field(self.p)
-
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
@@ -434,19 +425,26 @@ class FiniteField:
         """First element (enumeration order) generating the multiplicative group.
 
         In an extension field the candidates start at p: the elements below
-        it form F_p, whose orders divide p - 1 < q - 1.  The search runs
-        once per field; :attr:`tables` starts from the same element."""
+        it form F_p, whose orders divide p - 1 < q - 1.  A candidate is a
+        generator when a^((q-1)/r) != 1 for every prime r | q - 1.  The
+        search runs once per field, without tables; :attr:`tables` starts
+        from the same element."""
         return self._generator
 
     @cached_property
     def _generator(self):
-        n = self.q - 1
+        """Each candidate a is tested by powers of its multiplication matrix
+        M_a over F_p (1 x 1 in a prime field): a -> M_a is an injective ring
+        homomorphism, so a^e = 1 exactly when M_a^e is the identity."""
+        p, k, n = self.p, self.k, self.q - 1
         if n == 1:
             return 1
         factors = _prime_factors(n)
-        # the tables start from the generator, so the search multiplies without them
-        for cand in range(2 if self.k == 1 else self.p, self.q):
-            if all(power(cand, n // f, self._mul_slow) != 1 for f in factors):
+        one = np.eye(k, dtype=np.int64)
+        for cand in range(2 if k == 1 else p, self.q):
+            mat = self._mul_matrix(cand)
+            if not any(np.array_equal(power(mat, n // f, lambda a, b: a @ b % p, one), one)
+                       for f in factors):
                 return cand
         raise RuntimeError("no generator found")  # unreachable
 

@@ -69,11 +69,6 @@ def grid_eval(polys, idx):
     return out.T
 
 
-def _grid_eval_python(poly, stop):
-    q, n = poly.field.q, poly.nvars
-    return np.array([poly.eval(decode_point(t, q, n)) for t in range(stop)], dtype=np.int64)
-
-
 def _split(poly):
     """``(s, base, groups)``: the reduced ``poly`` as
     ``base + sum(coef * mono for mono, coef in groups)``, with ``base`` a

@@ -174,6 +174,15 @@ def oracle_points(d, fld, **kwargs):
     return count, listed_points(d.kind, blocks, fld)
 
 
+def grid_eval_python(poly, stop):
+    """``poly`` at grid indices 0 .. stop - 1 (canonical order), one
+    :meth:`MultivariatePolynomial.eval` per point: the per-point reference
+    for :func:`kernels.grid_eval`."""
+    q, n = poly.field.q, poly.nvars
+    return np.array([poly.eval(kernels.decode_point(t, q, n)) for t in range(stop)],
+                    dtype=np.int64)
+
+
 def grid_zeros(poly):
     """Grid indices (canonical order) where ``poly`` vanishes, as one
     ascending int64 array: the complement of :func:`kernels.hits`, filled in

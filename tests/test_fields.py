@@ -65,6 +65,12 @@ class TestConstruction:
         with pytest.raises(SizeLimitExceeded):
             make_field(2, 21)
 
+    def test_int64_matrix_limit(self):
+        # above a raised size limit: 2^32 + 15 is prime, and its squares
+        # overflow the int64 matrix products of the generator search
+        with pytest.raises(SizeLimitExceeded):
+            FiniteField(2 ** 32 + 15, 1, size_limit=2 ** 33)
+
     def test_deterministic(self):
         a = make_field(5, 3)
         b = make_field(5, 3)
@@ -152,19 +158,20 @@ class TestArithmetic:
         fld = field_for(q)
         for a in range(q):
             for b in range(q):
-                assert fld.mul(a, b) == fld._mul_slow(a, b)
+                assert fld.mul(a, b) == _ref_mul(fld, a, b)
 
     @pytest.mark.parametrize("p,k", [(2, 2), (2, 5), (3, 3), (5, 2), (7, 2), (2, 10), (3, 7),
                                      (5, 4), (13, 3), (2, 16), (31, 4)])
     def test_slow_mul_matches_schoolbook_reference(self, p, k):
-        # _mul_slow builds the tables, so it is checked against a product
-        # that shares no code with it
+        # the multiplication matrix builds the generator and the tables, so
+        # it is checked against a product that shares no code with it
         fld = make_field(p, k)
         rng = random.Random(fld.q)
         pairs = [(a, b) for a in range(fld.q) for b in range(fld.q)] if fld.q <= 64 else \
             [(rng.randrange(fld.q), rng.randrange(fld.q)) for _ in range(300)]
         for a, b in pairs:
-            assert fld._mul_slow(a, b) == _ref_mul(fld, a, b), (a, b)
+            prod = np.array(fld.coords(b)) @ fld._mul_matrix(a) % p
+            assert fld.from_coords(prod.tolist()) == _ref_mul(fld, a, b), (a, b)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(PRIME_POWERS_64), st.integers(0, 63), st.integers(0, 3 * 64))
@@ -180,7 +187,7 @@ class TestArithmetic:
         assert power(a, e, fld.mul) == expected
         assert fld.pow(a, e) == expected
         if fld.k > 1:
-            assert power(a, e, fld._mul_slow) == expected
+            assert power(a, e, lambda x, y: _ref_mul(fld, x, y)) == expected
         if a:
             inverse = 1
             for _ in range(e):
@@ -228,7 +235,9 @@ def _ref_neg(fld, a):
 def _ref_mul(fld, a, b):
     """Schoolbook product of the coordinate vectors, reduced by rewriting
     t^k as -(m_0 + m_1 t + ... + m_{k-1} t^{k-1}) from the top degree down,
-    with m the monic modulus."""
+    with m the monic modulus; in a prime field, a * b mod p."""
+    if fld.k == 1:
+        return a * b % fld.p
     p, k, m = fld.p, fld.k, fld.modulus
     prod = [0] * (2 * k - 1)
     for i, x in enumerate(fld.coords(a)):
@@ -272,7 +281,7 @@ class TestAdditionRule:
 
 
 def sequential_dlog(fld):
-    """Reference discrete-log tables: g^0, g^1, ... one _mul_slow at a time."""
+    """Reference discrete-log tables: g^0, g^1, ... one _ref_mul at a time."""
     g = fld.generator()
     exp = [0] * (fld.q - 1)
     log = [0] * fld.q
@@ -280,7 +289,7 @@ def sequential_dlog(fld):
     for i in range(fld.q - 1):
         exp[i] = cur
         log[cur] = i
-        cur = fld._mul_slow(cur, g)
+        cur = _ref_mul(fld, cur, g)
     return log, exp
 
 
@@ -311,9 +320,9 @@ class TestDiscreteLogTables:
         q, g = fld.q, fld.generator()
         logt, expt = fld.tables
         assert np.array_equal(logt[expt], np.arange(q - 1))
-        assert fld._mul_slow(expt[q - 2], g) == 1  # g^(q-1) = 1
+        assert _ref_mul(fld, int(expt[q - 2]), g) == 1  # g^(q-1) = 1
         for i in random.Random(q).sample(range(q - 2), 200):
-            assert expt[i + 1] == fld._mul_slow(int(expt[i]), g)
+            assert expt[i + 1] == _ref_mul(fld, int(expt[i]), g)
 
     @pytest.mark.parametrize("p,k", [(2, 17), (3, 11)])
     def test_inverse_above_two_to_the_sixteen(self, p, k):
@@ -321,7 +330,7 @@ class TestDiscreteLogTables:
         assert fld.tables is not None
         for a in random.Random(fld.q).sample(range(1, fld.q), 200):
             b = fld.inv(a)
-            assert fld.mul(b, a) == 1 and fld._mul_slow(b, a) == 1
+            assert fld.mul(b, a) == 1 and _ref_mul(fld, b, a) == 1
 
     def test_build_peak_memory(self):
         # the doubling holds 6.1 MB of one-byte coordinates and one run's
@@ -338,11 +347,14 @@ class TestDiscreteLogTables:
 
     @pytest.mark.parametrize("p,k", [(23, 3), (2, 16), (3, 10), (1021, 2)])
     def test_build_without_scalar_products(self, p, k, monkeypatch):
-        # each doubling step squares the last step's matrix
+        # the modulus search, the generator search and the table doubling
+        # all multiply matrices over F_p, never coefficient lists
+        calls = []
+        for name in ("poly_mul", "poly_divmod"):
+            monkeypatch.setattr(fields, name, lambda *args, name=name, f=getattr(fields, name):
+                                calls.append(name) or f(*args))
         fld = FiniteField(p, k)
         fld.generator()
-        calls = []
-        monkeypatch.setattr(FiniteField, "_mul_slow", lambda self, a, b: calls.append(a))
         fld.tables
         assert calls == []
 
@@ -353,7 +365,7 @@ class TestDiscreteLogTables:
             for cand in range(1, fld.q):
                 x, order = cand, 1
                 while x != 1:
-                    x, order = fld._mul_slow(x, cand), order + 1
+                    x, order = _ref_mul(fld, x, cand), order + 1
                 if order == fld.q - 1:
                     break
             assert fld.generator() == cand, (p, k)
@@ -372,7 +384,12 @@ class TestDiscreteLogTables:
         assert fld.generator() == g and len(calls) == searched
         assert fld.tables[1][1] == g and len(calls) == searched
 
-    @pytest.mark.parametrize("p,k,gen", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 4), (5, 1, 2)])
+    # the last eight lie past the 2^10 that
+    # test_generator_is_first_element_of_full_order checks element by element
+    @pytest.mark.parametrize("p,k,gen", [(2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 4), (5, 1, 2),
+                                         (7, 7, 14), (37, 3, 75), (13, 4, 17), (3, 10, 34),
+                                         (2, 16, 3), (1021, 2, 1035), (65521, 1, 17),
+                                         (1048573, 1, 2)])
     def test_golden_generators_unchanged(self, p, k, gen):
         fld = make_field(p, k)
         assert fld.generator() == gen
