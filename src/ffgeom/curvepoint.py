@@ -1,10 +1,11 @@
 """Points on a plane curve avoiding a divisor, over a controlled extension.
 
 Given X = {F = 0} in P^2 over F_q and a divisor cut by a form G, project X
-from a point off X, push the divisor down to P^1 through fiberwise
-resultants, pick a fiber avoiding the pushed-down divisor, and take a point
-of X in that fiber; the point lives over an extension of degree at most
-deg F, and its Frobenius orbit over the base is returned alongside.
+from a point off X and push the divisor down to P^1: the fiberwise
+resultant R of F and G.  Lines of the pencil are tried in canonical order,
+R evaluated on each, until one avoids the pushed-down divisor; a point of
+X in that fiber lives over an extension of degree at most deg F, and its
+Frobenius orbit over the base is returned alongside.
 """
 
 import importlib
@@ -34,7 +35,6 @@ from .polynomials import (
     UnivariatePolynomial,
     find_root_in_tower,
     homogeneous_or_raise,
-    interpolate,
     poly_gcd,
     resultant,
     sylvester_matrix,
@@ -107,51 +107,48 @@ class CurvePointResult:
     flags: dict
 
 
-def _on_line(form, a, b, fld, s_at=None):
-    """Coefficients of v^0..v^e in form(a + v*b), e the form's degree.
-
-    Coordinate j contributes the row C(e_j, i) a_j^(e_j-i) b_j^i of
-    (a_j + v*b_j)^e_j, built once per exponent; a term adds the product of
-    one entry from each of its three rows to the coefficient of v^(sum of
-    the entry indices).  Without ``s_at`` each coefficient is a field
-    element, and entry i is also the coefficient of x^(e-i)*y^i in the
+def _on_line(forms, a, b, fld):
+    """For each form, the coefficients of v^0..v^e in form(a + v*b), e the
+    form's degree; entry i is also the coefficient of x^(e-i)*y^i in the
     binary form form(x*a + y*b).
 
-    With ``s_at = j`` the entry b_j also carries the pencil parameter s, and
-    the coefficient c_i of v^i is a list of i + 1 coefficients in s, low
-    degree first: the exponent of s is the index of the entry from row j.
-    Nothing is lost at t = 1: c_i(s, t) is a binary form of degree i, so
-    c_i(s, t) = t^i * c_i(s/t, 1), and the last entry is c_i(1, 0).
+    Coordinate j contributes the row C(n, i) a_j^(n-i) b_j^i of
+    (a_j + v*b_j)^n, built once per exponent n for all the forms; a term
+    adds the product of one entry from each of its three rows to the
+    coefficient of v^(sum of the entry indices).
     """
-    e = form.total_degree()
     add, mul = fld.add, fld.mul
     rows = []
     for j, (aj, bj) in enumerate(zip(a, b)):
-        # row n: the coefficients of (aj + v*bj)^n, up to the largest n the
-        # form uses; bj = 0 leaves one entry
+        # row n: the coefficients of (aj + v*bj)^n, up to the largest n a
+        # form uses; bj = 0 leaves one entry, aj = 0 one nonzero entry
         rows.append([[1]])
-        for _ in range(form.degree_in(j)):
+        for _ in range(max(form.degree_in(j) for form in forms)):
             r = rows[-1][-1]
-            rows[-1].append(poly_mul([aj, bj], r, fld) if bj else [mul(aj, r[0])])
-    pencil = s_at is not None
-    # one-entry rows (b_j = 0) in the outer loop, the row carrying s in the
-    # middle one
-    order = sorted((j for j in range(3) if j != s_at), key=lambda j: bool(b[j]))
-    first, mid, last = order[:1] + [s_at] + order[1:] if pencil else order
-    out = [[0] * (i + 1 if pencil else 1) for i in range(e + 1)]
-    for exps, c in form.map_coefficients(fld).terms.items():
-        for i, x in enumerate(rows[first][exps[first]]):
-            if x:
-                cx = mul(c, x)
-                for k, y in enumerate(rows[mid][exps[mid]], i):
-                    if y:
-                        cxy = mul(cx, y)
-                        m = k - i if pencil else 0
-                        for l, z in enumerate(rows[last][exps[last]], k):
-                            if z:
-                                row = out[l]
-                                row[m] = add(row[m], mul(cxy, z))
-    return out if pencil else [row[0] for row in out]
+            if not bj:
+                r = [mul(aj, r[0])]
+            elif not aj:
+                r = [0] * len(r) + [mul(bj, r[-1])]
+            else:
+                r = poly_mul([aj, bj], r, fld)
+            rows[-1].append(r)
+    # one-entry rows (b_j = 0) in the outer loop
+    first, mid, last = sorted(range(3), key=lambda j: bool(b[j]))
+    outs = []
+    for form in forms:
+        out = [0] * (form.total_degree() + 1)
+        for exps, c in form.map_coefficients(fld).terms.items():
+            for i, x in enumerate(rows[first][exps[first]]):
+                if x:
+                    cx = mul(c, x)
+                    for k, y in enumerate(rows[mid][exps[mid]], i):
+                        if y:
+                            cxy = mul(cx, y)
+                            for l, z in enumerate(rows[last][exps[last]], k):
+                                if z:
+                                    out[l] = add(out[l], mul(cxy, z))
+        outs.append(out)
+    return outs
 
 
 def _binary_form_squarefree(coeffs, fld):
@@ -191,7 +188,7 @@ def _squarefree_certificate(f):
     fld = f.field
     e = f.total_degree()
     for a, b in _canonical_lines(fld, e + 1):
-        if _binary_form_squarefree(_on_line(f, a, b, fld), fld):
+        if _binary_form_squarefree(_on_line([f], a, b, fld)[0], fld):
             return True
     return False
 
@@ -224,69 +221,24 @@ def _pencil_base_point(center, s, t):
     return tuple(coords)
 
 
-def fiber_resultant(curve, divisor, center):
-    """Binary form in the pencil parameter (s:t) vanishing exactly at the
-    lines through the center that meet the curve-divisor intersection.
+def fiber_resultant(curve, divisor, center, param):
+    """The pushed-down divisor R at the pencil parameter ``param = (s, t)``.
 
-    The form R(s,t) is the resultant in v of the restrictions of F and G to
-    the line through the center and (s:t); it has degree beta = e*deg G.
-    Its coefficient of s^beta, R(1,0), is the resultant of the top
-    coefficients c_i(1, 0) of the restrictions from :func:`_on_line`.  At
-    (x:1) for beta elements x of the field, the coefficients in v are
-    Horner evaluations, and one Euclidean :func:`resultant` each fixes
-    R(x,1) - R(1,0)*x^beta, of degree < beta, by interpolation.
-    Evaluation commutes with the resultant over the declared degrees, so
-    the form is exact even where a leading coefficient vanishes.  When the
-    field has a spare element, the form is checked there against an
-    independent algorithm: the Bareiss determinant of the Sylvester matrix.
+    R is the binary form of degree beta = e*deg G in (s:t) that vanishes
+    exactly at the lines through the center meeting the curve-divisor
+    intersection: the resultant in v, at the declared degrees (e, deg G),
+    of the restrictions of F and G to the line through the center and
+    :func:`_pencil_base_point`.  The resultant commutes with evaluation at
+    declared degrees, so its value at one line is the Euclidean
+    :func:`resultant` of that line's restrictions, exact even where a
+    leading coefficient vanishes.
     """
     fld = center.field
-    f = curve.poly.map_coefficients(fld)
-    g = divisor.poly.map_coefficients(fld)
-    if f.eval(center.coords) == 0:
+    if curve.poly.map_coefficients(fld).eval(center.coords) == 0:
         raise CenterOnCurve("projection center lies on the curve")
-    e = curve.degree
-    mg = divisor.degree
-    beta = e * mg
-    P = MultivariatePolynomial
-    if mg == 0:
-        c = g.eval((0, 0, 0))
-        return P.constant(fld.pow(c, e), 2, fld)
-    if fld.q < beta:
-        raise FieldTooSmall(
-            f"interpolating the fiber resultant needs q >= {beta}, got {fld.q}"
-        )
-    # the pencil at t = 1: the line through the center and (s:1)
-    base, j1 = _pencil_base_point(center, 1, 1), _line_frame(center)[1]
-    fc, gc = (_on_line(h, center.coords, base, fld, s_at=j1) for h in (f, g))
-    top = resultant([c[-1] for c in fc], [c[-1] for c in gc], e, mg, fld)
-    fc, gc = ([UnivariatePolynomial(c, fld) for c in cs] for cs in (fc, gc))
-
-    def values(x):
-        # the coefficients in v at (x:1), by Horner's rule
-        return [c.eval(x) for c in fc], [c.eval(x) for c in gc]
-
-    xs = list(islice(fld.enumerate_elements(), beta + 1))
-    # R(x,1) - top*x^beta has degree < beta: interpolate it from beta values
-    ys = [
-        fld.sub(resultant(*values(x), e, mg, fld), fld.mul(top, fld.pow(x, beta)))
-        for x in xs[:beta]
-    ]
-    low = interpolate(xs[:beta], ys, fld).coeffs
-    r1 = UnivariatePolynomial(low + [0] * (beta - len(low)) + [top], fld)  # R(s,1)
-    if r1.is_zero():
-        raise DivisorNotProper(
-            "every line through the center meets the divisor; the divisor "
-            "form shares a component with the curve"
-        )
-    if len(xs) > beta:
-        x = xs[beta]
-        rows = sylvester_matrix(*values(x), e, mg)
-        if r1.eval(x) != _avoid.det_scalar([[a or 0 for a in r] for r in rows], fld):
-            raise InternalContradiction(
-                "fiber resultant disagrees with its Sylvester determinant"
-            )
-    return P(2, fld, {(i, beta - i): c for i, c in enumerate(r1.coeffs)})
+    base = _pencil_base_point(center, *param)
+    fc, gc = _on_line([curve.poly, divisor.poly], center.coords, base, fld)
+    return resultant(fc, gc, curve.degree, divisor.degree, fld)
 
 
 def galois_orbit(pt, k2, k1):
@@ -306,8 +258,15 @@ def galois_orbit(pt, k2, k1):
 
 
 def point_off_divisor(curve, divisor, k1):
-    """Full pipeline: center, fiber resultant, good fiber, root in a tower,
-    Frobenius orbit, verification."""
+    """Full pipeline: center, good fiber, root in a tower, Frobenius orbit,
+    verification.
+
+    The good fiber is the first point of P^1(k1), in canonical order, where
+    :func:`fiber_resultant` is nonzero.  R has degree beta and q >= beta, so
+    one of the first beta + 1 points is nonzero unless R is zero: the
+    divisor shares a component with the curve.  The value is checked once,
+    on the chosen line.
+    """
     e = curve.degree
     beta = e * divisor.degree
     if k1.q <= max(2 * e, beta - 1):
@@ -315,15 +274,26 @@ def point_off_divisor(curve, divisor, k1):
             f"need q > max(2*{e}, {beta}-1) = {max(2 * e, beta - 1)}, got {k1.q}"
         )
     center = projection_center(curve, k1)
-    # a constant resultant (an empty divisor) is avoided at (1:0)
-    surf = Hypersurface(fiber_resultant(curve, divisor, center), PROJECTIVE, (1,))
-    found = avoid_projective(surf, k1)
-    if not (found.found and found.mode == GUARANTEED):
-        raise InternalContradiction("guaranteed search found no good fiber")
-    param = found.point
-    q_pt = _pencil_base_point(center, param.coords[0], param.coords[1])
-    # restriction of the curve to the chosen line, in the fiber coordinate v
-    phi = UnivariatePolynomial(_on_line(curve.poly, center.coords, q_pt, k1), k1)
+    for param in islice(projective_points(k1, 1), beta + 1):
+        value = fiber_resultant(curve, divisor, center, param.coords)
+        if value:
+            break
+    else:
+        raise DivisorNotProper(
+            "every line through the center meets the divisor; the divisor "
+            "form shares a component with the curve"
+        )
+    q_pt = _pencil_base_point(center, *param.coords)
+    # restrictions of the curve and the divisor to the chosen line, in the
+    # fiber coordinate v; the value is checked against an independent
+    # algorithm, the Bareiss determinant of their Sylvester matrix
+    fc, gc = _on_line([curve.poly, divisor.poly], center.coords, q_pt, k1)
+    rows = sylvester_matrix(fc, gc, e, divisor.degree)
+    if value != _avoid.det_scalar([[a or 0 for a in r] for r in rows], k1):
+        raise InternalContradiction(
+            "fiber resultant disagrees with its Sylvester determinant"
+        )
+    phi = UnivariatePolynomial(fc, k1)
     if phi.degree >= 1:
         root, k2, ext_degree = find_root_in_tower(phi, e)
         coords = [

@@ -441,31 +441,6 @@ def det_scalar(matrix, field):
     return rank_and_det(matrix, field)[1]
 
 
-def interpolate(xs, ys, field):
-    """The polynomial of degree < len(xs) through the points (x_i, y_i).
-
-    Newton's incremental form: with N the interpolant of the first k points
-    and B = prod_{j<k} (x - x_j), the next one is
-    N + (y_k - N(x_k)) / B(x_k) * B.  One inversion per point.
-    """
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation needs distinct abscissae")
-    if len(ys) != len(xs):
-        raise ValueError("one ordinate per abscissa required")
-    add, sub, mul = field.add, field.sub, field.mul
-    interp = UnivariatePolynomial([], field)
-    basis = UnivariatePolynomial([1], field)
-    for x, y in zip(xs, ys):
-        scale = mul(sub(y, interp.eval(x)), field.inv(basis.eval(x)))
-        if scale:
-            low = interp.coeffs + [0] * (len(basis.coeffs) - len(interp.coeffs))
-            interp = UnivariatePolynomial(
-                [add(c, mul(scale, b)) for c, b in zip(low, basis.coeffs)], field
-            )
-        basis = UnivariatePolynomial([field.neg(x), 1], field) * basis
-    return interp
-
-
 def det_poly(matrix, nvars, field):
     """Determinant of a square matrix of MultivariatePolynomial entries: its
     one maximal minor.  The expansion costs about n * 2^n products, so only

@@ -366,6 +366,24 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION and "exceeds limit" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("e,field,expected", [
+        (40, "1601", EXIT_OK),
+        (60, "3613", EXIT_PRECONDITION),
+    ], ids=["40-answers", "60-root-field-past-limit"])
+    def test_high_degree_curve_fails_fast(self, e, field, expected):
+        # beta = e^2 = 1600 and 3600: the fiber resultant is evaluated on one
+        # line of the pencil, not built as a form from beta values
+        start = time.perf_counter()
+        code, out, err = invoke(["curve", "point", "--field", field,
+                                 "--curve", f"x0^{e} + x1^{e} + x2^{e}",
+                                 "--avoid", f"x0^{e} + 2*x1^{e} + 3*x2^{e}"])
+        assert code == expected
+        if expected == EXIT_OK:
+            assert all(json.loads(out)["verified"].values())
+        else:
+            assert out == "" and "exceeds limit" in err
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("argv", [
         ["avoid", "affine", "--field", "2", "--vars", "40", "--poly", "x0*x1"],
         ["avoid", "projective", "--field", "2", "--dim", "40", "--poly", "x0*x1*x2"],

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ffgeom.avoid import ProjectivePoint
+from ffgeom import curvepoint
+from ffgeom.avoid import ProjectivePoint, projective_points
 from ffgeom.curvepoint import (
     CurveDivisor,
     PlaneCurve,
@@ -21,6 +22,7 @@ from ffgeom.errors import (
     CenterOnCurve,
     DivisorNotProper,
     FieldTooSmall,
+    InternalContradiction,
     NoEmbedding,
     NotSquarefree,
 )
@@ -90,43 +92,57 @@ class TestProjectionCenter:
         assert projection_center(c, F7) == projection_center(c, F7)
 
 
+def _p1(fld):
+    return [pt.coords for pt in projective_points(fld, 1)]
+
+
 class TestFiberResultant:
     def test_center_on_curve_rejected(self):
         c = curve("x0*x1 + 4*x2^2", F5)
         # (1:1:1): 1 + 4 = 0, on the curve
         center = ProjectivePoint((1, 1, 1), F5)
         with pytest.raises(CenterOnCurve):
-            fiber_resultant(c, divisor("x2", F5), center)
+            fiber_resultant(c, divisor("x2", F5), center, (1, 0))
 
     def test_degree_is_product(self):
+        # R is a binary form of degree beta = 2 * 1: R(ls, lt) = l^beta R(s, t)
         c = curve("x0*x1 + 2*x2^2", F5)
+        g = divisor("x0 + x1", F5)
         center = projection_center(c, F5)
-        res = fiber_resultant(c, divisor("x0 + x1", F5), center)
-        assert res.is_homogeneous() and res.total_degree() == c.degree * 1
+        beta = c.degree * g.degree
+        values = {st: fiber_resultant(c, g, center, st) for st in _p1(F5)}
+        assert any(values.values())
+        for (s, t), r in values.items():
+            for lam in range(1, F5.q):
+                scaled = (F5.mul(lam, s), F5.mul(lam, t))
+                assert fiber_resultant(c, g, center, scaled) == F5.mul(F5.pow(lam, beta), r)
 
     def test_constant_divisor(self):
         c = curve("x0*x1 + 2*x2^2", F5)
         center = projection_center(c, F5)
-        res = fiber_resultant(c, divisor("3", F5), center)
-        assert res.total_degree() == 0
-        assert res.eval((0, 0)) == F5.pow(3, 2)
+        for st in _p1(F5):
+            assert fiber_resultant(c, divisor("3", F5), center, st) == F5.pow(3, 2)
 
     def test_shared_component_rejected(self):
         c = curve("x0*x1", F7)
+        g = divisor("x0", F7)
         center = projection_center(c, F7)
+        assert all(fiber_resultant(c, g, center, st) == 0 for st in _p1(F7))
         with pytest.raises(DivisorNotProper):
-            fiber_resultant(c, divisor("x0", F7), center)
+            point_off_divisor(c, g, F7)
 
     def test_field_too_small_for_interpolation(self):
-        # beta = 2 * 3 = 6 abscissae are needed, F_5 has five elements
+        # beta = 2 * 3 = 6 needs q >= 6, so that P^1 has beta + 1 points;
+        # the center alone (q > 2e = 4) admits F_5, as a line divisor shows
         c = curve("x0*x1 + 2*x2^2", F5)
-        center = ProjectivePoint((1, 1, 0), F5)  # off the conic
-        with pytest.raises(FieldTooSmall):
-            fiber_resultant(c, divisor("x0^3 + x2^3", F5), center)
+        with pytest.raises(FieldTooSmall, match="6-1"):
+            point_off_divisor(c, divisor("x0^3 + x2^3", F5), F5)
+        assert all(point_off_divisor(c, divisor("x0", F5), F5).flags.values())
 
     def test_matches_symbolic_sylvester_determinant(self):
-        # the interpolated form equals the cofactor determinant of the
-        # Sylvester matrix over F[s,t], coefficient for coefficient
+        # at every point of P^1, the value equals the cofactor determinant of
+        # the Sylvester matrix over F[s,t]; the pipeline's fiber is the first
+        # point where that determinant is nonzero
         rng = random.Random(2024)
         checked = 0
         for q in (7, 8, 9, 11, 13):
@@ -152,20 +168,15 @@ class TestFiberResultant:
                 except NotSquarefree:
                     continue
                 done += 1
-                rows = sylvester_matrix(
-                    _pencil_coefficients(c.poly, center, fld),
-                    _pencil_coefficients(g.poly, center, fld),
-                    e,
-                    mg,
-                )
-                zero = MultivariatePolynomial(2, fld)
-                mat = [[zero if x is None else x for x in row] for row in rows]
-                expected = det_poly(mat, 2, fld)
-                if expected.is_zero():
+                expected = _symbolic_resultant(c, g, center, fld)
+                for st in _p1(fld):
+                    assert fiber_resultant(c, g, center, st) == expected.eval(st)
+                first = next((st for st in _p1(fld) if expected.eval(st)), None)
+                if first is None:
                     with pytest.raises(DivisorNotProper):
-                        fiber_resultant(c, g, center)
+                        point_off_divisor(c, g, fld)
                 else:
-                    assert fiber_resultant(c, g, center) == expected
+                    assert point_off_divisor(c, g, fld).fiber_parameter.coords == first
                     checked += 1
         assert checked >= 20
 
@@ -185,8 +196,7 @@ class TestFiberResultant:
                     c = PlaneCurve(f)
                     g = CurveDivisor(parse_polynomial(g_text, fld, 3))
                     center = projection_center(c, fld)
-                    res = fiber_resultant(c, g, center)
-                except (NotSquarefree, DivisorNotProper):
+                except NotSquarefree:
                     continue
                 trials += 1
                 # brute force: for each point of F=G=0 over fld, the line
@@ -195,10 +205,39 @@ class TestFiberResultant:
                     if g.poly.map_coefficients(fld).eval(pt.coords) != 0:
                         continue
                     hit = any(
-                        res.eval(param.coords) == 0
+                        fiber_resultant(c, g, center, param.coords) == 0
                         for param in _params_through(center, pt, fld)
                     )
                     assert hit
+
+
+class TestSoundnessCheck:
+    @pytest.mark.parametrize("curve_text,divisor_text", [
+        ("x0^3 + 2*x1^3 + 3*x2^3 + x0*x1*x2", "x0"),
+        # beta = q = 7: P^1(F_7) has beta + 1 points and no spare one
+        ("x0 + x1 + x2", "x0^7 + x1^6*x2 + 3*x2^7"),
+    ], ids=["cubic", "beta-equals-q"])
+    def test_wrong_resultant_is_caught(self, monkeypatch, curve_text, divisor_text):
+        c, d = curve(curve_text, F7), divisor(divisor_text, F7)
+        assert all(point_off_divisor(c, d, F7).flags.values())
+        honest = curvepoint.resultant
+        monkeypatch.setattr(curvepoint, "resultant",
+                            lambda *args: args[4].add(honest(*args), 1))
+        with pytest.raises(InternalContradiction, match="Sylvester determinant"):
+            point_off_divisor(c, d, F7)
+
+
+def _symbolic_resultant(c, g, center, fld):
+    """Reference R(s, t): the cofactor determinant of the Sylvester matrix
+    of the two pencil restrictions, over F[s,t]."""
+    rows = sylvester_matrix(
+        _pencil_coefficients(c.poly, center, fld),
+        _pencil_coefficients(g.poly, center, fld),
+        c.degree,
+        g.degree,
+    )
+    zero = MultivariatePolynomial(2, fld)
+    return det_poly([[zero if x is None else x for x in row] for row in rows], 2, fld)
 
 
 def _pencil_coefficients(form, center, fld):
@@ -294,7 +333,7 @@ class TestLineRestriction:
         expected = [0] * (e + 1)
         for (_, i), c in _restrict_to_line(form, a, b, fld).terms.items():
             expected[i] = c
-        coeffs = _on_line(form, a, b, fld)
+        coeffs = _on_line([form], a, b, fld)[0]
         assert coeffs == expected
         if not any(coeffs):
             assert not _binary_form_squarefree(coeffs, fld)
@@ -303,19 +342,14 @@ class TestLineRestriction:
     @given(_pencil_cases())
     def test_pencil_matches_reference(self, case):
         # the restriction fiber_resultant takes: the line through the center
-        # and (s:1), with s on the frame's j1; every declared coefficient of
-        # c_i(s, 1), zeros included, against the four-variable substitution
+        # and the base point of (s:t), at every point of P^1, against the
+        # four-variable substitution evaluated there
         fld, form, center, axis = case
-        frame = _line_frame(center)
-        assert frame[0] == axis
-        coeffs = _on_line(
-            form, center.coords, _pencil_base_point(center, 1, 1), fld, s_at=frame[1]
-        )
-        expected = [
-            [c.terms.get((m, i - m), 0) for m in range(i + 1)]
-            for i, c in enumerate(_pencil_coefficients(form, center, fld))
-        ]
-        assert coeffs == expected
+        assert _line_frame(center)[0] == axis
+        reference = _pencil_coefficients(form, center, fld)
+        for st in _p1(fld):
+            coeffs = _on_line([form], center.coords, _pencil_base_point(center, *st), fld)[0]
+            assert coeffs == [c.eval(st) for c in reference]
 
 
 class TestGaloisOrbit:
@@ -354,6 +388,22 @@ class TestGaloisOrbit:
                 assert p.coords not in seen
                 seen.add(p.coords)
         assert len(seen) == 9 ** 2 + 9 + 1
+
+
+@st.composite
+def _pipeline_cases(draw):
+    """(field, curve form, divisor form) with 2e < q and beta = e*deg G <= q,
+    over prime and extension fields.  The brute-force enumeration over
+    k2 = F_{q^J}, J <= e, scans ~q^(2J) points, so e stops where q^e passes
+    4096: a quartic needs q >= 9, and over F_3^8 the enumeration alone
+    takes seconds."""
+    q = draw(st.sampled_from([4, 5, 7, 8, 9, 16, 25]))
+    fld = field_for(q)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    e = rng.choice([e for e in range(1, 5) if 2 * e < q and q ** e <= 4096])
+    mg = rng.randint(0, min(3, q // e))
+    f = random_homogeneous_poly(rng, fld, 3, e, rng.randint(2, 8))
+    return fld, f, random_homogeneous_poly(rng, fld, 3, mg)
 
 
 class TestPipeline:
@@ -406,6 +456,34 @@ class TestPipeline:
                 assert res.point in pts
                 gk2 = d.poly.map_coefficients(res.k2)
                 assert gk2.eval(res.point.coords) != 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_pipeline_cases())
+    def test_fiber_and_point_against_brute_force(self, case):
+        # the fiber is the first point of P^1 where the symbolic Sylvester
+        # determinant is nonzero, and the point is among the brute-force
+        # points of the curve over k2, off the divisor, with a closed orbit
+        fld, f, g = case
+        try:
+            c = PlaneCurve(f)
+        except NotSquarefree:
+            assume(False)
+        d = CurveDivisor(g)
+        expected = _symbolic_resultant(c, d, projection_center(c, fld), fld)
+        first = next((st for st in _p1(fld) if expected.eval(st)), None)
+        if first is None:
+            with pytest.raises(DivisorNotProper):
+                point_off_divisor(c, d, fld)
+            return
+        res = point_off_divisor(c, d, fld)
+        assert res.fiber_parameter.coords == first
+        k2 = res.k2
+        assert res.point in enumerate_curve_points(c, k2)
+        assert d.poly.map_coefficients(k2).eval(res.point.coords) != 0
+        orbit = {p.coords for p in res.orbit}
+        assert res.point.coords in orbit
+        for p in res.orbit:
+            assert ProjectivePoint([k2.frobenius(x, fld.k) for x in p.coords], k2).coords in orbit
 
     def test_deterministic(self):
         c = curve("x0^3 + 2*x1^3 + 3*x2^3 + x0*x1*x2", F7)

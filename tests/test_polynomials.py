@@ -28,7 +28,6 @@ from ffgeom.polynomials import (
     det_poly,
     det_scalar,
     find_root_in_tower,
-    interpolate,
     minors,
     parse_polynomial,
     poly_gcd,
@@ -646,25 +645,6 @@ class TestMinors:
                         x = (rng.randrange(fld.q), rng.randrange(fld.q))
                         at = [[e.eval(x) for e in row] for row in mat]
                         assert det.eval(x) == det_scalar(at, fld)
-
-
-class TestInterpolate:
-    def test_recovers_polynomial(self):
-        rng = random.Random(5)
-        for q in (2, 4, 7, 9, 11):
-            fld = field_for(q)
-            for _ in range(20):
-                npts = rng.randint(1, q)
-                f = UnivariatePolynomial(
-                    [rng.randrange(q) for _ in range(npts)], fld
-                )
-                xs = rng.sample(range(q), npts)
-                g = interpolate(xs, [f.eval(x) for x in xs], fld)
-                assert g == f
-
-    def test_distinct_abscissae_required(self):
-        with pytest.raises(ValueError):
-            interpolate([1, 1], [0, 2], F5)
 
 
 class TestRootTower:
