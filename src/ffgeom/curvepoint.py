@@ -285,17 +285,20 @@ def point_off_divisor(curve, divisor, k1):
         )
     q_pt = _pencil_base_point(center, *param.coords)
     # restrictions of the curve and the divisor to the chosen line, in the
-    # fiber coordinate v; the value is checked against an independent
-    # algorithm, the Bareiss determinant of their Sylvester matrix
+    # fiber coordinate v
     fc, gc = _on_line([curve.poly, divisor.poly], center.coords, q_pt, k1)
+    phi = UnivariatePolynomial(fc, k1)
+    # the root search refuses a root field past the table limit, so it runs
+    # before the (e + deg G)^3 check: the value against an independent
+    # algorithm, the Bareiss determinant of the Sylvester matrix
+    found = find_root_in_tower(phi, e) if phi.degree >= 1 else None
     rows = sylvester_matrix(fc, gc, e, divisor.degree)
     if value != _avoid.det_scalar([[a or 0 for a in r] for r in rows], k1):
         raise InternalContradiction(
             "fiber resultant disagrees with its Sylvester determinant"
         )
-    phi = UnivariatePolynomial(fc, k1)
     if phi.degree >= 1:
-        root, k2, ext_degree = find_root_in_tower(phi, e)
+        root, k2, ext_degree = found
         coords = [
             k2.add(embed(center.coords[l], k1, k2),
                    k2.mul(root, embed(q_pt[l], k1, k2)))

@@ -13,10 +13,10 @@ up to the size limit.
 Scans go through :func:`hits`, which splits the grid into its last s
 (*inner*) variables and the rest (*outer*), and writes the polynomial as a
 sum of inner monomials with polynomial coefficients in the outer ones.
-The inner monomials are evaluated in one call per scan over the inner grid,
-the coefficients in one call per block of outer points, and a block's
-values are their products, taken as one broadcast in the log domain.  The
-scan stops when its caller does.
+The inner grid is small, about ``_INNER`` points: its monomials are
+evaluated in one call per scan, the coefficients in one call per block of
+outer points, and a block's values are their products, taken as one
+broadcast in the log domain.  The scan stops when its caller does.
 """
 
 import numpy as np
@@ -25,8 +25,13 @@ import numpy as np
 # first hit evaluates one block, and a working set of a few MB is reused by
 # the allocator instead of faulted in again on every block.
 _CHUNK = 2 ** 14
+# points of the inner grid that hits evaluates through grid_eval once per
+# scan (the cost model is in _split's docstring)
+_INNER = 2 ** 10
 # inner-monomial values a scan caches: (groups with a nonconstant monomial)
-# times the inner grid's q^s points, an int64 log each
+# times the inner grid's q^s points, an int64 log each.  That is below q^2s,
+# and _INNER^2 is this cap, so only the one inner variable of a field of
+# more than _INNER elements can reach it
 _MAX_CACHED = 64 * _CHUNK
 
 
@@ -76,13 +81,24 @@ def _split(poly):
     those s variables and each ``coef`` a nonconstant polynomial in the
     other n - s, at most one group per monomial.
 
-    s is the largest with q^s <= ``_CHUNK``, lowered (down to 0) until the
-    groups whose monomial is not constant hold at most ``_MAX_CACHED``
-    inner values, q^s each.  Every group with a constant coefficient folds
-    into ``base``."""
+    s is the largest with q^s <= min(``_INNER``, ``_CHUNK``), and at least
+    1 while q <= ``_CHUNK``, then lowered (down to 0) until the groups
+    whose monomial is not constant hold at most ``_MAX_CACHED`` inner
+    values, q^s each.  Every group with a constant coefficient folds into
+    ``base``.
+
+    The cost model: :func:`hits` sends the q^s inner points through
+    :func:`grid_eval` once per scan and each block's outer points once per
+    block, at a pass per term and variable, and everything else as block
+    products, a few passes a point.  A scan that stops at its first hit
+    thus pays grid_eval for the whole inner grid however early the hit, so
+    the inner grid stays small; but a block holds ``_CHUNK`` // q^s outer
+    points, so it must not shrink so far that they dominate.  A grid within
+    the bound is one grid_eval (s = n)."""
     field, n = poly.field, poly.nvars
+    bound = min(_INNER, _CHUNK)
     s = 0
-    while s < n and field.q ** (s + 1) <= _CHUNK:
+    while s < n and (field.q ** (s + 1) <= bound or (s == 0 and field.q <= _CHUNK)):
         s += 1
     if s == n:  # no outer variables: every coefficient is a constant
         return s, poly, []
@@ -109,14 +125,15 @@ def hits(poly):
 
     The polynomial is reduced first, so one that vanishes on the whole grid
     has no nonzero point to scan for.  It is then :func:`_split` into its
-    last s variables, whose q^s points make the inner grid, and the outer
-    rest.  ``base`` and every inner monomial are one :func:`grid_eval`
-    over the inner grid.  A block is max(1, ``_CHUNK`` // q^s) outer points
-    times the inner grid: its values are ``base`` plus each group's
-    coefficient, all evaluated in one call at the block's outer points,
-    times its monomial.  So a caller
-    that stops at the first array evaluates only the blocks up to its first
-    hit, and a caller that counts never holds more than a block.
+    last s variables, whose q^s points (about ``_INNER``) make the inner
+    grid, and the outer rest.  ``base`` and every inner monomial are one
+    :func:`grid_eval` over the inner grid.  A block is
+    ``_CHUNK`` // q^s outer points times the inner grid: its values
+    are ``base`` plus each group's coefficient, all evaluated in one call at
+    the block's outer points, times its monomial.  So a caller that stops
+    at the first array evaluates the inner grid and the outer points of
+    the blocks up to its first hit, and a caller that counts never holds
+    more than a block.
     """
     poly = poly.reduced()
     if poly.is_zero():
@@ -141,7 +158,7 @@ def hits(poly):
                 for mono, v in zip(monos, inner[:, 1:].T)}
     coefs = [coef for _, coef in groups]
     outer = q ** (poly.nvars - s)
-    step = max(1, _CHUNK // width)
+    step = _CHUNK // width  # q^s <= _CHUNK: at least one outer point
     for o0 in range(0, outer, step):
         o1 = min(o0 + step, outer)
         shape = (o1 - o0, width)

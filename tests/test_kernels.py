@@ -186,14 +186,16 @@ _PRODUCT_16 = "*".join(f"x{i}" for i in range(1, 17))
 class TestHits:
     @pytest.mark.parametrize("q,n", [(2, 17), (3, 11)])
     def test_matches_whole_grid(self, q, n):
-        # a block is max(1, _CHUNK // q^s) outer points times the q^s inner
-        # ones: _CHUNK points when q is a power of two, 2 * 3^8 when q = 3;
-        # grids of 8 and 13.5 blocks, so block edges fall inside them
-        block = {2: kernels._CHUNK, 3: 2 * 3 ** 8}[q]
+        # a block is _CHUNK // q^s outer points times the q^s inner
+        # ones: _CHUNK points when q is a power of two, 22 * 3^6 when q = 3
+        # (s = 6 under the 2^10-point inner bound); grids of 8 and 11.05
+        # blocks, so block edges fall inside them and the last one is partial
+        block = {2: kernels._CHUNK, 3: 22 * 3 ** 6}[q]
         rng = random.Random(40 + q)
         fld = field_for(q)
         for _ in range(3):
             poly = random_poly(rng, fld, n, 3)
+            assert kernels._split(poly.reduced())[0] == {2: 10, 3: 6}[q]
             values = _grid_values(poly)
             arrays = list(kernels.hits(poly))
             assert all(a.dtype == np.int64 and len(a) for a in arrays)
@@ -299,11 +301,23 @@ def split_scans(draw):
 
 
 @contextlib.contextmanager
-def _scanning(chunk=None, cap=None):
-    """:func:`kernels.hits` with another block size or cache cap."""
+def _scanning(chunk=None, cap=None, inner=None):
+    """:func:`kernels.hits` with another block size, cache cap or inner
+    bound."""
     with mock.patch.object(kernels, "_CHUNK", chunk or kernels._CHUNK), \
-            mock.patch.object(kernels, "_MAX_CACHED", cap or kernels._MAX_CACHED):
+            mock.patch.object(kernels, "_MAX_CACHED", cap or kernels._MAX_CACHED), \
+            mock.patch.object(kernels, "_INNER", inner or kernels._INNER):
         yield
+
+
+def _counting_grid_eval(monkeypatch):
+    """Patch :func:`kernels.grid_eval` to record the number of points of
+    each call; returns that list."""
+    sizes = []
+    grid_eval = kernels.grid_eval
+    monkeypatch.setattr(kernels, "grid_eval",
+                        lambda polys, idx: sizes.append(len(idx)) or grid_eval(polys, idx))
+    return sizes
 
 
 class TestSplitScan:
@@ -356,8 +370,11 @@ class TestSplitScan:
 
     def test_many_groups_cache_in_bounded_memory(self, monkeypatch):
         # 300 terms over F_2 in 20 variables, each an outer variable times a
-        # distinct inner monomial: at s = 14 their inner logs would take
-        # 300 * 2^14 * 8 bytes (~39 MB); the cap lowers s until they fit.
+        # distinct inner monomial.  Under the real inner bound (s = 10) their
+        # logs fit the cap, so the bound is raised to _CHUNK, as large as
+        # the one-variable floor makes an inner grid for q in (2^10, 2^14]:
+        # at s = 14 the inner logs would take 300 * 2^14 * 8 bytes (~39 MB);
+        # the cap lowers s until they fit.
         # The cache is built before the first block and every block
         # allocates alike, so the first blocks show the scan's peak.
         rng = random.Random(5)
@@ -372,19 +389,81 @@ class TestSplitScan:
             terms[tuple(int(i == o) for i in range(6)) + mono] = 1
         poly = MultivariatePolynomial(20, make_field(2), terms)
         assert len(poly.terms) == 300
-        calls = []
-        grid_eval = kernels.grid_eval
-        monkeypatch.setattr(kernels, "grid_eval", lambda *a: calls.append(a) or grid_eval(*a))
-        tracemalloc.start()
-        try:
-            arrays = list(itertools.islice(kernels.hits(poly), 4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        s = kernels._split(poly)[0]
+        calls = _counting_grid_eval(monkeypatch)
+        with _scanning(inner=kernels._CHUNK):
+            tracemalloc.start()
+            try:
+                arrays = list(itertools.islice(kernels.hits(poly), 4))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            s = kernels._split(poly)[0]
         assert len(arrays) == 4 and s < 14
         assert peak < 32 * 2 ** 20
         # one grid_eval for the inner grid, then one per block scanned,
         # whatever the number of groups
-        scanned = int(arrays[-1][0]) // (max(1, kernels._CHUNK // 2 ** s) * 2 ** s) + 1
+        scanned = int(arrays[-1][0]) // (kernels._CHUNK // 2 ** s * 2 ** s) + 1
         assert len(calls) <= scanned + 1
+
+
+class TestInnerBound:
+    """The rule of :func:`kernels._split` for s, the inner variable count:
+    q^s at most ``_INNER`` (and ``_CHUNK``), at least one variable while
+    q <= ``_CHUNK``, and the whole grid when it fits."""
+
+    def test_early_first_hit_reads_few_points(self, monkeypatch):
+        # over F_2 in 14 variables (a cli fallback's grid) the first hit
+        # lies below 2^10: the scan evaluates the 2^10 inner points and the
+        # first block's 16 outer ones, not the whole 2^14-point grid
+        poly = parse_polynomial("x4*x5*x13 + x0*x12 + x6*x7*x11 + x1*x2*x3*x10 + x9*x8",
+                                make_field(2), 14)
+        first = _scalar_hits(poly)[0]
+        assert 0 < first < 2 ** 10
+        sizes = _counting_grid_eval(monkeypatch)
+        assert next(kernels.hits(poly))[0] == first
+        assert sum(sizes) <= 2 ** 11
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 31, 32, 1021, 2 ** 10, 1031, 2 ** 11, 3 ** 8,
+                                   2 ** 14, 2 ** 15])
+    def test_one_inner_variable_while_q_fits_a_chunk(self, q):
+        # q^s is the largest power within 2^10, but a field past 2^10 keeps
+        # one inner variable while q <= _CHUNK; past _CHUNK none is left
+        poly = parse_polynomial("x0*x1*x2 + x2^2 + x1 + 1", field_for(q), 3)
+        s = kernels._split(poly.reduced())[0]
+        expected = max(k for k in range(4) if q ** k <= kernels._INNER)
+        if q > kernels._INNER:
+            expected = int(q <= kernels._CHUNK)
+        assert s == expected
+
+    def test_only_the_cache_cap_drops_the_last_inner_variable(self):
+        # over F_2^14, 64 groups x0*x1^e of 2^14 inner values each fill the
+        # cap of 64 * 2^14, and a 65th moves x1 outward despite the floor
+        fld = make_field(2, 14)
+        for groups, s in ((64, 1), (65, 0)):
+            poly = MultivariatePolynomial(2, fld, {(1, e): 1 for e in range(1, groups + 1)})
+            assert kernels._split(poly)[0] == s
+
+    @pytest.mark.parametrize("q,n", [(2, 10), (3, 6), (31, 2), (1021, 1)])
+    def test_grid_within_the_bound_is_one_grid_eval(self, monkeypatch, q, n):
+        rng = random.Random(q + n)
+        poly = random_poly(rng, field_for(q), n, 4, nterms=6)
+        expected = np.flatnonzero(_grid_values(poly)).tolist()
+        sizes = _counting_grid_eval(monkeypatch)
+        assert _joined_hits(poly) == expected
+        assert sizes == [q ** n]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8, 64, 200])
+    def test_inner_grid_within_a_patched_chunk(self, monkeypatch, chunk):
+        # no grid_eval call of a scan sees more than _CHUNK points, even
+        # where _CHUNK is below the inner bound
+        rng = random.Random(chunk)
+        sizes = _counting_grid_eval(monkeypatch)
+        with _scanning(chunk):
+            for q in (2, 3, 4, 7, 9, 16):
+                nvars = max(n for n in range(1, 9) if q ** n <= 4096)
+                poly = random_poly(rng, field_for(q), nvars, 5, nterms=6)
+                expected = np.flatnonzero(_grid_values(poly)).tolist()
+                sizes.clear()
+                assert _joined_hits(poly) == expected
+                assert q ** kernels._split(poly.reduced())[0] <= chunk
+                assert max(sizes, default=0) <= chunk
