@@ -203,8 +203,8 @@ def _verify_found(poly, point, mode, trace=()):
 # affine
 
 
-def avoid_affine(d, fld):
-    """Point of fld^n where the defining polynomial is nonzero.
+def avoid_affine(d):
+    """Point of k^n, k the field of the defining polynomial, where it is nonzero.
 
     Guaranteed mode (q > total degree) follows the variable-by-variable
     induction: make the top coefficient of the highest occurring variable
@@ -212,11 +212,11 @@ def avoid_affine(d, fld):
     """
     if d.kind != AFFINE:
         raise ValueError("expected an affine hypersurface")
-    poly = d.poly.map_coefficients(fld)
+    poly, fld = d.poly, d.poly.field
     if fld.q > poly.total_degree():
         point, trace = _affine_recurse(poly, fld)
         return _verify_found(poly, tuple(point), GUARANTEED, trace)
-    return _fallback(d, fld)
+    return _fallback(d)
 
 
 def _affine_recurse(poly, fld):
@@ -247,8 +247,8 @@ def _affine_recurse(poly, fld):
 # projective
 
 
-def avoid_projective(d, fld):
-    """Point of P^n(fld) off the hypersurface.
+def avoid_projective(d):
+    """Point of P^n(k) off the hypersurface, k the field of its polynomial.
 
     Guaranteed mode (q >= degree) recurses through the coordinate pencil
     x0 = lambda*x1 (plus the member x1 = 0): at most deg members restrict to
@@ -256,13 +256,13 @@ def avoid_projective(d, fld):
     """
     if d.kind != PROJECTIVE:
         raise ValueError("expected a projective hypersurface")
-    poly = d.poly.map_coefficients(fld)
+    poly, fld = d.poly, d.poly.field
     if fld.q >= poly.total_degree():
         if poly.nvars ** 2 * len(poly.terms) > MAX_PENCIL_WORK:
             raise SpaceTooLarge(f"pencil search cost exceeds limit {MAX_PENCIL_WORK}")
         coords, trace = _projective_search(poly, fld)
         return _verify_found(poly, ProjectivePoint(coords, fld), GUARANTEED, trace)
-    return _fallback(d, fld)
+    return _fallback(d)
 
 
 def _projective_search(poly, fld):
@@ -406,8 +406,8 @@ def grass_cell_pullback(d):
     return pulled
 
 
-def avoid_grassmannian(d, fld):
-    """Point of Grass(m,n)(fld) off the hypersurface.
+def avoid_grassmannian(d):
+    """Point of Grass(m,n)(k) off the hypersurface, k the field of its polynomial.
 
     Guaranteed mode (q > m*deg) pulls the section back to the dense cell and
     runs the affine search there; the fallback enumerates the whole
@@ -417,30 +417,26 @@ def avoid_grassmannian(d, fld):
     if d.kind != GRASSMANNIAN:
         raise ValueError("expected a Grassmannian hypersurface")
     m, n = d.params
-    poly = d.poly.map_coefficients(fld)
-    dd = Hypersurface(poly, GRASSMANNIAN, (m, n))
-    if fld.q > m * dd.degree:
-        pulled = grass_cell_pullback(dd)
-        cell = Hypersurface(pulled, AFFINE, (m * (n - m),))
-        inner = avoid_affine(cell, fld)
+    if d.poly.field.q > m * d.degree:
+        inner = avoid_affine(Hypersurface(grass_cell_pullback(d), AFFINE, (m * (n - m),)))
         if not (inner.found and inner.mode == GUARANTEED):
             raise InternalContradiction("guaranteed cell search did not find a point")
         pivots, free = next(_cells(m, n))
-        gp = GrassmannianPoint(_echelon(pivots, free, n, inner.point), fld)
-        return _verify_found(poly, gp, GUARANTEED, inner.trace)
-    return _fallback(dd, fld)
+        gp = GrassmannianPoint(_echelon(pivots, free, n, inner.point), d.poly.field)
+        return _verify_found(d.poly, gp, GUARANTEED, inner.trace)
+    return _fallback(d)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and oracle
 
 
-def avoid(d, fld):
+def avoid(d):
     if d.kind == AFFINE:
-        return avoid_affine(d, fld)
+        return avoid_affine(d)
     if d.kind == PROJECTIVE:
-        return avoid_projective(d, fld)
-    return avoid_grassmannian(d, fld)
+        return avoid_projective(d)
+    return avoid_grassmannian(d)
 
 
 def _grass_shape(d):
@@ -451,17 +447,17 @@ def _grass_shape(d):
     return d.params
 
 
-def ambient_point_count(d, fld):
+def ambient_point_count(d):
+    q = d.poly.field.q
     if d.kind == AFFINE:
-        (n,) = d.params
-        return fld.q ** n
-    return sum(fld.q ** len(free) for _, free in _cells(*_grass_shape(d)))
+        return q ** d.params[0]
+    return sum(q ** len(free) for _, free in _cells(*_grass_shape(d)))
 
 
-def charts(d, fld):
-    """Charts covering the ambient space of ``d`` over ``fld``, as pairs
-    (section on the chart, :class:`Cell` of the chart, or None on affine
-    space).
+def charts(d):
+    """Charts covering the ambient space of ``d`` over the field of its
+    polynomial, as pairs (section on the chart, :class:`Cell` of the chart,
+    or None on affine space).
 
     Affine space is one chart.  Each Schubert cell of Grass(m, n), with P^n
     as Grass(1, n+1), gives the section pulled back to the cell through the
@@ -470,14 +466,13 @@ def charts(d, fld):
     Grass(m, n) the canonical order of reduced row-echelon matrices), so
     scanning the charts in turn lists the points in canonical order.
     """
-    poly = d.poly.map_coefficients(fld)
     if d.kind == AFFINE:
-        yield poly, None
+        yield d.poly, None
         return
     m, n = _grass_shape(d)
     for pivots, free in _cells(m, n):
-        cell = Cell.build(n, pivots, free, fld)
-        yield poly.substitute(cell.minors), cell
+        cell = Cell.build(n, pivots, free, d.poly.field)
+        yield d.poly.substitute(cell.minors), cell
 
 
 def chart_rows(chart, cell, found):
@@ -499,26 +494,25 @@ def _point(kind, row, fld):
     return GrassmannianPoint(row, fld)
 
 
-def _check_budget(d, fld, limit):
+def _check_budget(d, limit):
     # the count itself can pass the digits that str() converts
-    if ambient_point_count(d, fld) > limit:
+    if ambient_point_count(d) > limit:
         raise SpaceTooLarge(f"ambient point count exceeds limit {limit}")
 
 
-def _fallback(d, fld):
+def _fallback(d):
     """First avoiding point in canonical order, or NoPointExists; bounded by
     the oracle's default budget."""
-    _check_budget(d, fld, DEFAULT_ORACLE_LIMIT)
-    poly = d.poly.map_coefficients(fld)
-    for chart, cell in charts(d, fld):
+    _check_budget(d, DEFAULT_ORACLE_LIMIT)
+    for chart, cell in charts(d):
         found = next(kernels.hits(chart), None)
         if found is not None:
             row = chart_rows(chart, cell, found[:1])[0].tolist()
-            return _verify_found(poly, _point(d.kind, row, fld), EXHAUSTIVE)
+            return _verify_found(d.poly, _point(d.kind, row, d.poly.field), EXHAUSTIVE)
     return AvoidanceResult(NO_POINT, EXHAUSTIVE)
 
 
-def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
+def exhaustive_oracle(d, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
     """``(count, blocks)``: the number of avoiding points, and the first
     ``max_listed`` of them (all of them when None) in canonical order as
     int64 arrays, one block per :func:`kernels.hits` block that lists any.
@@ -530,9 +524,9 @@ def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
     budget: a larger one raises SpaceTooLarge before any count."""
     if limit > DEFAULT_ORACLE_LIMIT:
         raise SpaceTooLarge(f"oracle limit is more than {DEFAULT_ORACLE_LIMIT} points")
-    _check_budget(d, fld, limit)
+    _check_budget(d, limit)
     count, listed, blocks = 0, 0, []
-    for chart, cell in charts(d, fld):
+    for chart, cell in charts(d):
         for found in kernels.hits(chart):
             count += len(found)
             if max_listed is not None:
@@ -542,7 +536,7 @@ def exhaustive_oracle(d, fld, limit=DEFAULT_ORACLE_LIMIT, max_listed=None):
             listed += len(found)
             rows = chart_rows(chart, cell, found)
             if d.kind == GRASSMANNIAN:
-                blocks.append((rows, plucker(cell, fld, found)))
+                blocks.append((rows, plucker(cell, d.poly.field, found)))
             else:
                 blocks.append((rows if cell is None else rows[:, 0],))
     return count, blocks

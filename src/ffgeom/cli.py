@@ -235,12 +235,12 @@ def _hypersurface_from_args(args, kind):
         if nvars is None:
             nvars = max(count_variables(args.poly), 1)
         poly = parse_polynomial(args.poly, fld, nvars)
-        return Hypersurface(poly, AFFINE, (nvars,)), fld
+        return Hypersurface(poly, AFFINE, (nvars,))
     if kind == PROJECTIVE:
         dim = _positive(args.dim, "--dim")
         nvars = dim + 1 if dim is not None else max(count_variables(args.poly), 2)
         poly = parse_polynomial(args.poly, fld, nvars)
-        return Hypersurface(poly, PROJECTIVE, (nvars - 1,)), fld
+        return Hypersurface(poly, PROJECTIVE, (nvars - 1,))
     m, n = args.m, args.n
     if m is None or n is None:
         raise ValueError("a Grassmannian needs --m and --n")
@@ -251,7 +251,7 @@ def _hypersurface_from_args(args, kind):
     if n > MAX_VARS:
         raise SpaceTooLarge(f"variable count exceeds limit {MAX_VARS}")
     poly = parse_polynomial(args.poly, fld, comb(n, m))
-    return Hypersurface(poly, GRASSMANNIAN, (m, n)), fld
+    return Hypersurface(poly, GRASSMANNIAN, (m, n))
 
 
 def _cmd_field_info(args, out):
@@ -270,8 +270,9 @@ def _cmd_avoid(args, out):
     kind = {"affine": AFFINE, "projective": PROJECTIVE, "grass": GRASSMANNIAN}[
         args.ambient
     ]
-    surf, fld = _hypersurface_from_args(args, kind)
-    result = run_avoid(surf, fld)
+    surf = _hypersurface_from_args(args, kind)
+    fld = surf.poly.field
+    result = run_avoid(surf)
     doc = {
         "subcommand": f"avoid {args.ambient}",
         "inputs_echo": {
@@ -310,12 +311,12 @@ def _cmd_oracle(args, out):
         raise SpaceTooLarge(f"--max-listed exceeds limit {MAX_LISTED}")
     limit = _positive(args.limit, "--limit")
     kind = GRASSMANNIAN if args.kind == "grass" else args.kind
-    surf, fld = _hypersurface_from_args(args, kind)
-    count, blocks = exhaustive_oracle(surf, fld, limit=limit, max_listed=args.max_listed)
+    surf = _hypersurface_from_args(args, kind)
+    count, blocks = exhaustive_oracle(surf, limit=limit, max_listed=args.max_listed)
     doc = {
         "subcommand": "oracle",
         "inputs_echo": {"field": args.field, "poly": args.poly, "kind": args.kind},
-        "ambient_points": ambient_point_count(surf, fld),
+        "ambient_points": ambient_point_count(surf),
         "avoiding_count": count,
         "points": _SLOT,
         "truncated": count > args.max_listed,
@@ -324,9 +325,9 @@ def _cmd_oracle(args, out):
     head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_SLOT))
     out.write(head)
     if kind == GRASSMANNIAN:
-        _write_points("grassmannian", ("matrix", "plucker"), blocks, fld, out.write)
+        _write_points("grassmannian", ("matrix", "plucker"), blocks, surf.poly.field, out.write)
     else:
-        _write_points(kind, ("coordinates",), blocks, fld, out.write)
+        _write_points(kind, ("coordinates",), blocks, surf.poly.field, out.write)
     out.write(tail + "\n")
     return EXIT_OK if count else EXIT_NO_POINT
 
@@ -337,7 +338,7 @@ def _cmd_curve_point(args, out):
     gpoly = parse_polynomial(args.avoid, fld, 3)
     curve = curvepoint.PlaneCurve(fpoly)
     divisor = curvepoint.CurveDivisor(gpoly)
-    result = curvepoint.point_off_divisor(curve, divisor, fld)
+    result = curvepoint.point_off_divisor(curve, divisor)
     k2 = result.k2
     doc = {
         "subcommand": "curve point",

@@ -23,6 +23,7 @@ from .avoid import (
 from .errors import (
     CenterOnCurve,
     DivisorNotProper,
+    FieldMismatch,
     FieldTooSmall,
     InternalContradiction,
     NoEmbedding,
@@ -108,9 +109,9 @@ class CurvePointResult:
 
 
 def _on_line(forms, a, b, fld):
-    """For each form, the coefficients of v^0..v^e in form(a + v*b), e the
-    form's degree; entry i is also the coefficient of x^(e-i)*y^i in the
-    binary form form(x*a + y*b).
+    """For each form over ``fld``, the coefficients of v^0..v^e in
+    form(a + v*b), e the form's degree; entry i is also the coefficient of
+    x^(e-i)*y^i in the binary form form(x*a + y*b).
 
     Coordinate j contributes the row C(n, i) a_j^(n-i) b_j^i of
     (a_j + v*b_j)^n, built once per exponent n for all the forms; a term
@@ -137,7 +138,7 @@ def _on_line(forms, a, b, fld):
     outs = []
     for form in forms:
         out = [0] * (form.total_degree() + 1)
-        for exps, c in form.map_coefficients(fld).terms.items():
+        for exps, c in form.terms.items():
             for i, x in enumerate(rows[first][exps[first]]):
                 if x:
                     cx = mul(c, x)
@@ -193,13 +194,12 @@ def _squarefree_certificate(f):
     return False
 
 
-def projection_center(curve, k1):
-    """Point of P^2(k1) off the curve, canonical."""
-    e = curve.degree
-    if k1.q <= 2 * e:
-        raise FieldTooSmall(f"need q > {2 * e}, got {k1.q}")
-    surf = Hypersurface(curve.poly.map_coefficients(k1), PROJECTIVE, (2,))
-    res = avoid_projective(surf, k1)
+def projection_center(curve):
+    """Point of P^2 off the curve over the curve's field, canonical."""
+    e, q = curve.degree, curve.poly.field.q
+    if q <= 2 * e:
+        raise FieldTooSmall(f"need q > {2 * e}, got {q}")
+    res = avoid_projective(Hypersurface(curve.poly, PROJECTIVE, (2,)))
     if not (res.found and res.mode == GUARANTEED):
         raise InternalContradiction("guaranteed search found no center off the curve")
     return res.point
@@ -233,16 +233,19 @@ def fiber_resultant(curve, divisor, center, param):
     :func:`resultant` of that line's restrictions, exact even where a
     leading coefficient vanishes.
     """
-    fld = center.field
-    if curve.poly.map_coefficients(fld).eval(center.coords) == 0:
+    fld = curve.poly.field
+    if center.field != fld or divisor.poly.field != fld:
+        raise FieldMismatch("center and divisor must lie over the curve's field")
+    if curve.poly.eval(center.coords) == 0:
         raise CenterOnCurve("projection center lies on the curve")
     base = _pencil_base_point(center, *param)
     fc, gc = _on_line([curve.poly, divisor.poly], center.coords, base, fld)
     return resultant(fc, gc, curve.degree, divisor.degree, fld)
 
 
-def galois_orbit(pt, k2, k1):
-    """Frobenius orbit of a projective point over the subfield k1."""
+def galois_orbit(pt, k1):
+    """Frobenius orbit of a projective point over a subfield k1 of its field."""
+    k2 = pt.field
     if k1.p != k2.p or k2.k % k1.k != 0:
         raise NoEmbedding(f"{k1!r} is not a subfield of {k2!r}")
     orbit = []
@@ -257,9 +260,9 @@ def galois_orbit(pt, k2, k1):
     return sorted(orbit)
 
 
-def point_off_divisor(curve, divisor, k1):
+def point_off_divisor(curve, divisor):
     """Full pipeline: center, good fiber, root in a tower, Frobenius orbit,
-    verification.
+    verification.  The divisor lies over the curve's field k1.
 
     The good fiber is the first point of P^1(k1), in canonical order, where
     :func:`fiber_resultant` is nonzero.  R has degree beta and q >= beta, so
@@ -267,13 +270,13 @@ def point_off_divisor(curve, divisor, k1):
     divisor shares a component with the curve.  The value is checked once,
     on the chosen line.
     """
-    e = curve.degree
+    k1, e = curve.poly.field, curve.degree
     beta = e * divisor.degree
     if k1.q <= max(2 * e, beta - 1):
         raise FieldTooSmall(
             f"need q > max(2*{e}, {beta}-1) = {max(2 * e, beta - 1)}, got {k1.q}"
         )
-    center = projection_center(curve, k1)
+    center = projection_center(curve)
     for param in islice(projective_points(k1, 1), beta + 1):
         value = fiber_resultant(curve, divisor, center, param.coords)
         if value:
@@ -307,13 +310,13 @@ def point_off_divisor(curve, divisor, k1):
         point = ProjectivePoint(coords, k2)
     else:
         # the line meets the curve only at its base point on the axis line
-        if curve.poly.map_coefficients(k1).eval(q_pt) != 0:
+        if curve.poly.eval(q_pt) != 0:
             raise InternalContradiction(
                 "fiber restriction is constant but its base point is off the curve"
             )
         k2, ext_degree = k1, 1
         point = ProjectivePoint(q_pt, k1)
-    orbit = galois_orbit(point, k2, k1)
+    orbit = galois_orbit(point, k1)
     result = CurvePointResult(
         point=point,
         k1=k1,

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InternalContradiction,
     InvalidBaseDegree,
     NoEmbedding,
     NotPrime,
@@ -259,7 +260,7 @@ class FiniteField:
             if len(rows):
                 return tuple(rows[0].tolist())
             start, size = start + size, 2 * size
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
+        raise InternalContradiction(f"no irreducible polynomial of degree {k} over F_{p}")
 
     # -- identity ---------------------------------------------------------
 
@@ -446,20 +447,21 @@ class FiniteField:
             if not any(np.array_equal(power(mat, n // f, lambda a, b: a @ b % p, one), one)
                        for f in factors):
                 return cand
-        raise RuntimeError("no generator found")  # unreachable
+        raise InternalContradiction(f"no generator of the multiplicative group of {self!r}")
 
 
 @lru_cache(maxsize=None)
-def _make_field_cached(p, k, size_limit):
-    return FiniteField(p, k, size_limit=size_limit)
+def _make_field_cached(p, k):
+    # the benchmark's field cache swaps in a FiniteField that takes size_limit
+    return FiniteField(p, k, size_limit=DEFAULT_SIZE_LIMIT)
 
 
-def make_field(p, k=1, size_limit=DEFAULT_SIZE_LIMIT):
+def make_field(p, k=1):
     """Canonical descriptor for F_{p^k}; repeated calls return the same object."""
-    return _make_field_cached(p, k, size_limit)
+    return _make_field_cached(p, k)
 
 
-def parse_field_spec(spec, size_limit=DEFAULT_SIZE_LIMIT):
+def parse_field_spec(spec):
     """Parse 'p^k' or a plain prime-power cardinality into a field."""
     spec = str(spec).strip()
     parts = spec.split("^", 1)
@@ -470,21 +472,21 @@ def parse_field_spec(spec, size_limit=DEFAULT_SIZE_LIMIT):
             raise
         # more digits than int() converts: far past any size limit
         raise SizeLimitExceeded(f"p^k with a {max(map(len, parts))}-digit number "
-                                f"exceeds limit {size_limit}") from None
+                                f"exceeds limit {DEFAULT_SIZE_LIMIT}") from None
     if len(nums) == 2:
-        return make_field(*nums, size_limit=size_limit)
+        return make_field(*nums)
     q = nums[0]
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    if q > size_limit:
-        raise SizeLimitExceeded(f"p^k = {q} exceeds limit {size_limit}")
+    if q > DEFAULT_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"p^k = {q} exceeds limit {DEFAULT_SIZE_LIMIT}")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise NotPrime(f"{q} is not a prime power")
     p, k = factors[0], 1
     while p ** k < q:
         k += 1
-    return make_field(p, k, size_limit=size_limit)
+    return make_field(p, k)
 
 
 @lru_cache(maxsize=None)

@@ -170,7 +170,7 @@ def listed_points(kind, blocks, fld):
 
 def oracle_points(d, fld, **kwargs):
     """``exhaustive_oracle`` with its listing as point objects."""
-    count, blocks = exhaustive_oracle(d, fld, **kwargs)
+    count, blocks = exhaustive_oracle(d, **kwargs)
     return count, listed_points(d.kind, blocks, fld)
 
 
@@ -203,7 +203,7 @@ def enumerate_curve_points(curve, fld):
     plane = Hypersurface(curve.poly.map_coefficients(fld), PROJECTIVE, (2,))
     return [
         ProjectivePoint(rows[0], fld)
-        for chart, cell in charts(plane, fld)
+        for chart, cell in charts(plane)
         for rows in chart_rows(chart, cell, grid_zeros(chart)).tolist()
     ]
 

@@ -82,7 +82,7 @@ def test_criterion_1_affine_guaranteed():
             n = rng.randint(1, 3)
             poly = random_poly(rng, fld, n, max_deg)
             d = Hypersurface(poly, AFFINE, (n,))
-            res = avoid_affine(d, fld)
+            res = avoid_affine(d)
             ok &= res.found and res.mode == GUARANTEED
             ok &= poly.eval(list(res.point)) != 0
     elapsed = time.monotonic() - start
@@ -100,7 +100,7 @@ def test_criterion_2_projective_and_grassmannian():
             deg = rng.randint(1, q)  # q >= deg guarantees projective mode
             poly = random_homogeneous_poly(rng, fld, n + 1, deg)
             d = Hypersurface(poly, PROJECTIVE, (n,))
-            res = avoid_projective(d, fld)
+            res = avoid_projective(d)
             ok &= res.found and res.mode == GUARANTEED
             ok &= poly.eval(res.point.coords) != 0
     proj_elapsed = time.monotonic() - start
@@ -120,7 +120,7 @@ def test_criterion_2_projective_and_grassmannian():
             )
             d = Hypersurface(poly, GRASSMANNIAN, (m, n))
             try:
-                res = avoid_grassmannian(d, fld)
+                res = avoid_grassmannian(d)
             except CellContained:
                 continue
             ok &= res.found and res.mode == GUARANTEED
@@ -137,11 +137,11 @@ def test_criterion_3_oracle_agreement():
     f2 = field_for(2)
     neg = parse_polynomial("x0*x1*(x0+x1)", f2, 2)
     d_aff = Hypersurface(neg, AFFINE, (2,))
-    ok &= exhaustive_oracle(d_aff, f2) == (0, [])
-    ok &= not avoid(d_aff, f2).found
+    ok &= exhaustive_oracle(d_aff) == (0, [])
+    ok &= not avoid(d_aff).found
     d_proj = Hypersurface(neg, PROJECTIVE, (1,))
-    ok &= exhaustive_oracle(d_proj, f2) == (0, [])
-    ok &= not avoid(d_proj, f2).found
+    ok &= exhaustive_oracle(d_proj) == (0, [])
+    ok &= not avoid(d_proj).found
 
     for q in (2, 3, 4, 5, 7):
         fld = field_for(q)
@@ -162,7 +162,7 @@ def test_criterion_3_oracle_agreement():
                     continue  # keep the ambient below 10^5 points
                 poly = random_homogeneous_poly(rng, fld, 6, rng.randint(1, 2))
                 d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
-            res = avoid(d, fld)
+            res = avoid(d)
             _, oracle = oracle_points(d, fld, limit=10 ** 5)
             ok &= res.found == bool(oracle)
             if res.found:
@@ -216,7 +216,7 @@ def test_criterion_5_curve_pipeline():
         try:
             curve = PlaneCurve(parse_polynomial(f_text, fld, 3))
             div = CurveDivisor(parse_polynomial(g_text, fld, 3))
-            res = point_off_divisor(curve, div, fld)
+            res = point_off_divisor(curve, div)
         except (NotSquarefree, DivisorNotProper, FieldTooSmall, ZeroPolynomial):
             continue
         checked += 1

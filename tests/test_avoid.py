@@ -139,11 +139,11 @@ class TestAffine:
             avoid_module, "_affine_recurse", lambda poly, fld: ([1, 4], [])
         )
         with pytest.raises(InternalContradiction):
-            avoid_affine(d, F5)
+            avoid_affine(d)
 
     def test_example_f4(self):
         d = affine("x0*x1*(x0+x1)", F4, 2)
-        res = avoid_affine(d, F4)
+        res = avoid_affine(d)
         g = F4.from_coords([0, 1])
         assert res.outcome == FOUND and res.mode == GUARANTEED
         assert res.point == (1, g)
@@ -152,7 +152,7 @@ class TestAffine:
     def test_vanishing_everywhere_f2(self):
         # x0^2 + x0 is identically zero on F_2
         d = affine("x0^2 + x0", F2, 1)
-        res = avoid_affine(d, F2)
+        res = avoid_affine(d)
         assert res.outcome == NO_POINT and res.mode == EXHAUSTIVE
 
     def test_full_product_f9(self):
@@ -164,12 +164,12 @@ class TestAffine:
             )
             poly = poly * lin
         d = Hypersurface(poly, AFFINE, (1,))
-        res = avoid_affine(d, F9)
+        res = avoid_affine(d)
         assert res.outcome == NO_POINT and res.mode == EXHAUSTIVE
 
     def test_small_field_fallback_can_find(self):
         d = affine("x0*x1 + 1", F2, 2)  # degree 2 = q, not guaranteed
-        res = avoid_affine(d, F2)
+        res = avoid_affine(d)
         assert res.outcome == FOUND and res.mode == EXHAUSTIVE
         assert d.poly.eval(list(res.point)) != 0
 
@@ -181,7 +181,7 @@ class TestAffine:
             nvars = rng.randint(1, 3)
             poly = random_poly(rng, fld, nvars, min(q - 1, 4))
             d = Hypersurface(poly, AFFINE, (nvars,))
-            res = avoid_affine(d, fld)
+            res = avoid_affine(d)
             assert res.outcome == FOUND and res.mode == GUARANTEED
             assert poly.eval(list(res.point)) != 0
             # trace replays to the returned point
@@ -202,7 +202,7 @@ class TestAffine:
         # one level per variable, in a loop: no RecursionError
         n = 1100
         fld = make_field(1201)
-        res = avoid_affine(affine("*".join(f"x{i}" for i in range(n)), fld, n), fld)
+        res = avoid_affine(affine("*".join(f"x{i}" for i in range(n)), fld, n))
         assert res.mode == GUARANTEED and res.point == (1,) * n
         assert res.trace == [(i, 1) for i in range(n)]
 
@@ -210,28 +210,28 @@ class TestAffine:
         for _ in range(20):
             poly = random_poly(rng, F5, 2, 3)
             d = Hypersurface(poly, AFFINE, (2,))
-            first = avoid_affine(d, F5)
-            second = avoid_affine(d, F5)
+            first = avoid_affine(d)
+            second = avoid_affine(d)
             assert first.point == second.point and first.trace == second.trace
 
 
 class TestProjective:
     def test_example_f3(self):
         d = projective("x0*x1*x2", F3, 2)
-        res = avoid_projective(d, F3)
+        res = avoid_projective(d)
         assert res.outcome == FOUND and res.mode == GUARANTEED
         assert res.point == ProjectivePoint((1, 1, 1), F3)
 
     def test_no_point_f2(self):
         # x0*x1*(x0+x1) vanishes on all of P^1(F_2)
         d = projective("x0*x1*(x0+x1)", F2, 1)
-        res = avoid_projective(d, F2)
+        res = avoid_projective(d)
         assert res.outcome == NO_POINT and res.mode == EXHAUSTIVE
 
     def test_boundary_q_equals_degree(self):
         # q >= deg suffices in projective space
         d = projective("x0*x1*x2", F3, 2)
-        assert avoid_projective(d, F3).mode == GUARANTEED
+        assert avoid_projective(d).mode == GUARANTEED
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
     def test_guaranteed_soundness_random(self, q):
@@ -241,7 +241,7 @@ class TestProjective:
             n = rng.randint(1, 3)
             poly = random_homogeneous_poly(rng, fld, n + 1, rng.randint(1, q))
             d = Hypersurface(poly, PROJECTIVE, (n,))
-            res = avoid_projective(d, fld)
+            res = avoid_projective(d)
             assert res.outcome == FOUND and res.mode == GUARANTEED
             assert poly.eval(res.point.coords) != 0
 
@@ -250,7 +250,7 @@ class TestProjective:
         # variables: --dim 400 took ~4 s when every level built them
         d = projective("x0^7", F7, 400)
         start = time.perf_counter()
-        res = avoid_projective(d, F7)
+        res = avoid_projective(d)
         assert time.perf_counter() - start < 1.5
         assert res.mode == GUARANTEED
         assert res.point.coords == (1,) * 400 + (0,)
@@ -259,7 +259,7 @@ class TestProjective:
     def test_dimension_above_recursion_limit(self):
         # one pencil level per dimension, in a loop: no RecursionError
         n = sys.getrecursionlimit() + 10
-        res = avoid_projective(projective("x0^7", F7, n), F7)
+        res = avoid_projective(projective("x0^7", F7, n))
         assert res.point.coords == (1,) * n + (0,)
 
     def test_pencil_budget(self, monkeypatch):
@@ -267,17 +267,17 @@ class TestProjective:
         avoid_module = importlib.import_module("ffgeom.avoid")
         d = projective("x0 + x1", F7, 2)
         monkeypatch.setattr(avoid_module, "MAX_PENCIL_WORK", 18)
-        assert avoid_projective(d, F7).mode == GUARANTEED
+        assert avoid_projective(d).mode == GUARANTEED
         monkeypatch.setattr(avoid_module, "MAX_PENCIL_WORK", 17)
         with pytest.raises(SpaceTooLarge, match="exceeds limit 17"):
-            avoid_projective(d, F7)
+            avoid_projective(d)
 
     def test_past_pencil_budget_fails_fast(self):
         # 3163^2 > 10^7: refused before the first pencil level
         d = projective("x0", F7, 3162)
         start = time.perf_counter()
         with pytest.raises(SpaceTooLarge, match="pencil search cost exceeds limit"):
-            avoid_projective(d, F7)
+            avoid_projective(d)
         assert time.perf_counter() - start < 0.1
 
     def test_fallback_agrees_with_oracle(self, rng):
@@ -286,7 +286,7 @@ class TestProjective:
             n = rng.randint(1, 2)
             poly = random_homogeneous_poly(rng, fld, n + 1, 3)
             d = Hypersurface(poly, PROJECTIVE, (n,))
-            res = avoid_projective(d, fld)
+            res = avoid_projective(d)
             _, oracle = oracle_points(d, fld)
             if oracle:
                 assert res.outcome == FOUND and res.point == oracle[0]
@@ -379,7 +379,7 @@ class TestPlucker:
         d = Hypersurface(parse_polynomial("x0", fld, comb(n, m)), GRASSMANNIAN, (m, n))
         rng = random.Random(q * 100 + m * 10 + n)
         matrices = []
-        for chart, cell in charts(d, fld):
+        for chart, cell in charts(d):
             idx = np.arange(fld.q ** len(cell.free), dtype=np.int64)
             matrices += chart_rows(chart, cell, idx).tolist()
             rng.shuffle(idx)
@@ -434,7 +434,7 @@ class TestGrassmannian:
     def test_guaranteed_example(self):
         poly = parse_polynomial("x0*x5", F5, 6)
         d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
-        res = avoid_grassmannian(d, F5)
+        res = avoid_grassmannian(d)
         assert res.outcome == FOUND and res.mode == GUARANTEED
         assert poly.eval(res.point.plucker) != 0
         assert res.point.matrix[0][:2] == (1, 0)
@@ -443,7 +443,7 @@ class TestGrassmannian:
         for _ in range(20):
             poly = random_homogeneous_poly(rng, F2, 6, rng.randint(1, 2))
             d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
-            res = avoid_grassmannian(d, F2)
+            res = avoid_grassmannian(d)
             _, oracle = oracle_points(d, F2)
             if oracle:
                 assert res.outcome == FOUND
@@ -462,7 +462,7 @@ class TestGrassmannian:
             poly = random_homogeneous_poly(rng, fld, 6, rng.randint(1, max_deg))
             d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
             try:
-                res = avoid_grassmannian(d, fld)
+                res = avoid_grassmannian(d)
             except CellContained:
                 continue
             assert res.outcome == FOUND and res.mode == GUARANTEED
@@ -479,29 +479,29 @@ class TestOracle:
 
     def test_negative_control_affine(self):
         d = affine("x0*x1*(x0+x1)", F2, 2)
-        assert exhaustive_oracle(d, F2) == (0, [])
+        assert exhaustive_oracle(d) == (0, [])
 
     def test_negative_control_projective(self):
         d = projective("x0*x1*(x0+x1)", F2, 1)
-        assert exhaustive_oracle(d, F2) == (0, [])
+        assert exhaustive_oracle(d) == (0, [])
 
     def test_limit(self):
         d = affine("x0 + 1", F5, 12)
         with pytest.raises(SpaceTooLarge):
-            exhaustive_oracle(d, F5, limit=10 ** 6)
+            exhaustive_oracle(d, limit=10 ** 6)
         # a limit may lower the default budget, never raise it, even on a
         # space that fits the limit asked for
         small = affine("x0 + 1", F5, 1)
-        assert exhaustive_oracle(small, F5, limit=5)[0] == 4
+        assert exhaustive_oracle(small, limit=5)[0] == 4
         with pytest.raises(SpaceTooLarge, match="more than"):
-            exhaustive_oracle(small, F5, limit=DEFAULT_ORACLE_LIMIT + 1)
+            exhaustive_oracle(small, limit=DEFAULT_ORACLE_LIMIT + 1)
 
     def test_ambient_counts(self):
-        assert ambient_point_count(affine("x0", F5, 3), F5) == 125
-        assert ambient_point_count(projective("x0", F4, 2), F4) == 21
+        assert ambient_point_count(affine("x0", F5, 3)) == 125
+        assert ambient_point_count(projective("x0", F4, 2)) == 21
         poly = parse_polynomial("x0", F2, 6)
         d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
-        assert ambient_point_count(d, F2) == 35
+        assert ambient_point_count(d) == 35
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_search_agrees_with_oracle_all_kinds(self, q):
@@ -524,7 +524,7 @@ class TestOracle:
                     polys.append(random_homogeneous_poly(rng, fld, nvars, rng.randint(1, 4)))
             for poly in polys:
                 d = Hypersurface(poly, kind, params)
-                res = avoid(d, fld)
+                res = avoid(d)
                 count, oracle = oracle_points(d, fld)
                 if res.outcome == NO_POINT:
                     no_point += 1
@@ -568,7 +568,7 @@ class TestSharedCharts:
                 d = Hypersurface(poly, kind, params)
                 reference = per_point_oracle(d, fld)
                 assert oracle_points(d, fld) == (len(reference), reference)
-                res = avoid(d, fld)
+                res = avoid(d)
                 assert res.found == bool(reference)
                 if res.found:
                     assert res.value == poly.eval(_section_coords(res.point)) != 0
@@ -614,7 +614,7 @@ class TestSharedCharts:
             avoid_module, "plucker",
             lambda matrix, fld, at: calls.append(at.tolist()) or plucker_fn(matrix, fld, at))
         d = Hypersurface(parse_polynomial("x0*x5", F3, 6), GRASSMANNIAN, (2, 4))
-        count, blocks = exhaustive_oracle(d, F3, max_listed=3)
+        count, blocks = exhaustive_oracle(d, max_listed=3)
         # one Pluecker block for the one listed chunk, at the three listed indices
         assert count > 3 and len(blocks) == len(calls) == 1 and len(calls[0]) == 3
         assert [len(array) for array in blocks[0]] == [3, 3]
@@ -622,9 +622,9 @@ class TestSharedCharts:
     def test_no_point_grassmannian(self):
         # the Pluecker relation vanishes on all of Grass(2,4)
         d = Hypersurface(parse_polynomial("x0*x5 + x1*x4 + x2*x3", F2, 6), GRASSMANNIAN, (2, 4))
-        assert exhaustive_oracle(d, F2) == (0, [])
+        assert exhaustive_oracle(d) == (0, [])
         assert per_point_oracle(d, F2) == []
-        assert avoid(d, F2).outcome == NO_POINT
+        assert avoid(d).outcome == NO_POINT
 
     @pytest.mark.parametrize("kind,text,params,nvars,bad", [
         (AFFINE, "x0*x1 + 1", (2,), 2, 3),  # index 3 is (1,1)
@@ -637,7 +637,7 @@ class TestSharedCharts:
         d = Hypersurface(parse_polynomial(text, F2, nvars), kind, params)
         monkeypatch.setattr(kernels, "hits", lambda poly: iter([np.array([bad])]))
         with pytest.raises(InternalContradiction):
-            avoid(d, F2)
+            avoid(d)
 
     def test_first_hit_fallback_evaluates_one_chunk(self, monkeypatch):
         requested = []
@@ -653,7 +653,7 @@ class TestSharedCharts:
         kernels.field_tables(F2)  # built once per field, outside the measured scan
         tracemalloc.start()
         try:
-            res = avoid_affine(d, F2)
+            res = avoid_affine(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -102,6 +102,41 @@ GOLDEN_CASES = [
         ],
         EXIT_OK,
     ),
+    # roots in F_13^4, F_9^3 and F_16^2 (the last through the F_16 -> F_256
+    # embedding), then beta = 12 over a field of characteristic 2
+    (
+        "curve_point_quartic_f13",
+        [
+            "curve", "point", "--field", "13", "--avoid", "2*x2 + 2*x1", "--curve",
+            "1*x1^4 + 11*x1^2*x2^2 + 10*x2^4 + 5*x0*x1^3 + 8*x0*x1^2*x2 + 1*x0*x1*x2^2"
+            " + 9*x0*x2^3 + 7*x0^2*x1^2 + 3*x0^2*x1*x2 + 3*x0^3*x1 + 11*x0^3*x2 + 7*x0^4",
+        ],
+        EXIT_OK,
+    ),
+    (
+        "curve_point_cubic_f9",
+        [
+            "curve", "point", "--field", "9", "--avoid", "x0",
+            "--curve", "1*x0*x2^2 + 1*x0^3 + 2*x1^2*x2 + 1*x2^3 + 1*x0^3",
+        ],
+        EXIT_OK,
+    ),
+    (
+        "curve_point_conic_f16",
+        [
+            "curve", "point", "--field", "16", "--avoid", "x0",
+            "--curve", "2*x1^2 + 3*x2^2 + 3*x0^2 + 1*x0*x2 + 1*x1*x2",
+        ],
+        EXIT_OK,
+    ),
+    (
+        "curve_point_cubic_quartic_f16",
+        [
+            "curve", "point", "--field", "16", "--avoid", "x0*x1*x2^2 + x1^4 + 2*x0^4 + x2^4",
+            "--curve", "x0^2*x1 + x1^2*x2 + x2^2*x0 + 5*x0*x1*x2",
+        ],
+        EXIT_OK,
+    ),
     (
         "p1_verify_balanced",
         ["p1", "verify", "--type", "0,0", "--search-bound", "3", "--rank-bound", "2"],

@@ -21,6 +21,7 @@ from ffgeom.curvepoint import (
 from ffgeom.errors import (
     CenterOnCurve,
     DivisorNotProper,
+    FieldMismatch,
     FieldTooSmall,
     InternalContradiction,
     NoEmbedding,
@@ -40,6 +41,7 @@ F3 = make_field(3)
 F5 = make_field(5)
 F7 = make_field(7)
 F9 = make_field(3, 2)
+F49 = make_field(7, 2)
 
 
 def curve(text, fld):
@@ -79,17 +81,18 @@ class TestValidation:
 class TestProjectionCenter:
     def test_off_curve(self):
         c = curve("x0*x1 + 2*x2^2", F5)
-        center = projection_center(c, F5)
+        center = projection_center(c)
         assert c.poly.eval(center.coords) != 0
 
     def test_field_too_small(self):
-        c = curve("x0*x1 + 2*x2^2", F5)
+        # q = 3 <= 2e = 4
+        c = curve("x0*x1 + 2*x2^2", F3)
         with pytest.raises(FieldTooSmall):
-            projection_center(c, F3)
+            projection_center(c)
 
     def test_deterministic(self):
         c = curve("x0^3 + x1^3 + 2*x2^3 + x0*x1*x2", F7)
-        assert projection_center(c, F7) == projection_center(c, F7)
+        assert projection_center(c) == projection_center(c)
 
 
 def _p1(fld):
@@ -104,11 +107,19 @@ class TestFiberResultant:
         with pytest.raises(CenterOnCurve):
             fiber_resultant(c, divisor("x2", F5), center, (1, 0))
 
+    def test_center_over_another_field(self):
+        c = curve("x0*x1 + 2*x2^2", F7)
+        g = divisor("x2", F7)
+        center = projection_center(c)
+        assert fiber_resultant(c, g, center, (1, 0)) is not None
+        with pytest.raises(FieldMismatch):
+            fiber_resultant(c, g, ProjectivePoint(center.coords, F49), (1, 0))
+
     def test_degree_is_product(self):
         # R is a binary form of degree beta = 2 * 1: R(ls, lt) = l^beta R(s, t)
         c = curve("x0*x1 + 2*x2^2", F5)
         g = divisor("x0 + x1", F5)
-        center = projection_center(c, F5)
+        center = projection_center(c)
         beta = c.degree * g.degree
         values = {st: fiber_resultant(c, g, center, st) for st in _p1(F5)}
         assert any(values.values())
@@ -119,25 +130,25 @@ class TestFiberResultant:
 
     def test_constant_divisor(self):
         c = curve("x0*x1 + 2*x2^2", F5)
-        center = projection_center(c, F5)
+        center = projection_center(c)
         for st in _p1(F5):
             assert fiber_resultant(c, divisor("3", F5), center, st) == F5.pow(3, 2)
 
     def test_shared_component_rejected(self):
         c = curve("x0*x1", F7)
         g = divisor("x0", F7)
-        center = projection_center(c, F7)
+        center = projection_center(c)
         assert all(fiber_resultant(c, g, center, st) == 0 for st in _p1(F7))
         with pytest.raises(DivisorNotProper):
-            point_off_divisor(c, g, F7)
+            point_off_divisor(c, g)
 
     def test_field_too_small_for_interpolation(self):
         # beta = 2 * 3 = 6 needs q >= 6, so that P^1 has beta + 1 points;
         # the center alone (q > 2e = 4) admits F_5, as a line divisor shows
         c = curve("x0*x1 + 2*x2^2", F5)
         with pytest.raises(FieldTooSmall, match="6-1"):
-            point_off_divisor(c, divisor("x0^3 + x2^3", F5), F5)
-        assert all(point_off_divisor(c, divisor("x0", F5), F5).flags.values())
+            point_off_divisor(c, divisor("x0^3 + x2^3", F5))
+        assert all(point_off_divisor(c, divisor("x0", F5)).flags.values())
 
     def test_matches_symbolic_sylvester_determinant(self):
         # at every point of P^1, the value equals the cofactor determinant of
@@ -164,7 +175,7 @@ class TestFiberResultant:
                     g = CurveDivisor(
                         random_homogeneous_poly(rng, fld, 3, mg, rng.randint(2, 8))
                     )
-                    center = projection_center(c, fld)
+                    center = projection_center(c)
                 except NotSquarefree:
                     continue
                 done += 1
@@ -174,9 +185,9 @@ class TestFiberResultant:
                 first = next((st for st in _p1(fld) if expected.eval(st)), None)
                 if first is None:
                     with pytest.raises(DivisorNotProper):
-                        point_off_divisor(c, g, fld)
+                        point_off_divisor(c, g)
                 else:
-                    assert point_off_divisor(c, g, fld).fiber_parameter.coords == first
+                    assert point_off_divisor(c, g).fiber_parameter.coords == first
                     checked += 1
         assert checked >= 20
 
@@ -195,7 +206,7 @@ class TestFiberResultant:
                 try:
                     c = PlaneCurve(f)
                     g = CurveDivisor(parse_polynomial(g_text, fld, 3))
-                    center = projection_center(c, fld)
+                    center = projection_center(c)
                 except NotSquarefree:
                     continue
                 trials += 1
@@ -219,12 +230,12 @@ class TestSoundnessCheck:
     ], ids=["cubic", "beta-equals-q"])
     def test_wrong_resultant_is_caught(self, monkeypatch, curve_text, divisor_text):
         c, d = curve(curve_text, F7), divisor(divisor_text, F7)
-        assert all(point_off_divisor(c, d, F7).flags.values())
+        assert all(point_off_divisor(c, d).flags.values())
         honest = curvepoint.resultant
         monkeypatch.setattr(curvepoint, "resultant",
                             lambda *args: args[4].add(honest(*args), 1))
         with pytest.raises(InternalContradiction, match="Sylvester determinant"):
-            point_off_divisor(c, d, F7)
+            point_off_divisor(c, d)
 
 
 def _symbolic_resultant(c, g, center, fld):
@@ -355,20 +366,20 @@ class TestLineRestriction:
 class TestGaloisOrbit:
     def test_rational_point_fixed(self):
         pt = ProjectivePoint((1, 2, 0), F9)
-        orbit = galois_orbit(pt, F9, F9)
+        orbit = galois_orbit(pt, F9)
         assert orbit == [pt]
 
     def test_conjugate_pair(self):
         g = F9.from_coords([0, 1])
         pt = ProjectivePoint((1, g, 0), F9)
-        orbit = galois_orbit(pt, F9, F3)
+        orbit = galois_orbit(pt, F3)
         assert len(orbit) == 2
         conj = F9.frobenius(g, 1)
         assert ProjectivePoint((1, conj, 0), F9) in orbit
 
     def test_not_a_subfield(self):
         with pytest.raises(NoEmbedding):
-            galois_orbit(ProjectivePoint((1, 0), F9), F9, F5)
+            galois_orbit(ProjectivePoint((1, 0), F9), F5)
 
     def test_exhaustive_orbit_partition(self):
         # orbits partition P^2(F_9) and sizes divide [F_9 : F_3] = 2
@@ -378,7 +389,7 @@ class TestGaloisOrbit:
         for pt in projective_points(F9, 2):
             if pt.coords in seen:
                 continue
-            orbit = galois_orbit(pt, F9, F3)
+            orbit = galois_orbit(pt, F3)
             assert len(orbit) in (1, 2)
             rational = all(
                 F9.frobenius(c, 1) == c for c in pt.coords
@@ -409,27 +420,36 @@ def _pipeline_cases(draw):
 class TestPipeline:
     def test_conic_example(self):
         c = curve("x0*x1 + 2*x2^2", F5)
-        res = point_off_divisor(c, divisor("x2", F5), F5)
+        res = point_off_divisor(c, divisor("x2", F5))
         assert all(res.flags.values())
         assert res.ext_degree <= 2
 
     def test_field_too_small(self):
-        c = curve("x0*x1 + 2*x2^2", F5)
+        # q = 3 <= 2e = 4
+        c = curve("x0*x1 + 2*x2^2", F3)
         with pytest.raises(FieldTooSmall):
-            point_off_divisor(c, divisor("x2", F5), F3)
+            point_off_divisor(c, divisor("x2", F3))
+
+    @pytest.mark.parametrize("curve_field,divisor_field", [(F7, F5), (F7, F49), (F49, F7)],
+                             ids=["F5-on-F7", "F49-on-F7", "F7-on-F49"])
+    def test_divisor_over_another_field(self, curve_field, divisor_field):
+        # another characteristic, an extension and a subfield are refused alike
+        c = curve("x0*x1 + 2*x2^2", curve_field)
+        with pytest.raises(FieldMismatch):
+            point_off_divisor(c, divisor("x2", divisor_field))
 
     def test_verification_is_independent(self):
         c = curve("x0*x1 + 2*x2^2", F5)
-        res = point_off_divisor(c, divisor("x0 + x1", F5), F5)
+        res = point_off_divisor(c, divisor("x0 + x1", F5))
         flags = verify_on_curve(res, c, divisor("x0 + x1", F5))
         assert all(flags.values())
 
     def test_negative_control_flags(self):
         c = curve("x0*x1 + 2*x2^2", F5)
         d = divisor("x2", F5)
-        res = point_off_divisor(c, d, F5)
+        res = point_off_divisor(c, d)
         # swap in a point off the curve: on_curve flag must trip
-        bad = ProjectivePoint(projection_center(c, F5).coords, res.k2)
+        bad = ProjectivePoint(projection_center(c).coords, res.k2)
         res.point = bad
         res.orbit = [bad]
         flags = verify_on_curve(res, c, d)
@@ -447,7 +467,7 @@ class TestPipeline:
                 try:
                     c = PlaneCurve(parse_polynomial(text, fld, 3))
                     d = CurveDivisor(parse_polynomial(g_text, fld, 3))
-                    res = point_off_divisor(c, d, fld)
+                    res = point_off_divisor(c, d)
                 except (NotSquarefree, DivisorNotProper, FieldTooSmall):
                     continue
                 done += 1
@@ -469,13 +489,13 @@ class TestPipeline:
         except NotSquarefree:
             assume(False)
         d = CurveDivisor(g)
-        expected = _symbolic_resultant(c, d, projection_center(c, fld), fld)
+        expected = _symbolic_resultant(c, d, projection_center(c), fld)
         first = next((st for st in _p1(fld) if expected.eval(st)), None)
         if first is None:
             with pytest.raises(DivisorNotProper):
-                point_off_divisor(c, d, fld)
+                point_off_divisor(c, d)
             return
-        res = point_off_divisor(c, d, fld)
+        res = point_off_divisor(c, d)
         assert res.fiber_parameter.coords == first
         k2 = res.k2
         assert res.point in enumerate_curve_points(c, k2)
@@ -488,8 +508,8 @@ class TestPipeline:
     def test_deterministic(self):
         c = curve("x0^3 + 2*x1^3 + 3*x2^3 + x0*x1*x2", F7)
         d = divisor("x0", F7)
-        a = point_off_divisor(c, d, F7)
-        b = point_off_divisor(c, d, F7)
+        a = point_off_divisor(c, d)
+        b = point_off_divisor(c, d)
         assert a.point == b.point and a.center == b.center
         assert a.orbit == b.orbit
 

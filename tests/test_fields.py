@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from itertools import takewhile
@@ -8,12 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from ffgeom.errors import (
     DivisionByZero,
+    InternalContradiction,
     InvalidBaseDegree,
     NoEmbedding,
     NotPrime,
     SizeLimitExceeded,
 )
-from ffgeom import fields, kernels
+from ffgeom import cli, fields, kernels
 from ffgeom.fields import (
     DEFAULT_SIZE_LIMIT,
     FiniteField,
@@ -105,6 +107,37 @@ class TestConstruction:
             for c in reversed(fld.modulus):
                 acc = base.add(base.mul(acc, x), c)
             assert acc != 0
+
+
+def _no_generator(monkeypatch):
+    # with 1 as the only factor of q - 1 every candidate fails the test
+    # a^((q-1)/r) != 1
+    monkeypatch.setattr(fields, "_prime_factors", lambda n: [1])
+
+
+def _no_modulus(monkeypatch):
+    # every candidate leaves remainder zero, so none is irreducible
+    monkeypatch.setattr(fields, "_remainder_table", lambda p, k, d, divisors: np.zeros(
+        (k + 1, d, len(divisors)), dtype=np.int64))
+
+
+class TestSearchesNeverEmpty:
+    """A field always has an irreducible modulus and a generator, so a
+    search that finds none is a soundness failure, also under python -O."""
+
+    @pytest.mark.parametrize("patch", [_no_generator, _no_modulus],
+                             ids=["generator", "modulus"])
+    def test_raises_internal_contradiction(self, monkeypatch, patch):
+        patch(monkeypatch)
+        with pytest.raises(InternalContradiction):
+            FiniteField(3, 2).generator()
+
+    def test_cli_exits_internal(self, monkeypatch):
+        _no_generator(monkeypatch)
+        monkeypatch.setattr(fields, "make_field", lambda p, k=1: FiniteField(p, k))
+        err = io.StringIO()
+        assert cli.run(["field", "info", "--field", "3^2"], io.StringIO(), err) == cli.EXIT_INTERNAL
+        assert err.getvalue().startswith("internal error: no generator")
 
 
 class TestPrimality:

@@ -268,7 +268,7 @@ class TestReducedScan:
         nvars = params[0] + 1 if kind == PROJECTIVE else 6
         d = Hypersurface(parse_polynomial(text, fld, nvars), kind, params)
         reduced_to_zero = 0
-        for chart, _ in charts(d, fld):
+        for chart, _ in charts(d):
             reduced_to_zero += chart.reduced().is_zero()
             assert _joined_hits(chart) == _scalar_hits(chart)
         assert reduced_to_zero == zero_charts
