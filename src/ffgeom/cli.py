@@ -400,12 +400,13 @@ def _cmd_bound(args, out):
 
 
 def _parse_type(text):
+    entries = text.split(",")
+    if all(x.strip() == "" for x in entries):
+        raise ParseError("empty splitting type")
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
+        parts = [int(x) for x in entries]
     except ValueError as exc:
         raise ParseError(f"bad splitting type {text!r}") from exc
-    if not parts:
-        raise ParseError("empty splitting type")
     return p1lab.SplittingType(parts)
 
 

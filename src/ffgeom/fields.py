@@ -32,6 +32,7 @@ from .errors import (
     InvalidBaseDegree,
     NoEmbedding,
     NotPrime,
+    ParseError,
     SizeLimitExceeded,
 )
 
@@ -462,14 +463,14 @@ def make_field(p, k=1):
 
 
 def parse_field_spec(spec):
-    """Parse 'p^k' or a plain prime-power cardinality into a field."""
-    spec = str(spec).strip()
-    parts = spec.split("^", 1)
+    """Parse 'p^k' or a plain prime-power cardinality into a field.  Each
+    part is a run of decimal digits, as in a polynomial."""
+    parts = [part.strip() for part in str(spec).split("^", 1)]
+    if not all(part.isdecimal() for part in parts):
+        raise ParseError(f"field {spec!r} is not p^k or q in decimal digits")
     try:
         nums = [int(part) for part in parts]
     except ValueError:
-        if not all(part.strip().lstrip("+-").isdecimal() for part in parts):
-            raise
         # more digits than int() converts: far past any size limit
         raise SizeLimitExceeded(f"p^k with a {max(map(len, parts))}-digit number "
                                 f"exceeds limit {DEFAULT_SIZE_LIMIT}") from None
