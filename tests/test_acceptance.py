@@ -61,7 +61,8 @@ from conftest import (
     random_homogeneous_poly,
     random_poly,
 )
-from test_cli import GOLDEN_CASES, GOLDEN_DIR, invoke
+from cli_cases import GOLDEN_DIR
+from test_cli import GOLDEN_ROWS, invoke
 
 
 def report(criterion, label, ok, elapsed=None):
@@ -244,11 +245,11 @@ def test_criterion_6_genus0_criterion():
 
 def test_criterion_7_determinism():
     ok = True
-    for name, argv, expected_code in GOLDEN_CASES:
-        code, stdout, _ = invoke(argv)
-        with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+    for row in GOLDEN_ROWS:
+        code, stdout, _ = invoke(row.argv)
+        with open(os.path.join(GOLDEN_DIR, row.id + ".json")) as fh:
             golden = fh.read()
-        code2, stdout2, _ = invoke(argv)
-        ok &= code == code2 == expected_code
+        code2, stdout2, _ = invoke(row.argv)
+        ok &= code == code2 == row.code
         ok &= stdout == stdout2 == golden
     report(7, "CLI reruns byte-identical to golden files", ok)

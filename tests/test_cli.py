@@ -20,9 +20,10 @@ from ffgeom.avoid import (
     plucker,
     projective_points,
 )
-from ffgeom.cli import EXIT_NO_POINT, EXIT_OK, EXIT_PRECONDITION, run
+from ffgeom.cli import EXIT_NO_POINT, EXIT_OK, run
 from ffgeom.polynomials import MultivariatePolynomial
 
+import cli_cases
 from conftest import (
     field_for,
     grassmannian_points,
@@ -31,144 +32,9 @@ from conftest import (
     random_poly,
 )
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-
-GOLDEN_CASES = [
-    ("field_info_f9", ["field", "info", "--field", "3^2"], EXIT_OK),
-    (
-        "avoid_affine_f4",
-        ["avoid", "affine", "--field", "4", "--poly", "x0*x1*(x0+x1)"],
-        EXIT_OK,
-    ),
-    (
-        "avoid_projective_f3",
-        ["avoid", "projective", "--field", "3", "--poly", "x0*x1*x2"],
-        EXIT_OK,
-    ),
-    (
-        "avoid_affine_no_point_f2",
-        ["avoid", "affine", "--field", "2", "--poly", "x0*x1*(x0+x1)", "--vars", "2"],
-        EXIT_NO_POINT,
-    ),
-    (
-        "avoid_grass_f3",
-        ["avoid", "grass", "--field", "3", "--poly", "x0*x5", "--m", "2", "--n", "4"],
-        EXIT_OK,
-    ),
-    (
-        "oracle_projective_f3",
-        ["oracle", "--kind", "projective", "--field", "3", "--poly", "x0*x1*x2"],
-        EXIT_OK,
-    ),
-    (
-        "oracle_affine_f4",
-        ["oracle", "--kind", "affine", "--field", "4", "--poly", "x0*x1+x0+1"],
-        EXIT_OK,
-    ),
-    (
-        "oracle_grass_f3_truncated",
-        [
-            "oracle", "--kind", "grass", "--field", "3", "--poly", "x0*x5",
-            "--m", "2", "--n", "4", "--max-listed", "3",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "oracle_projective_f5_unlisted",
-        [
-            "oracle", "--kind", "projective", "--field", "5", "--poly", "x0*x1",
-            "--max-listed", "0",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "bound_m_spot",
-        ["bound", "m", "--n", "1", "--alpha", "2", "--beta", "5"],
-        EXIT_OK,
-    ),
-    (
-        "bound_pipeline_spot",
-        [
-            "bound", "pipeline", "--g", "2", "--r", "2", "--d", "1",
-            "--alpha", "2", "--beta", "5",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "curve_point_conic_f5",
-        [
-            "curve", "point", "--curve", "x0*x1 + 2*x2^2", "--avoid", "x2",
-            "--field", "5",
-        ],
-        EXIT_OK,
-    ),
-    # roots in F_13^4, F_9^3 and F_16^2 (the last through the F_16 -> F_256
-    # embedding), then beta = 12 over a field of characteristic 2
-    (
-        "curve_point_quartic_f13",
-        [
-            "curve", "point", "--field", "13", "--avoid", "2*x2 + 2*x1", "--curve",
-            "1*x1^4 + 11*x1^2*x2^2 + 10*x2^4 + 5*x0*x1^3 + 8*x0*x1^2*x2 + 1*x0*x1*x2^2"
-            " + 9*x0*x2^3 + 7*x0^2*x1^2 + 3*x0^2*x1*x2 + 3*x0^3*x1 + 11*x0^3*x2 + 7*x0^4",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "curve_point_cubic_f9",
-        [
-            "curve", "point", "--field", "9", "--avoid", "x0",
-            "--curve", "1*x0*x2^2 + 1*x0^3 + 2*x1^2*x2 + 1*x2^3 + 1*x0^3",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "curve_point_conic_f16",
-        [
-            "curve", "point", "--field", "16", "--avoid", "x0",
-            "--curve", "2*x1^2 + 3*x2^2 + 3*x0^2 + 1*x0*x2 + 1*x1*x2",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "curve_point_cubic_quartic_f16",
-        [
-            "curve", "point", "--field", "16", "--avoid", "x0*x1*x2^2 + x1^4 + 2*x0^4 + x2^4",
-            "--curve", "x0^2*x1 + x1^2*x2 + x2^2*x0 + 5*x0*x1*x2",
-        ],
-        EXIT_OK,
-    ),
-    (
-        "p1_verify_balanced",
-        ["p1", "verify", "--type", "0,0", "--search-bound", "3", "--rank-bound", "2"],
-        EXIT_OK,
-    ),
-    (
-        "p1_verify_unbalanced",
-        ["p1", "verify", "--type", "1,-1", "--search-bound", "3", "--rank-bound", "2"],
-        EXIT_NO_POINT,
-    ),
-    (
-        "p1_scan_small",
-        ["p1", "scan", "--rank-max", "2", "--coeff-bound", "1"],
-        EXIT_OK,
-    ),
-    # the benchmark's two scan slots and a balanced type in the default box
-    (
-        "p1_scan_r4_c2",
-        ["p1", "scan", "--rank-max", "4", "--coeff-bound", "2"],
-        EXIT_OK,
-    ),
-    (
-        "p1_scan_r3_c3",
-        ["p1", "scan", "--rank-max", "3", "--coeff-bound", "3"],
-        EXIT_OK,
-    ),
-    (
-        "p1_verify_balanced_rank3",
-        ["p1", "verify", "--type=-3,-3,-3"],
-        EXIT_OK,
-    ),
-]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROW_BY_ID = {row.id: row for row in cli_cases.ROWS}
+GOLDEN_ROWS = [row for row in cli_cases.ROWS if row.golden]
 
 
 def invoke(argv):
@@ -177,37 +43,69 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("name,argv,expected_code", GOLDEN_CASES,
-                         ids=[c[0] for c in GOLDEN_CASES])
-def test_golden(name, argv, expected_code):
-    code, stdout, _ = invoke(argv)
-    assert code == expected_code
-    with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
-        assert stdout == fh.read()
-    # the output is well-formed JSON echoing its inputs
-    doc = json.loads(stdout)
-    assert "subcommand" in doc and "inputs_echo" in doc
+def run_row(row_id):
+    """Run a row of the table in-process; fail with its problems."""
+    row = ROW_BY_ID[row_id]
+    start = time.perf_counter()
+    code, stdout, stderr = invoke(row.argv)
+    elapsed = time.perf_counter() - start
+    problems = cli_cases.check(row, code, stdout, stderr)
+    if row.seconds is not None and elapsed >= row.seconds:
+        problems.append(f"took {elapsed:.3f} s, bound {row.seconds} s")
+    assert not problems, problems
 
 
-@pytest.mark.parametrize("name,argv,expected_code", GOLDEN_CASES,
-                         ids=[c[0] for c in GOLDEN_CASES])
-def test_rerun_byte_identical(name, argv, expected_code):
-    first = invoke(argv)
-    second = invoke(argv)
-    assert first == second
+@pytest.mark.parametrize("row_id", list(ROW_BY_ID))
+def test_cli_case(row_id):
+    run_row(row_id)
+
+
+def test_row_ids_unique():
+    ids = [row.id for row in cli_cases.ROWS]
+    assert len(ids) == len(set(ids))
+
+
+def test_every_golden_file_named_by_one_row():
+    named = sorted(row.id + ".json" for row in GOLDEN_ROWS)
+    assert named == sorted(os.listdir(cli_cases.GOLDEN_DIR))
+
+
+def test_installed_runner_names_failing_rows(capsys, monkeypatch):
+    # the runner of the console script, here over the module in a new
+    # interpreter: a row with a wrong exit code fails it, by name
+    monkeypatch.setenv("PYTHONPATH", SRC)
+    command = (sys.executable, "-m", "ffgeom.cli")
+    right = ROW_BY_ID["field_info_f16"]
+    wrong = right._replace(id="field_info_f16_wrong_code", code=EXIT_NO_POINT)
+    with pytest.raises(SystemExit) as exc:
+        cli_cases.main([right, wrong], command)
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert "FAIL field_info_f16_wrong_code: exit 0, expected 2" in out
+    assert "FAIL field_info_f16:" not in out and "1 of 2 CLI cases pass" in out
+
+
+@pytest.mark.parametrize("row_id", [row.id for row in GOLDEN_ROWS])
+def test_golden(row_id):
+    run_row(row_id)
+
+
+@pytest.mark.parametrize("row_id", [row.id for row in GOLDEN_ROWS])
+def test_rerun_byte_identical(row_id):
+    argv = ROW_BY_ID[row_id].argv
+    assert invoke(argv) == invoke(argv)
 
 
 def golden(name):
     """(expected exit code, stdout, stderr) of a golden case."""
-    argv, code = {n: (a, c) for n, a, c in GOLDEN_CASES}[name]
-    with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
-        return argv, (code, fh.read(), "")
+    row = ROW_BY_ID[name]
+    with open(os.path.join(cli_cases.GOLDEN_DIR, name + ".json")) as fh:
+        return row.argv, (row.code, fh.read(), "")
 
 
 def fresh_process(argv):
     """(exit code, stdout, stderr) of the CLI in a new interpreter."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "ffgeom.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
@@ -219,9 +117,9 @@ def _emitted(doc):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
+@pytest.mark.parametrize("name", [row.id for row in GOLDEN_ROWS])
 def test_writer_matches_json_dump_on_goldens(name):
-    with open(os.path.join(GOLDEN_DIR, name + ".json")) as fh:
+    with open(os.path.join(cli_cases.GOLDEN_DIR, name + ".json")) as fh:
         text = fh.read()
     doc = json.loads(text)
     assert _emitted(doc) == json.dumps(doc, indent=2) + "\n" == text
@@ -368,239 +266,116 @@ def test_parser_reused_across_requests():
     assert cli._parser.cache_info().misses == 1
 
 
+def rows(cases):
+    """Parametrize a test id kept from before the table over its rows:
+    ``cases`` maps each parameter id to a row id."""
+    return pytest.mark.parametrize("row_id", list(cases.values()), ids=list(cases))
+
+
 class TestExitCodes:
+    """Test ids kept from before the table; each runs its rows."""
+
     def test_parse_error_is_precondition(self):
-        code, _, err = invoke(["avoid", "affine", "--field", "3", "--poly", "x0 +"])
-        assert code == EXIT_PRECONDITION
-        assert "error" in err
+        run_row("avoid_poly_trailing_plus")
 
     def test_bad_field_spec(self):
-        code, _, err = invoke(["field", "info", "--field", "6"])
-        assert code == EXIT_PRECONDITION
+        run_row("field_6_not_prime_power")
 
     def test_unknown_flag(self):
-        code, _, err = invoke(["field", "info", "--nope"])
-        assert code == EXIT_PRECONDITION
+        run_row("field_info_unknown_flag")
 
-    # a Carmichael number and a strong pseudoprime to base 2: the
-    # characteristic goes through the same Miller-Rabin test as --p
-    @pytest.mark.parametrize("spec", ["561^1", "2047^1"])
-    def test_pseudoprime_characteristic_refused(self, spec):
-        code, _, err = invoke(["field", "info", "--field", spec])
-        assert code == EXIT_PRECONDITION and "not prime" in err
+    @rows({"561^1": "field_561_carmichael", "2047^1": "field_2047_pseudoprime"})
+    def test_pseudoprime_characteristic_refused(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("spec", [
-        "1000000000039", "4294967296", "1000000000000000000000000000057^1", "3^100000000",
-        # more digits than int() converts
-        pytest.param("9" * 5000, id="5000-nines"),
-        pytest.param("2^" + "9" * 5000, id="2^5000-nines"),
-    ])
-    def test_huge_field_fails_fast(self, spec):
-        start = time.perf_counter()
-        code, _, err = invoke(["field", "info", "--field", spec])
-        assert code == EXIT_PRECONDITION and "exceeds limit" in err
-        assert time.perf_counter() - start < 1.0
+    @rows({"1000000000039": "field_huge_1000000000039", "4294967296": "field_huge_2_32",
+           "1000000000000000000000000000057^1": "field_huge_prime_10_30",
+           "3^100000000": "field_huge_3_100000000", "5000-nines": "field_huge_5000_nines",
+           "2^5000-nines": "field_huge_2_to_5000_nines"})
+    def test_huge_field_fails_fast(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("e,field,expected,seconds", [
-        (40, "1601", EXIT_OK, 1.0),
-        (60, "3613", EXIT_PRECONDITION, 1.0),
-        (200, "40009", EXIT_PRECONDITION, 0.2),
-    ], ids=["40-answers", "60-root-field-past-limit", "200-refused-before-the-check"])
-    def test_high_degree_curve_fails_fast(self, e, field, expected, seconds):
-        # beta = e^2 = 1600 and 3600: the fiber resultant is evaluated on one
-        # line of the pencil, not built as a form from beta values.  At
-        # e = 200 the root search refuses F_40009^2 before the 400 x 400
-        # Sylvester determinant checks the fiber value
-        start = time.perf_counter()
-        code, out, err = invoke(["curve", "point", "--field", field,
-                                 "--curve", f"x0^{e} + x1^{e} + x2^{e}",
-                                 "--avoid", f"x0^{e} + 2*x1^{e} + 3*x2^{e}"])
-        assert code == expected
-        if expected == EXIT_OK:
-            assert all(json.loads(out)["verified"].values())
-        else:
-            assert out == "" and "exceeds limit" in err
-        assert time.perf_counter() - start < seconds
+    @rows({"40-answers": "curve_fermat_40_f1601",
+           "60-root-field-past-limit": "curve_fermat_60_f3613",
+           "200-refused-before-the-check": "curve_fermat_200_f40009"})
+    def test_high_degree_curve_fails_fast(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("argv", [
-        ["avoid", "affine", "--field", "2", "--vars", "40", "--poly", "x0*x1"],
-        ["avoid", "projective", "--field", "2", "--dim", "40", "--poly", "x0*x1*x2"],
-        ["avoid", "grass", "--field", "2", "--m", "2", "--n", "20", "--poly", "x0"],
-    ], ids=["affine", "projective", "grass"])
-    def test_oversized_fallback_fails_fast(self, argv):
-        # q <= degree sends each to the exhaustive fallback, over ~10^11+ points
-        start = time.perf_counter()
-        code, _, err = invoke(argv)
-        assert code == EXIT_PRECONDITION and "exceeds limit" in err
-        assert time.perf_counter() - start < 1.0
+    @rows({kind: f"avoid_{kind}_fallback_past_budget"
+           for kind in ("affine", "projective", "grass")})
+    def test_oversized_fallback_fails_fast(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--vars", "0"], "--vars"),
-        (["avoid", "projective", "--field", "2", "--poly", "1", "--dim", "0"], "--dim"),
-        (["avoid", "affine", "--field", "2", "--poly", "1", "--vars", "-1"], "--vars"),
-        (["avoid", "grass", "--field", "2", "--poly", "1", "--m", "-1", "--n", "4"], "--m"),
-        (["oracle", "--kind", "grass", "--field", "2", "--poly", "1", "--m", "2",
-          "--n", "-1"], "--n"),
-        (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--limit", "0"], "--limit"),
-        (["oracle", "--kind", "affine", "--field", "2", "--poly", "1", "--limit", "-1"],
-         "--limit"),
-    ], ids=["vars-0", "dim-0", "vars-negative", "grass-m-negative", "grass-n-negative",
-            "limit-0", "limit-negative"])
-    def test_size_flag_below_one(self, argv, flag):
-        code, out, err = invoke(argv)
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert flag in err
+    @rows({"vars-0": "oracle_vars_0", "dim-0": "avoid_projective_dim_0",
+           "vars-negative": "avoid_affine_vars_negative",
+           "grass-m-negative": "avoid_grass_m_negative",
+           "grass-n-negative": "oracle_grass_n_negative", "limit-0": "oracle_limit_0",
+           "limit-negative": "oracle_limit_negative"})
+    def test_size_flag_below_one(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("argv", [
-        ["bound", "pipeline", "--g", "2", "--r", "2", "--d", "1",
-         "--alpha", "10000", "--beta", "5"],
-        ["p1", "scan", "--rank-max", "5", "--coeff-bound", "3"],
-        ["p1", "verify", "--type=0,1", "--search-bound", "20", "--rank-bound", "4"],
-        ["p1", "scan", "--rank-max", "1000000000", "--coeff-bound", "1000000000"],
-        # 1 + 2 + ... + 1414 line bundles, one past the budget
-        ["p1", "verify", "--type=0", "--search-bound", "0", "--rank-bound", "1414"],
-        # an empty box still takes one step per type E
-        ["p1", "scan", "--rank-max", "4", "--coeff-bound", "1000", "--rank-bound", "0"],
-        # more variables than polynomials.MAX_VARS, from the text or a flag
-        ["avoid", "affine", "--field", "7", "--poly", "x999999"],
-        ["avoid", "affine", "--field", "7", "--poly", "x0", "--vars", "1000000"],
-        ["avoid", "affine", "--field", "7", "--poly", "x" + "9" * 5000],
-        ["avoid", "grass", "--field", "7", "--poly", "x0", "--m", "2", "--n", "300"],
-        ["avoid", "grass", "--field", "7", "--poly", "x0", "--m", str(10 ** 8),
-         "--n", str(2 * 10 ** 8)],
-        # more listed points than avoid.MAX_LISTED
-        ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0+1", "--vars", "18",
-         "--max-listed", "100001"],
-        # an oracle --limit above avoid.DEFAULT_ORACLE_LIMIT, over 2^60 points
-        ["oracle", "--kind", "affine", "--field", "2^20", "--poly", "x0+1", "--vars", "3",
-         "--limit", "100000000000000000000", "--max-listed", "0"],
-        # expansions past polynomials.MAX_TERMS: a power of a sum, and a
-        # product of two 400-term sums
-        ["avoid", "affine", "--field", "7", "--poly", "(x0+x1)^100000000000000000000"],
-        ["avoid", "affine", "--field", "7", "--poly",
-         "(" + "+".join(f"x0^{i}" for i in range(400)) + ")*("
-         + "+".join(f"x1^{i}" for i in range(400)) + ")"],
-        # a pencil search past avoid.MAX_PENCIL_WORK
-        ["avoid", "projective", "--field", "7", "--poly", "x0", "--dim", "9999"],
-        # a sum past polynomials.MAX_TERM_ENTRIES: 10^4 terms of 10^4 exponents
-        ["avoid", "affine", "--field", "7", "--poly", "+".join(f"x{i}" for i in range(10 ** 4))],
-    ], ids=["pipeline-M", "p1-scan", "p1-verify", "p1-scan-huge", "p1-verify-rank-1414",
-            "p1-scan-empty-box", "vars-from-index", "vars-flag", "vars-index-5000-digits",
-            "grass-plucker-count",
-            "grass-huge-n", "max-listed", "oracle-limit-raised", "power-of-sum", "product-of-sums",
-            "projective-dim-9999", "linear-form-10000-vars"])
-    def test_over_budget_fails_fast(self, argv):
-        start = time.perf_counter()
-        code, out, err = invoke(argv)
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "exceeds limit" in err or "more than" in err
-        assert time.perf_counter() - start < 1.0
+    @rows({"pipeline-M": "bound_pipeline_past_budget", "p1-scan": "p1_scan_past_budget",
+           "p1-verify": "p1_verify_past_budget", "p1-scan-huge": "p1_scan_huge",
+           "p1-verify-rank-1414": "p1_verify_rank_bound_1414",
+           "p1-scan-empty-box": "p1_scan_empty_box_past_budget",
+           "vars-from-index": "avoid_vars_from_index", "vars-flag": "avoid_vars_flag",
+           "vars-index-5000-digits": "avoid_vars_index_5000_digits",
+           "grass-plucker-count": "avoid_grass_plucker_count",
+           "grass-huge-n": "avoid_grass_huge_n", "max-listed": "oracle_max_listed_past_budget",
+           "oracle-limit-raised": "oracle_limit_past_budget",
+           "power-of-sum": "avoid_power_of_sum", "product-of-sums": "avoid_product_of_sums",
+           "projective-dim-9999": "avoid_pencil_dim_9999",
+           "linear-form-10000-vars": "avoid_linear_form_10000_vars"})
+    def test_over_budget_fails_fast(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("argv", [
-        ["avoid", "affine", "--field", "7", "--vars", "6000", "--poly", "x0^7"],
-        ["oracle", "--kind", "affine", "--field", "7", "--vars", "6000", "--poly", "x0"],
-    ], ids=["avoid", "oracle"])
-    def test_budget_message_past_str_digit_limit(self, argv):
-        # 7^6000 has 5071 digits, more than str() converts by default
-        code, out, err = invoke(argv)
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "ambient point count exceeds limit 10000000" in err
+    @rows({"avoid": "avoid_budget_message_past_str_digit_limit",
+           "oracle": "oracle_budget_message_past_str_digit_limit"})
+    def test_budget_message_past_str_digit_limit(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("parts", [1001, 3001])
-    def test_partner_budget_counts_parts(self, parts):
-        # the default box sums 1001 line bundles, so at most 999 parts fit the budget
-        argv = ["p1", "verify", "--type=" + ",".join(["1"] + ["0"] * (parts - 1))]
-        start = time.perf_counter()
-        code, out, err = invoke(argv)
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "more than" in err
-        assert time.perf_counter() - start < 0.1
+    @rows({"1001": "p1_verify_1001_parts", "3001": "p1_verify_3001_parts"})
+    def test_partner_budget_counts_parts(self, row_id):
+        run_row(row_id)
 
     def test_deep_nesting_fails_fast(self):
-        depth = 10000
-        start = time.perf_counter()
-        code, out, err = invoke(["avoid", "affine", "--field", "5",
-                                 "--poly", "(" * depth + "x0" + ")" * depth])
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "nested deeper than" in err
-        assert time.perf_counter() - start < 0.1
+        run_row("avoid_poly_nested_10000_deep")
 
-    @pytest.mark.parametrize("coeff_args", [
-        ["--rank-max", "0", "--coeff-bound", "0"],
-        ["--rank-max", "4", "--coeff-bound", "-1"],
-    ], ids=["rank-max-0", "coeff-bound-negative"])
-    def test_scan_without_types_returns_fast(self, coeff_args):
-        # no type E to check, so the large box is never built
-        start = time.perf_counter()
-        code, out, _ = invoke(["p1", "scan", *coeff_args,
-                               "--search-bound", "6", "--rank-bound", "40"])
-        assert code == EXIT_OK and json.loads(out)["total_types"] == 0
-        assert time.perf_counter() - start < 1.0
+    @rows({"rank-max-0": "p1_scan_rank_max_0",
+           "coeff-bound-negative": "p1_scan_coeff_bound_negative"})
+    def test_scan_without_types_returns_fast(self, row_id):
+        run_row(row_id)
 
-    @pytest.mark.parametrize("rank_bound", ["0", "-1"])
-    def test_scan_with_empty_box_is_refused(self, rank_bound):
-        # the box cannot hold a type's rank-1 partner, so the scan is a
-        # precondition error, not a failed criterion (exit 1)
-        code, out, err = invoke(["p1", "scan", "--rank-max", "1", "--coeff-bound", "1",
-                                 "--rank-bound", rank_bound])
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "rank_bound" in err
+    @rows({"0": "p1_scan_rank_bound_0", "-1": "p1_scan_rank_bound_negative"})
+    def test_scan_with_empty_box_is_refused(self, row_id):
+        run_row(row_id)
 
     def test_huge_part_with_empty_box_has_no_partner(self):
-        code, out, _ = invoke(["p1", "verify", "--type=" + str(10 ** 20),
-                               "--search-bound", str(10 ** 21), "--rank-bound", "0"])
-        assert code == EXIT_NO_POINT and json.loads(out)["partner"] is None
+        run_row("p1_verify_huge_part_empty_box")
 
     def test_largest_rank_bound_in_budget_returns_fast(self):
-        # 1 + 2 + ... + 1413 line bundles fit the budget; no zero type is a partner
-        start = time.perf_counter()
-        code, out, _ = invoke(["p1", "verify", "--type=0", "--search-bound", "0",
-                               "--rank-bound", "1413"])
-        assert code == EXIT_NO_POINT and json.loads(out)["partner"] is None
-        assert time.perf_counter() - start < 1.0
+        run_row("p1_verify_rank_bound_1413")
 
     def test_missing_subcommand(self):
-        code, _, _ = invoke([])
-        assert code == EXIT_PRECONDITION
+        run_row("no_subcommand")
 
     def test_curve_field_too_small(self):
-        code, _, err = invoke(
-            ["curve", "point", "--curve", "x0*x1 + 2*x2^2", "--avoid", "x2",
-             "--field", "3"]
-        )
-        assert code == EXIT_PRECONDITION
+        run_row("curve_field_too_small")
 
     def test_not_squarefree(self):
-        code, _, err = invoke(
-            ["curve", "point", "--curve", "x0^2", "--avoid", "x2", "--field", "5"]
-        )
-        assert code == EXIT_PRECONDITION
+        run_row("curve_not_squarefree")
 
     def test_oracle_limit(self):
-        code, _, err = invoke(
-            ["oracle", "--kind", "affine", "--field", "5", "--poly", "x0 + 1",
-             "--vars", "12", "--limit", "1000"]
-        )
-        assert code == EXIT_PRECONDITION
+        run_row("oracle_limit_below_space")
 
     def test_bound_char_p_refuses_composite(self):
-        code, out, err = invoke(["bound", "m", "--n", "1", "--alpha", "1", "--beta", "1",
-                                 "--mode", "char_p", "--p", "4"])
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "needs a prime p" in err
+        run_row("bound_char_p_composite")
 
     def test_oracle_grass_without_shape(self):
-        code, out, err = invoke(["oracle", "--kind", "grass", "--field", "2", "--poly", "x0"])
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "--m and --n" in err
+        run_row("oracle_grass_without_shape")
 
     def test_oracle_negative_max_listed(self):
-        code, out, err = invoke(
-            ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0",
-             "--vars", "3", "--max-listed", "-1"]
-        )
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert "--max-listed" in err
+        run_row("oracle_max_listed_negative")
 
 
 class TestHugeExponents:
@@ -632,11 +407,7 @@ class TestHugeExponents:
             assert doc["verified"] == {"exhaustive_scan": True}
 
     def test_no_point_over_f2_20_is_fast(self):
-        start = time.perf_counter()
-        code, _, _ = invoke(["avoid", "affine", "--field", "2", "--poly", "x0^2 - x0",
-                             "--vars", "20"])
-        assert code == EXIT_NO_POINT
-        assert time.perf_counter() - start < 0.05
+        run_row("avoid_affine_no_point_f2_20")
 
 
 class TestSchema:
