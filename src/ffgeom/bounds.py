@@ -37,6 +37,8 @@ class BoundInputs:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == CHAR_P and (self.p is None or not _is_prime(self.p)):
             raise ValueError("char_p mode needs a prime p below 3.3e24")
+        if self.mode != CHAR_P and self.p is not None:
+            raise ValueError(f"p is read only in char_p mode, not in {self.mode} mode")
 
 
 def ceil_log(base, x):
@@ -129,6 +131,8 @@ def rank_pipeline(g, r, d, moduli_alpha, moduli_beta, field_mode=GENERAL,
         raise InvalidRank("rank must be >= 1")
     if g < 0:
         raise ValueError("genus must be >= 0")
+    if moduli_dim < 1:
+        raise ValueError(f"moduli_dim must be >= 1, got {moduli_dim}")
     h = gcd(r, d)
     rbar = r // h
     dbar = d // h

@@ -143,6 +143,15 @@ def _write_points(kind, names, blocks, fld, write):
     write("\n  ]")
 
 
+# each ambient's name on the command line -> its kind and the size flags
+# it reads; ``oracle`` declares them all and refuses those of another kind
+_AMBIENTS = {
+    "affine": (AFFINE, ("--vars",)),
+    "projective": (PROJECTIVE, ("--dim",)),
+    "grass": (GRASSMANNIAN, ("--m", "--n")),
+}
+
+
 def _shared(flags, **kwargs):
     """A parent parser declaring each of ``flags`` with ``kwargs``."""
     parent = _Parser(add_help=False)
@@ -159,10 +168,9 @@ def _parser():
     sub = top.add_subparsers(dest="command", required=True)
     field = _shared(("--field",), required=True)
     poly = _shared(("--poly",), required=True)
-    nvars = _shared(("--vars",), type=int, default=None)
-    dim = _shared(("--dim",), type=int, default=None)
     # a Grassmannian without --m/--n is rejected by _hypersurface_from_args
-    shape = _shared(("--m", "--n"), type=int, default=None)
+    sizes = {name: _shared(flags, type=int, default=None)
+             for name, (_, flags) in _AMBIENTS.items()}
 
     p = sub.add_parser("field", help="field inspection")
     p.set_defaults(handler=_cmd_field_info)
@@ -172,14 +180,13 @@ def _parser():
     p = sub.add_parser("avoid", help="point off a hypersurface")
     p.set_defaults(handler=_cmd_avoid)
     av = p.add_subparsers(dest="ambient", required=True)
-    av.add_parser("affine", parents=[field, poly, nvars])
-    av.add_parser("projective", parents=[field, poly, dim])
-    av.add_parser("grass", parents=[field, poly, shape])
+    for name, size in sizes.items():
+        av.add_parser(name, parents=[field, poly, size])
 
     p = sub.add_parser("oracle", help="exhaustive listing of avoiding points",
-                       parents=[field, poly, nvars, dim, shape])
+                       parents=[field, poly, *sizes.values()])
     p.set_defaults(handler=_cmd_oracle)
-    p.add_argument("--kind", choices=[AFFINE, PROJECTIVE, "grass"], required=True)
+    p.add_argument("--kind", choices=list(_AMBIENTS), required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p.add_argument("--max-listed", type=int, default=1000)
 
@@ -228,7 +235,13 @@ def _positive(value, flag):
     return value
 
 
-def _hypersurface_from_args(args, kind):
+def _hypersurface_from_args(args, name):
+    """The hypersurface of the ambient called ``name`` on the command line."""
+    kind, own = _AMBIENTS[name]
+    foreign = [flag for _, flags in _AMBIENTS.values() for flag in flags
+               if flag not in own and getattr(args, flag[2:], None) is not None]
+    if foreign:
+        raise ValueError(f"{name} takes {' and '.join(own)}, not {', '.join(foreign)}")
     fld = parse_field_spec(args.field)
     if kind == AFFINE:
         nvars = _positive(args.vars, "--vars")
@@ -267,10 +280,7 @@ def _cmd_field_info(args, out):
 
 
 def _cmd_avoid(args, out):
-    kind = {"affine": AFFINE, "projective": PROJECTIVE, "grass": GRASSMANNIAN}[
-        args.ambient
-    ]
-    surf = _hypersurface_from_args(args, kind)
+    surf = _hypersurface_from_args(args, args.ambient)
     fld = surf.poly.field
     result = run_avoid(surf)
     doc = {
@@ -284,7 +294,7 @@ def _cmd_avoid(args, out):
         "mode": result.mode,
         "outcome": result.outcome,
     }
-    if kind == GRASSMANNIAN:
+    if surf.kind == GRASSMANNIAN:
         doc["inputs_echo"]["m"] = args.m
         doc["inputs_echo"]["n"] = args.n
         doc["plucker_variables"] = {
@@ -310,8 +320,7 @@ def _cmd_oracle(args, out):
     if args.max_listed > MAX_LISTED:
         raise SpaceTooLarge(f"--max-listed exceeds limit {MAX_LISTED}")
     limit = _positive(args.limit, "--limit")
-    kind = GRASSMANNIAN if args.kind == "grass" else args.kind
-    surf = _hypersurface_from_args(args, kind)
+    surf = _hypersurface_from_args(args, args.kind)
     count, blocks = exhaustive_oracle(surf, limit=limit, max_listed=args.max_listed)
     doc = {
         "subcommand": "oracle",
@@ -324,10 +333,10 @@ def _cmd_oracle(args, out):
     # only the boolean "truncated" follows the listing's slot
     head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_SLOT))
     out.write(head)
-    if kind == GRASSMANNIAN:
+    if surf.kind == GRASSMANNIAN:
         _write_points("grassmannian", ("matrix", "plucker"), blocks, surf.poly.field, out.write)
     else:
-        _write_points(kind, ("coordinates",), blocks, surf.poly.field, out.write)
+        _write_points(surf.kind, ("coordinates",), blocks, surf.poly.field, out.write)
     out.write(tail + "\n")
     return EXIT_OK if count else EXIT_NO_POINT
 

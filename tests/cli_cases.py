@@ -21,7 +21,6 @@ import subprocess
 import sys
 from typing import NamedTuple
 
-from ffgeom import cli
 from ffgeom.cli import EXIT_NO_POINT, EXIT_OK, EXIT_PRECONDITION
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -226,6 +225,14 @@ ROWS = [
     case("oracle_max_listed_negative",
          "oracle --kind affine --field 2 --poly x0 --vars 3 --max-listed -1",
          EXIT_PRECONDITION, stderr="--max-listed"),
+    # each kind reads only its own size flags and refuses another kind's
+    case("oracle_affine_with_dim", "oracle --kind affine --field 2 --poly x0 --dim 3",
+         EXIT_PRECONDITION, stderr="not --dim"),
+    case("oracle_projective_with_vars_m_n",
+         "oracle --kind projective --field 2 --poly x0 --vars 5 --m 1 --n 9",
+         EXIT_PRECONDITION, stderr="not --vars, --m, --n"),
+    case("oracle_grass_with_vars", "oracle --kind grass --field 2 --poly x0 --m 2 --n 4 --vars 6",
+         EXIT_PRECONDITION, stderr="not --vars"),
 
     # -- curve point --
     golden_case("curve_point_conic_f5",
@@ -280,6 +287,15 @@ ROWS = [
     golden_case("bound_pipeline_spot", "bound pipeline --g 2 --r 2 --d 1 --alpha 2 --beta 5"),
     case("bound_char_p_composite", "bound m --n 1 --alpha 1 --beta 1 --mode char_p --p 4",
          EXIT_PRECONDITION, stderr="needs a prime p"),
+    # --p is read only under --mode char_p
+    *[case(f"bound_{name}", f"bound {args}", EXIT_PRECONDITION, stderr="only in char_p mode")
+      for name, args in [
+          ("m_p_general", "m --n 1 --alpha 1 --beta 1 --p 4"),
+          ("m_p_infinite", "m --n 1 --alpha 1 --beta 1 --mode infinite --p 7"),
+          ("pipeline_p_general", "pipeline --g 2 --r 2 --d 1 --alpha 2 --beta 5 --p 5")]],
+    case("bound_pipeline_moduli_dim_0",
+         "bound pipeline --g 2 --r 2 --d 1 --alpha 2 --beta 5 --moduli-dim 0",
+         EXIT_PRECONDITION, stderr="moduli_dim"),
     # M > 10^4 is refused before M! is computed
     case("bound_pipeline_past_budget", "bound pipeline --g 2 --r 2 --d 1 --alpha 10000 --beta 5",
          EXIT_PRECONDITION, stderr="exceeds limit", seconds=1.0),
@@ -295,6 +311,11 @@ ROWS = [
                 fields={"criterion_holds": True, "total_types": 125}),
     golden_case("p1_scan_r3_c3", "p1 scan --rank-max 3 --coeff-bound 3"),
     golden_case("p1_verify_balanced_rank3", "p1 verify --type=-3,-3,-3"),
+    # the README's two p1 commands, in the default boxes
+    case("p1_verify_default_box", "p1 verify --type 0,0", EXIT_OK,
+         fields={"partner": [-1]}),
+    case("p1_scan_r3_c2", "p1 scan --rank-max 3 --coeff-bound 2", EXIT_OK,
+         fields={"criterion_holds": True, "total_types": 55}),
     # the widest scan inside the line-bundle budget: 999 types against a box of 1001
     case("p1_scan_widest", "p1 scan --rank-max 1 --coeff-bound 499", EXIT_OK,
          fields={"criterion_holds": True, "total_types": 999}),
@@ -343,7 +364,11 @@ _MISSING = "<missing>"
 
 
 def _max_listed(argv):
-    return cli._parser().parse_args(argv).max_listed
+    """The --max-listed of an oracle invocation, read from its argv rather
+    than from the parser under test."""
+    if "--max-listed" not in argv:
+        return 1000
+    return int(argv[argv.index("--max-listed") + 1])
 
 
 def check(row, code, stdout, stderr):
@@ -361,6 +386,8 @@ def check(row, code, stdout, stderr):
         if not stderr.startswith("error: "):
             problems.append(f"exit 3 without 'error: ' on stderr: {stderr[:200]!r}")
         return problems
+    if code in (EXIT_OK, EXIT_NO_POINT) and stderr:
+        problems.append(f"exit {code} with output on stderr: {stderr[:200]!r}")
     if row.golden:
         with open(os.path.join(GOLDEN_DIR, row.id + ".json")) as fh:
             if stdout != fh.read():

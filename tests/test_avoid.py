@@ -296,12 +296,12 @@ class TestProjective:
 
 @st.composite
 def _pencil_cases(draw):
-    """A polynomial over F_q in 3 to 6 variables, with a term free of x1,
+    """A polynomial over F_q in 2 to 6 variables, with a term free of x1,
     times :func:`first_members_vanish` of a drawn count: the first member
     that survives may be any element, or, for a count of q, only the member
     at infinity.  Now and then also times x1, so that no member survives."""
     fld = field_for(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25))))
-    nvars = draw(st.integers(3, 6))
+    nvars = draw(st.integers(2, 6))
     exps = st.lists(st.just(0) | st.integers(1, 4), min_size=nvars, max_size=nvars)
     terms = draw(st.lists(st.tuples(exps, st.integers(1, fld.q - 1)), min_size=1, max_size=6))
     terms[0][0][1] = 0  # a term free of x1: the member at infinity survives

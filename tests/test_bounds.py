@@ -39,6 +39,11 @@ class TestInputs:
         # M = ceil(log_p 3)
         assert bound_M(BoundInputs(1, 1, 1, CHAR_P, p=p)) == m
 
+    @pytest.mark.parametrize("mode", [GENERAL, INFINITE])
+    def test_p_refused_outside_char_p(self, mode):
+        with pytest.raises(ValueError, match="char_p"):
+            BoundInputs(1, 1, 1, mode, p=5)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             BoundInputs(1, 1, 1, "weird")
