@@ -91,13 +91,6 @@ def test_rerun_byte_identical(row_id):
     assert invoke(argv) == invoke(argv)
 
 
-def golden(name):
-    """(expected exit code, stdout, stderr) of a golden case."""
-    row = ROW_BY_ID[name]
-    with open(os.path.join(cli_cases.GOLDEN_DIR, name + ".json")) as fh:
-        return row.argv, (row.code, fh.read(), "")
-
-
 def fresh_process(argv):
     """(exit code, stdout, stderr) of the CLI in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -256,8 +249,7 @@ def test_parser_reused_across_requests():
     bad = ["avoid", "affine", "--field", "4", "--nope"]
     assert invoke(bad) == fresh_process(bad)
     for name in ("avoid_affine_f4", "curve_point_conic_f5"):
-        argv, expected = golden(name)
-        assert invoke(argv) == expected
+        run_row(name)
     assert cli._parser.cache_info().misses == 1
 
 
