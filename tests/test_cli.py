@@ -86,6 +86,11 @@ def test_installed_runner_names_failing_rows(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("row_id", [row.id for row in GOLDEN_ROWS])
+def test_golden(row_id):
+    run_row(row_id)
+
+
+@pytest.mark.parametrize("row_id", [row.id for row in GOLDEN_ROWS])
 def test_rerun_byte_identical(row_id):
     argv = ROW_BY_ID[row_id].argv
     assert invoke(argv) == invoke(argv)
@@ -253,6 +258,118 @@ def test_parser_reused_across_requests():
     assert cli._parser.cache_info().misses == 1
 
 
+def rows(cases):
+    """Parametrize a test id kept from before the table over its rows:
+    ``cases`` maps each parameter id to a row id."""
+    return pytest.mark.parametrize("row_id", list(cases.values()), ids=list(cases))
+
+
+class TestExitCodes:
+    """Test ids kept from before the table; each runs its rows."""
+
+    def test_parse_error_is_precondition(self):
+        run_row("avoid_poly_trailing_plus")
+
+    def test_bad_field_spec(self):
+        run_row("field_6_not_prime_power")
+
+    def test_unknown_flag(self):
+        run_row("field_info_unknown_flag")
+
+    @rows({"561^1": "field_561_carmichael", "2047^1": "field_2047_pseudoprime"})
+    def test_pseudoprime_characteristic_refused(self, row_id):
+        run_row(row_id)
+
+    @rows({"1000000000039": "field_huge_1000000000039", "4294967296": "field_huge_2_32",
+           "1000000000000000000000000000057^1": "field_huge_prime_10_30",
+           "3^100000000": "field_huge_3_100000000", "5000-nines": "field_huge_5000_nines",
+           "2^5000-nines": "field_huge_2_to_5000_nines"})
+    def test_huge_field_fails_fast(self, row_id):
+        run_row(row_id)
+
+    @rows({"40-answers": "curve_fermat_40_f1601",
+           "60-root-field-past-limit": "curve_fermat_60_f3613",
+           "200-refused-before-the-check": "curve_fermat_200_f40009"})
+    def test_high_degree_curve_fails_fast(self, row_id):
+        run_row(row_id)
+
+    @rows({kind: f"avoid_{kind}_fallback_past_budget"
+           for kind in ("affine", "projective", "grass")})
+    def test_oversized_fallback_fails_fast(self, row_id):
+        run_row(row_id)
+
+    @rows({"vars-0": "oracle_vars_0", "dim-0": "avoid_projective_dim_0",
+           "vars-negative": "avoid_affine_vars_negative",
+           "grass-m-negative": "avoid_grass_m_negative",
+           "grass-n-negative": "oracle_grass_n_negative", "limit-0": "oracle_limit_0",
+           "limit-negative": "oracle_limit_negative"})
+    def test_size_flag_below_one(self, row_id):
+        run_row(row_id)
+
+    @rows({"pipeline-M": "bound_pipeline_past_budget", "p1-scan": "p1_scan_past_budget",
+           "p1-verify": "p1_verify_past_budget", "p1-scan-huge": "p1_scan_huge",
+           "p1-verify-rank-1414": "p1_verify_rank_bound_1414",
+           "p1-scan-empty-box": "p1_scan_empty_box_past_budget",
+           "vars-from-index": "avoid_vars_from_index", "vars-flag": "avoid_vars_flag",
+           "vars-index-5000-digits": "avoid_vars_index_5000_digits",
+           "grass-plucker-count": "avoid_grass_plucker_count",
+           "grass-huge-n": "avoid_grass_huge_n", "max-listed": "oracle_max_listed_past_budget",
+           "oracle-limit-raised": "oracle_limit_past_budget",
+           "power-of-sum": "avoid_power_of_sum", "product-of-sums": "avoid_product_of_sums",
+           "projective-dim-9999": "avoid_pencil_dim_9999",
+           "linear-form-10000-vars": "avoid_linear_form_10000_vars"})
+    def test_over_budget_fails_fast(self, row_id):
+        run_row(row_id)
+
+    @rows({"avoid": "avoid_budget_message_past_str_digit_limit",
+           "oracle": "oracle_budget_message_past_str_digit_limit"})
+    def test_budget_message_past_str_digit_limit(self, row_id):
+        run_row(row_id)
+
+    @rows({"1001": "p1_verify_1001_parts", "3001": "p1_verify_3001_parts"})
+    def test_partner_budget_counts_parts(self, row_id):
+        run_row(row_id)
+
+    def test_deep_nesting_fails_fast(self):
+        run_row("avoid_poly_nested_10000_deep")
+
+    @rows({"rank-max-0": "p1_scan_rank_max_0",
+           "coeff-bound-negative": "p1_scan_coeff_bound_negative"})
+    def test_scan_without_types_returns_fast(self, row_id):
+        run_row(row_id)
+
+    @rows({"0": "p1_scan_rank_bound_0", "-1": "p1_scan_rank_bound_negative"})
+    def test_scan_with_empty_box_is_refused(self, row_id):
+        run_row(row_id)
+
+    def test_huge_part_with_empty_box_has_no_partner(self):
+        run_row("p1_verify_huge_part_empty_box")
+
+    def test_largest_rank_bound_in_budget_returns_fast(self):
+        run_row("p1_verify_rank_bound_1413")
+
+    def test_missing_subcommand(self):
+        run_row("no_subcommand")
+
+    def test_curve_field_too_small(self):
+        run_row("curve_field_too_small")
+
+    def test_not_squarefree(self):
+        run_row("curve_not_squarefree")
+
+    def test_oracle_limit(self):
+        run_row("oracle_limit_below_space")
+
+    def test_bound_char_p_refuses_composite(self):
+        run_row("bound_char_p_composite")
+
+    def test_oracle_grass_without_shape(self):
+        run_row("oracle_grass_without_shape")
+
+    def test_oracle_negative_max_listed(self):
+        run_row("oracle_max_listed_negative")
+
+
 class TestHugeExponents:
     """Exponents whose product with a discrete log passes int64: the scans
     reduce them below q first.  Expected answers come from scalar pow."""
@@ -280,6 +397,9 @@ class TestHugeExponents:
             assert (doc["avoiding_count"], doc["points"]) == (0, [])
         else:
             assert doc["verified"] == {"exhaustive_scan": True}
+
+    def test_no_point_over_f2_20_is_fast(self):
+        run_row("avoid_affine_no_point_f2_20")
 
 
 class TestSchema:

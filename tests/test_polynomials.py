@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ffgeom import kernels, polynomials
+from ffgeom.avoid import _pencil_member
 from ffgeom.errors import (
     BothZero,
     InternalContradiction,
@@ -40,7 +41,9 @@ from ffgeom.polynomials import (
 from conftest import (
     PRIME_POWERS_64,
     field_for,
+    first_members_vanish,
     grid_polys,
+    pencil_member_reference,
     random_poly,
 )
 
@@ -824,6 +827,25 @@ class TestRootSearchKernel:
 
 
 class TestSubstitution:
+    @pytest.mark.parametrize("q", [2, 4, 5, 9])
+    def test_eliminate_matches_substitute(self, rng, q):
+        # x0 eliminated through the pencil x0 = lam*x1 by exponent arithmetic,
+        # against the general substitution; the factor makes the first
+        # members vanish, so that later ones and the one at infinity run
+        fld = field_for(q)
+        for _ in range(25):
+            n = rng.randint(2, 5)
+            poly = random_poly(rng, fld, n, 5)
+            if poly.is_zero():
+                continue
+            poly = poly * first_members_vanish(fld, n, rng.randint(0, q))
+            expected = pencil_member_reference(poly, fld)
+            if expected is None:
+                with pytest.raises(InternalContradiction):
+                    _pencil_member(poly, fld)
+            else:
+                assert _pencil_member(poly, fld) == expected
+
     def test_to_univariate(self):
         p = parse_polynomial("x0^2 + 2", F3)
         u = to_univariate(p)
