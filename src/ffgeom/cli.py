@@ -2,11 +2,13 @@
 
 Exit codes: 0 found/success, 2 no point / no partner in the box,
 3 precondition violation or parse error (diagnostic on stderr),
-1 internal error.
+1 internal error, 141 (128 + SIGPIPE) stdout closed before the answer
+was written.
 """
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from math import comb
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_NO_POINT = 2
 EXIT_PRECONDITION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _ArgumentError(Exception):
@@ -43,6 +46,12 @@ class _ArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser that raises instead of exiting, and reads each flag only
+    under its full name (subparsers inherit both as ``parser_class``)."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         raise _ArgumentError(message)
 
@@ -484,7 +493,15 @@ def run(argv, out=None, err=None):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a reader that left shows here, inside the try
+    except BrokenPipeError:
+        # Python's recipe: stdout goes to devnull, so that the flush at exit
+        # does not raise again, and the process ends without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,15 @@ the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
 ``range(q)`` enumerates the field in canonical order.
 
 Every field up to the size limit has one pair of discrete-log tables
-(:attr:`FiniteField.tables`), built on first use.  The grid kernel
-multiplies through them in every field, and scalar arithmetic in extension
+(:attr:`FiniteField.tables`), built on first use.  The grid kernel's terms
+multiply through them in every field, and scalar arithmetic in extension
 fields; prime fields multiply scalars mod p.  A field's construction runs
 on matrices over F_p: the modulus search tests batches of candidates with
 one remainder product per block of divisors, the generator search powers
 each candidate's multiplication matrix, and the tables double on an array
-of coordinates with the square of the last step's matrix.
+of coordinates with the square of the last step's matrix.  The same
+multiplication matrices, of whole arrays of elements, carry the kernel's
+block products over F_p.
 
 Coefficient lists (low degree first) have one product, :func:`poly_mul`,
 and one quotient with remainder, :func:`poly_divmod`; over F_p each takes a
@@ -96,6 +98,20 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def digits(a, p, k):
+    """Coordinates over F_p of the encodings in the int64 array ``a`` (each
+    below p^k), constant coordinate first, on a new first axis: one
+    contiguous array per coordinate."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.empty((k,) + a.shape, dtype=np.int64)
+    for i in range(k - 1):
+        quo = a // p
+        np.subtract(a, quo * p, out=out[i, ...])
+        a = quo
+    out[-1] = a
+    return out
 
 
 def _remainder_table(p, k, d, divisors):
@@ -416,6 +432,18 @@ class FiniteField:
             row = [(c - top * f) % p for c, f in zip([0] + row[:-1], self.modulus)]
             rows.append(row)
         return np.array(rows, dtype=np.int64)
+
+    def _mul_matrices(self, a):
+        """:meth:`_mul_matrix` of every entry of the int64 array ``a``, of
+        shape a.shape + (k, k): the lift of F_q into k x k blocks over F_p.
+        a -> M_a is F_p-linear, so M_a is the coordinates of a times the
+        matrices of the basis 1, x, ..., x^(k-1)."""
+        p, k = self.p, self.k
+        out = np.zeros(np.shape(a) + (k, k), dtype=np.int64)
+        for i, coord in enumerate(digits(a, p, k)):
+            out += coord[..., None, None] * self._mul_matrix(p ** i)
+        out %= p
+        return out
 
     @cached_property
     def _dlog(self):

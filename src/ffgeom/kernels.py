@@ -5,21 +5,42 @@ fastest) goes through :func:`grid_eval`, which evaluates a list of sparse
 polynomials at an array of grid indices from one decode of the indices.
 With n = 1 an index is an element's encoding, which is how the root search
 of :mod:`ffgeom.polynomials` evaluates a polynomial at its candidate roots.
-Multiplication goes through the field's discrete-log tables and addition
-through :meth:`FiniteField.add`, the rule scalar arithmetic uses, applied
-to whole arrays.  Every field has tables, so one kernel serves every field
-up to the size limit.
+All terms of all the polynomials are one exponent matrix: the terms' logs
+at the points are one float64 product of the points' logs with it, the
+values one lookup in the field's discrete-log tables, and each
+polynomial's value one sum over its terms, taken on coordinates over F_p.
+Every field has tables, so one kernel serves every field up to the size
+limit.
 
 Scans go through :func:`hits`, which splits the grid into its last s
-(*inner*) variables and the rest (*outer*), and writes the polynomial as a
-sum of inner monomials with polynomial coefficients in the outer ones.
-The inner grid is small, about ``_INNER`` points: its monomials are
-evaluated in one call per scan, the coefficients in one call per block of
-outer points, and a block's values are their products, taken as one
-broadcast in the log domain.  The scan stops when its caller does.
+(*inner*) variables and the rest (*outer*), and writes the polynomial as
+``base`` plus a sum of inner monomials times coefficients in the outer
+variables, one *group* per monomial.  An element of F_q = F_{p^k} is its k
+coordinates over F_p, and multiplication by a fixed element is a k x k
+matrix over F_p, so the values on a block of outer points times the inner
+grid are one product over F_p::
+
+    (A . M) mod p
+
+M holds, once per scan, every group's monomial and ``base`` at the inner
+points, each entry lifted to its k x k block by
+:meth:`FiniteField._mul_matrices`; a row of A holds the coordinates of every
+group's coefficient (and a 1 for ``base``) at one outer point.  The product
+is taken in float64, exact while its sums stay below 2^53 (``_EXACT``): G
+rows of M give sums below G*k*(p-1)^2, so a scan with more groups
+multiplies them in slices of fewer and adds the residues.  A point's value
+is zero when each of its k sums is 0 mod p; in characteristic 2 its sums,
+each at most G*k, are packed several to a float, bits apart, and read by
+one mask of their low bits.  M is held to ``_MAX_CACHED`` entries by
+lowering s.  The coefficients are evaluated in batches of outer points
+that double from one block, so a scan that stops at its first hit
+evaluates one block of them, and one that runs to the end makes log-many
+:func:`grid_eval` calls.
 """
 
 import numpy as np
+
+from .fields import digits
 
 # grid points per block of hits: O(_CHUNK) memory.  A scan that stops at its
 # first hit evaluates one block, and a working set of a few MB is reused by
@@ -28,11 +49,17 @@ _CHUNK = 2 ** 14
 # points of the inner grid that hits evaluates through grid_eval once per
 # scan (the cost model is in _split's docstring)
 _INNER = 2 ** 10
-# inner-monomial values a scan caches: (groups with a nonconstant monomial)
-# times the inner grid's q^s points, an int64 log each.  That is below q^2s,
-# and _INNER^2 is this cap, so only the one inner variable of a field of
-# more than _INNER elements can reach it
+# float64 entries of a scan's M, (groups + 1) * k^2 * q^s, and of a batch of
+# coefficient coordinates: 8 MB each.  With q^s <= _INNER, a prime field
+# reaches it past 2^10 groups, a field of degree k past 2^10 / k^2
 _MAX_CACHED = 64 * _CHUNK
+# point-term pairs grid_eval holds at once: 1 MB per array of its slice
+_TERM_ENTRIES = 2 ** 17
+# float64 holds every integer below 2^53: the bound on a product's sums
+_EXACT = 2 ** 53
+# the log grid_eval gives a zero coordinate: a term with a zero factor sums
+# to at least this, and every other term's log stays below n * q^2 < 2^53
+_DEAD = 2.0 ** 60
 
 
 def kernel_capable(field):
@@ -47,31 +74,48 @@ def field_tables(field):
     return field.tables
 
 
+def _floor_mod(x, m):
+    """x mod m for a float64 array of integers below 2^53: exact, since
+    x / m is correctly rounded and cannot round up to the next integer."""
+    return x - m * np.floor(x / m)
+
+
 def grid_eval(polys, idx):
     """Values of ``polys``, a non-empty sequence of polynomials over one field
     in one variable count, at the grid indices of the int64 array ``idx``,
     from one decode of ``idx``: an (N, len(polys)) int64 array of encoded
     field elements, column j the values of ``polys[j]`` in ``idx``'s order.
 
-    The caller passes reduced polynomials (see
-    :meth:`MultivariatePolynomial.reduced`) or, as the Pluecker minors of a
-    cell, multilinear ones: every exponent is below q, so ``e * log`` stays
-    far inside int64.
+    Every exponent is brought below q first (x^q = x on F_q), so a term's
+    log is a float64 sum below 2^53.  The points go in slices of at most
+    ``_TERM_ENTRIES`` point-term pairs (over the k coordinates).
     """
-    field, q = polys[0].field, polys[0].field.q
+    field, nvars = polys[0].field, polys[0].nvars
+    p, k, q = field.p, field.k, field.q
+    out = np.zeros((len(idx), len(polys)), dtype=np.int64)
+    terms = [(exps, c) for poly in polys for exps, c in poly.terms.items()]
+    if not terms:
+        return out
     logt, expt = field_tables(field)
-    coords = decode(idx, q, polys[0].nvars).T
-    out = np.zeros((len(polys), len(idx)), dtype=np.int64)  # returned transposed
-    for row, poly in zip(out, polys):
-        for exps, c in poly.terms.items():
-            logval = np.full(len(idx), logt[c], dtype=np.int64)
-            alive = np.ones(len(idx), dtype=bool)
-            for x, e in zip(coords, exps):
-                if e:
-                    alive &= x != 0
-                    logval += e * logt[x]  # log[0] garbage masked by `alive`
-            row[:] = field.add(row, np.where(alive, expt[logval % (q - 1)], 0))
-    return out.T
+    m = q - 1
+    exps = np.array([[(e - 1) % m + 1 if e else 0 for e in exps] for exps, _ in terms],
+                    dtype=np.float64).reshape(len(terms), nvars).T
+    logc = logt[[c for _, c in terms]].astype(np.float64)
+    owner = np.repeat(np.arange(len(polys)), [len(poly.terms) for poly in polys])
+    member = (owner[:, None] == np.arange(len(polys))).astype(np.float64)
+    pw = p ** np.arange(k, dtype=np.float64)
+    rows = max(1, _TERM_ENTRIES // (len(terms) * k))
+    for start in range(0, len(idx), rows):
+        coords = decode(idx[start:start + rows], q, nvars)
+        total = np.where(coords == 0, _DEAD, logt[coords]) @ exps
+        total += logc
+        live = total < _DEAD
+        total *= live
+        values = expt[_floor_mod(total, m).astype(np.int64)]
+        values *= live
+        sums = _floor_mod(digits(values, p, k).astype(np.float64) @ member, p)
+        out[start:start + rows] = (pw @ sums.reshape(k, -1)).reshape(-1, len(polys))
+    return out
 
 
 def _split(poly):
@@ -82,25 +126,29 @@ def _split(poly):
     other n - s, at most one group per monomial.
 
     s is the largest with q^s <= min(``_INNER``, ``_CHUNK``), and at least
-    1 while q <= ``_CHUNK``, then lowered (down to 0) until the groups
-    whose monomial is not constant hold at most ``_MAX_CACHED`` inner
-    values, q^s each.  Every group with a constant coefficient folds into
-    ``base``.
+    1 while q <= ``_CHUNK``, then lowered (down to 0) until the scan's M,
+    (groups + 1) * k^2 * q^s float64 entries, fits ``_MAX_CACHED``.  Every
+    group with a constant coefficient folds into ``base``.
 
     The cost model: :func:`hits` sends the q^s inner points through
-    :func:`grid_eval` once per scan and each block's outer points once per
-    block, at a pass per term and variable, and everything else as block
-    products, a few passes a point.  A scan that stops at its first hit
-    thus pays grid_eval for the whole inner grid however early the hit, so
-    the inner grid stays small; but a block holds ``_CHUNK`` // q^s outer
-    points, so it must not shrink so far that they dominate.  A grid within
-    the bound is one grid_eval (s = n)."""
+    :func:`grid_eval` once per scan, and the outer points in batches, at a
+    pass per point and term.  A block of ``_CHUNK`` points is then one
+    BLAS product of its ``_CHUNK`` // q^s outer points' coefficients with M,
+    (groups + 1) * k^2 multiply-adds a point, and a residue test of a few
+    passes over its k sums (packed into fewer floats in characteristic
+    2).  A scan that stops at its first hit thus pays for the whole inner
+    grid however early the hit, so the inner grid stays small; but a block
+    holds ``_CHUNK`` // q^s outer points, whose coefficients cost
+    grid_eval's per-term work, so the inner grid must not shrink so far
+    that they dominate.  A grid within the bound is one grid_eval (s = n)
+    and builds no M.
+    """
     field, n = poly.field, poly.nvars
     bound = min(_INNER, _CHUNK)
     s = 0
     while s < n and (field.q ** (s + 1) <= bound or (s == 0 and field.q <= _CHUNK)):
         s += 1
-    if s == n:  # no outer variables: every coefficient is a constant
+    if s == n:  # no outer variables, so no coefficient and no M
         return s, poly, []
     while True:
         coefs = {}
@@ -113,8 +161,7 @@ def _split(poly):
                 base[mono] = coef[constant]
             else:
                 groups.append((mono, type(poly)(n - s, field, coef)))
-        cached = sum(1 for mono, _ in groups if any(mono))
-        if s == 0 or cached * field.q ** s <= _MAX_CACHED:
+        if s == 0 or (len(groups) + 1) * field.k ** 2 * field.q ** s <= _MAX_CACHED:
             return s, type(poly)(s, field, base), groups
         s -= 1
 
@@ -127,58 +174,79 @@ def hits(poly):
     has no nonzero point to scan for.  It is then :func:`_split` into its
     last s variables, whose q^s points (about ``_INNER``) make the inner
     grid, and the outer rest.  ``base`` and every inner monomial are one
-    :func:`grid_eval` over the inner grid.  A block is
-    ``_CHUNK`` // q^s outer points times the inner grid: its values
-    are ``base`` plus each group's coefficient, all evaluated in one call at
-    the block's outer points, times its monomial.  So a caller that stops
-    at the first array evaluates the inner grid and the outer points of
-    the blocks up to its first hit, and a caller that counts never holds
-    more than a block.
+    :func:`grid_eval` over the inner grid, lifted into M.  A block is
+    ``_CHUNK`` // q^s outer points times the inner grid: its values are the
+    block's rows of A times M, mod p, and a point is a hit where any of its
+    k coordinates is nonzero.  A's rows come from one grid_eval of every
+    coefficient per batch of outer points: the first batch is one block,
+    and each next one twice the last, up to ``_CHUNK`` outer points and
+    ``_MAX_CACHED`` coordinates.  So a caller that stops at the first array
+    evaluates the inner grid and one batch per doubling up to its first
+    hit, and a caller that counts holds one batch and one block.
     """
     poly = poly.reduced()
     if poly.is_zero():
         return
-    field, q = poly.field, poly.field.q
+    field, p, k, q = poly.field, poly.field.p, poly.field.k, poly.field.q
     s, base, groups = _split(poly)
     width = q ** s
-    monos = [mono for mono, _ in groups if any(mono)]
-    if base or monos:  # else nothing to evaluate on the inner grid
-        inner = grid_eval([base] + [type(poly)(s, field, {mono: 1}) for mono in monos],
-                          np.arange(width, dtype=np.int64))
-    base = inner[:, 0] if base else None
-    # products in the log domain with neither a modulus nor a mask: a
-    # factor's log is below q - 1, or 2(q - 1) for 0, and ``prod`` holds
-    # g^i at every sum i < 2(q - 1) and 0 from there on.  Only a scan with
-    # a nonconstant monomial builds it, and there q^s <= _CHUNK.
-    zlog, logs = 2 * (q - 1), {}
-    if monos:
-        logt, expt = field_tables(field)
-        prod = np.concatenate([expt, expt, np.zeros(zlog + 1, dtype=np.int64)])
-        logs = {mono: np.where(v != 0, logt[v], zlog)
-                for mono, v in zip(monos, inner[:, 1:].T)}
+    if s == poly.nvars:  # one block, the inner grid: A is the unit row, A . M is base
+        found = np.flatnonzero(grid_eval([base], np.arange(width, dtype=np.int64)))
+        if len(found):
+            yield found
+        return
+    monos = [type(poly)(s, field, {mono: 1}) for mono, _ in groups]
     coefs = [coef for _, coef in groups]
+    if not base.is_zero():  # the last row of M, with the coefficient 1
+        monos.append(base)
+    rows = len(monos) * k
+    inner = grid_eval(monos, np.arange(width, dtype=np.int64))
+    # M[(group, i), (l, j)]: coordinate l of (group's value at inner point j) * x^i
+    lift = field._mul_matrices(inner.T).transpose(0, 2, 3, 1)
+    mat = lift.reshape(rows, k * width).astype(np.float64)
+    del inner, lift
+    bits = rows.bit_length()  # in characteristic 2 every sum is at most rows
+    fit = (_EXACT.bit_length() - 1) // bits if p == 2 else 0  # sums per float
+    if fit:
+        # a point's k sums packed ``fit`` to a float, ``bits`` bits each: a
+        # value is nonzero where one of them is odd
+        floats, odd = -(-k // fit), sum(1 << bits * i for i in range(fit))
+        pack = np.zeros((k, floats))
+        pack[np.arange(k), np.arange(k) // fit] = 2.0 ** (bits * (np.arange(k) % fit))
+        mat = (np.swapaxes(mat.reshape(rows, k, width), 1, 2) @ pack).transpose(0, 2, 1)
+        mat, slices = mat.reshape(rows, floats * width), [slice(None)]
+    else:
+        floats, odd = k, 0
+        per = max(1, (_EXACT - 1) // (k * (p - 1) ** 2)) * k  # rows per exact product
+        slices = [slice(r, r + per) for r in range(0, rows, per)]
     outer = q ** (poly.nvars - s)
     step = _CHUNK // width  # q^s <= _CHUNK: at least one outer point
-    for o0 in range(0, outer, step):
-        o1 = min(o0 + step, outer)
-        shape = (o1 - o0, width)
-        values = None if base is None else np.broadcast_to(base, shape)
-        block = grid_eval(coefs, np.arange(o0, o1, dtype=np.int64)).T if coefs else ()
-        for (mono, _), a in zip(groups, block):
-            if not a.any():
-                continue
-            if mono in logs:
-                loga = np.where(a != 0, logt[a], zlog)
-                term = prod[loga[:, None] + logs[mono]]
-            else:  # the constant monomial: its coefficient adds as it is
-                term = np.broadcast_to(a[:, None], shape)
-            values = term if values is None else field.add(values, term)
-        if values is None:  # a zero base and every coefficient 0 on the block
-            continue
-        found = np.flatnonzero(values)
-        if len(found):
-            found += o0 * width
-            yield found
+    most = max(step, min(_CHUNK, _MAX_CACHED // rows))
+    size, o0 = step, 0
+    while o0 < outer:
+        o1 = min(o0 + size, outer)
+        coefficients = np.ones((o1 - o0, len(monos)), dtype=np.int64)
+        if coefs:
+            coefficients[:, :len(coefs)] = grid_eval(coefs, np.arange(o0, o1, dtype=np.int64))
+        batch = np.moveaxis(digits(coefficients, p, k), 0, -1).reshape(o1 - o0, rows)
+        batch = batch.astype(np.float64)
+        for b0 in range(0, o1 - o0, step):
+            block = batch[b0:b0 + step]
+            values = None
+            for cols in slices:
+                part = block[:, cols] @ mat[cols]
+                values = part if values is None else _floor_mod(values, p) + _floor_mod(part, p)
+            if odd:
+                values = values.astype(np.int64) & odd
+            else:
+                values /= p  # an integer quotient exactly where the sum is 0 mod p
+                values = np.floor(values) != values
+            nonzero = values.reshape(len(block), floats, width).any(axis=1)
+            found = np.flatnonzero(nonzero)
+            if len(found):
+                found += (o0 + b0) * width
+                yield found
+        o0, size = o1, min(2 * size, most)
 
 
 def decode_point(t, q, n):

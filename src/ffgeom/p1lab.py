@@ -3,16 +3,19 @@ line bundles, so a bundle is a sorted integer tuple, cohomology is a closed
 formula, and the criterion "semistable <=> some twist kills all cohomology"
 can be checked exhaustively inside a finite search box.
 
-A scan finds the first partner of every type in one pass: each type E gets
-a table of h0 and one of h1 of E (x) O(t) over the box's range of t, and
-the cohomology of E (x) F, for every F of a rank block of the box, is a sum
-of gathers from those tables.
+A scan finds the first partner of every type in one pass over the box,
+read one rank block at a time and no further than the block where the last
+type finds its partner: for a rank block, each type E still without one
+gets a table of h0 and one of h1 of E (x) O(t) over the block's range of t,
+and the cohomology of E (x) F, for every F of the block, is a sum of
+gathers from those tables.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby
 from math import comb
+from operator import attrgetter
 
 import numpy as np
 
@@ -130,70 +133,59 @@ def _degrees(ts):
 def _first_partners(types, box):
     """For each E of ``types``, the first F of ``box`` such that
     H^0(E (x) F) = H^1(E (x) F) = 0, or None.  ``box`` is an iterable that
-    lists its types rank by rank, as :func:`splitting_types` does; it is
-    not consumed when ``types`` is empty.
+    lists its types rank by rank, as :func:`splitting_types` does.  It is
+    consumed one rank block at a time, and no further once every E has a
+    partner: so not at all when ``types`` is empty.
 
-    Each E gets two tables over the box's part range [lo, hi],
-    g_E(t) = sum_i max(a_i + t + 1, 0) and h_E(t) = sum_i max(-a_i - t - 1, 0),
-    so h0(E (x) F) = sum_j g_E(b_j) and h1(E (x) F) = sum_j h_E(b_j) are
-    gathers from the tables, (types x box line bundles) entries in all.
-    Every pair evaluated is checked against the Euler characteristic
-    h0 - h1 = deg E*r + deg F*s + s*r (s = rank E, r = rank F), with the
-    degrees summed apart from the tables.  The types of each rank s go in
-    row blocks of about ``_ROW_BLOCK_ENTRIES`` entries per array; a row
-    block stops at the first rank block after which each of its rows has
-    a partner."""
+    For a rank block, each E gets two tables over the block's part range
+    [lo, hi], g_E(t) = sum_i max(a_i + t + 1, 0) and
+    h_E(t) = sum_i max(-a_i - t - 1, 0), so h0(E (x) F) = sum_j g_E(b_j)
+    and h1(E (x) F) = sum_j h_E(b_j) are gathers from the tables, (types x
+    block line bundles) entries in all.  Every pair evaluated is checked
+    against the Euler characteristic h0 - h1 = deg E*r + deg F*s + s*r
+    (s = rank E, r = rank F), with the degrees summed apart from the
+    tables.  The types that have no partner yet go in row blocks of about
+    ``_ROW_BLOCK_ENTRIES`` entries per array, all ranks together."""
     partners = [None] * len(types)
-    if not types:
-        return partners
-    by_rank = {}
-    for f in box:
-        by_rank.setdefault(f.rank, []).append(f)
-    if not by_rank:
-        return partners
-    # the box as one flat array of parts, so that a rank block costs a few
-    # views however many blocks there are
-    members = [f for fs in by_rank.values() for f in fs]
-    parts = _parts(members, sum(r * len(fs) for r, fs in by_rank.items()))
-    degrees = _degrees(members)
-    lo, hi = int(parts.min()), int(parts.max())
-    t = np.arange(lo, hi + 1, dtype=np.int64)
-    parts -= lo  # indices into the tables
-    blocks, i, j = [], 0, 0
-    for r, fs in by_rank.items():
-        n = len(fs)
-        # row c of the columns holds part c of every F in the block
-        blocks.append((fs, parts[j:j + r * n].reshape(n, r).T, degrees[i:i + n]))
-        i, j = i + n, j + r * n
-    # entries per line bundle of E: its row of a table or of a rank block
-    width = max(len(t), max(len(fs) for fs in by_rank.values()))
-    rows_of_rank = {}
-    for i, e in enumerate(types):
-        rows_of_rank.setdefault(e.rank, []).append(i)
-    for s, index in rows_of_rank.items():
-        step = max(_ROW_BLOCK_ENTRIES // (s * width), 1)  # types E per row block
-        for start in range(0, len(index), step):
-            rows = index[start:start + step]
-            es = [types[i] for i in rows]
-            chi = _parts(es, s * len(es)).reshape(len(es), s, 1) + t
-            chi += 1  # h0 - h1 of each line bundle O(d) is d + 1
-            g = np.maximum(chi, 0).sum(axis=1)
-            h = np.maximum(-chi, 0).sum(axis=1)
-            deg_e = _degrees(es)[:, None]
-            open_rows = len(rows)  # rows without a partner yet
-            for fs, cols, deg_f in blocks:
-                r = len(cols)
-                h0 = g[:, cols].sum(axis=1)
-                h1 = h[:, cols].sum(axis=1)
-                if not np.array_equal(h0 - h1, deg_e * r + (deg_f * s + s * r)):
-                    raise InternalContradiction("Euler characteristic mismatch")
-                hits = h0 + h1 == 0  # both are sums of nonnegative terms
-                for k in np.flatnonzero(hits.any(axis=1)):
-                    if partners[rows[k]] is None:
-                        partners[rows[k]] = fs[int(hits[k].argmax())]
-                        open_rows -= 1
-                if not open_rows:
-                    break  # the later rank blocks come later in the order
+    left = len(types)  # types without a partner yet
+    if types:
+        # the parts of every E, each row padded with zeros to the largest
+        # rank and the padding masked out of the tables
+        ranks = np.array([e.rank for e in types], dtype=np.int64)
+        mask = np.arange(ranks.max()) < ranks[:, None]
+        parts_e = np.zeros(mask.shape, dtype=np.int64)
+        parts_e[mask] = _parts(types, int(ranks.sum()))
+        parts_e, mask = parts_e[:, :, None], mask[:, :, None]
+        deg_e = _degrees(types)
+        done = np.zeros(len(types), dtype=bool)
+    for r, fs in groupby(box if types else (), key=attrgetter("rank")):
+        fs = list(fs)
+        parts = _parts(fs, r * len(fs))
+        lo, hi = int(parts.min()), int(parts.max())
+        t = np.arange(lo + 1, hi + 2, dtype=np.int64)  # h0 - h1 of O(d) is d + 1
+        # row c of the columns holds part c of every F in the block, as an
+        # index into the tables
+        cols = (parts - lo).reshape(len(fs), r).T
+        deg_f = _degrees(fs)
+        todo = np.flatnonzero(~done)
+        # types E per row block: entries per E are its padded parts times
+        # the table, or a row of the block
+        step = max(_ROW_BLOCK_ENTRIES // (mask.shape[1] * max(len(t), len(fs))), 1)
+        for start in range(0, len(todo), step):
+            rows = todo[start:start + step]
+            chi = parts_e[rows] + t
+            h0 = (np.maximum(chi, 0) * mask[rows]).sum(axis=1)[:, cols].sum(axis=1)
+            h1 = (np.maximum(-chi, 0) * mask[rows]).sum(axis=1)[:, cols].sum(axis=1)
+            s = ranks[rows, None]
+            if not np.array_equal(h0 - h1, deg_e[rows, None] * r + deg_f * s + s * r):
+                raise InternalContradiction("Euler characteristic mismatch")
+            hits = h0 + h1 == 0  # both are sums of nonnegative terms
+            for k in np.flatnonzero(hits.any(axis=1)):
+                partners[rows[k]] = fs[int(hits[k].argmax())]
+                done[rows[k]] = True
+                left -= 1
+        if not left:
+            break  # the later rank blocks come later in the order
     return partners
 
 

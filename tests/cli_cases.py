@@ -16,6 +16,7 @@ naming each failing row::
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -55,6 +56,28 @@ QUARTIC_F13 = (
     "1*x1^4 + 11*x1^2*x2^2 + 10*x2^4 + 5*x0*x1^3 + 8*x0*x1^2*x2 + 1*x0*x1*x2^2"
     " + 9*x0*x2^3 + 7*x0^2*x1^2 + 3*x0^2*x1*x2 + 3*x0^3*x1 + 11*x0^3*x2 + 7*x0^4"
 )
+
+
+def many_groups_terms():
+    """The exponent tuples of a 300-term polynomial over F_2 in 20
+    variables, each coefficient 1: an outer variable x0 .. x5 times a
+    distinct monomial of the last 14, so a scan of it has about as many
+    coefficient groups as terms."""
+    rng = random.Random(5)
+    inner = set()
+    while len(inner) < 300:
+        mono = tuple(int(rng.random() < 0.3) for _ in range(14))
+        if any(mono):
+            inner.add(mono)
+    terms = []
+    for mono in sorted(inner):
+        o = rng.randrange(6)
+        terms.append(tuple(int(i == o) for i in range(6)) + mono)
+    return terms
+
+
+MANY_GROUPS = " + ".join("*".join(f"x{i}" for i, e in enumerate(exps) if e)
+                         for exps in many_groups_terms())
 
 
 def fermat(e, q):
@@ -191,6 +214,15 @@ ROWS = [
     case("oracle_f2_20_blocks",
          "oracle --kind affine --field 2 --vars 20 --poly 'x0*x19 + x5' --max-listed 0",
          EXIT_OK, fields={"avoiding_count": 2 ** 19}),
+    # 300 coefficient groups: one block product per 2^14 points, and a
+    # log-many coefficient evaluations, where a pass per group took 1.4 s
+    case("oracle_f2_20_300_terms",
+         f"oracle --kind affine --field 2 --vars 20 --poly '{MANY_GROUPS}' --max-listed 0",
+         EXIT_OK, seconds=1.0, fields={"avoiding_count": 515744}),
+    # every flag is read under its full name only: --max is not --max-listed
+    case("oracle_flag_abbreviation",
+         "oracle --kind affine --field 2 --poly x0 --vars 2 --max 1",
+         EXIT_PRECONDITION, stderr="unrecognized arguments: --max 1"),
     # an 85 MB document from the listing writer, which must parse and agree
     # with its own count
     case("oracle_grass_f7_listing",
@@ -334,6 +366,11 @@ ROWS = [
            "p1 verify --type=" + ",".join(["1"] + ["0"] * (parts - 1)),
            EXIT_PRECONDITION, stderr="more than", seconds=0.1)
       for parts in (1001, 3001)],
+    # the box of 4-rank types holds 148 994 types, but the partner of 0
+    # is in its rank-1 block, after which the search stops
+    case("p1_verify_partner_in_first_rank_block",
+         "p1 verify --type=0 --search-bound 20 --rank-bound 4", EXIT_OK, seconds=0.05,
+         fields={"partner": [-1]}),
     # 1 + 2 + ... + 1413 line bundles fit the budget; no zero type is a partner
     case("p1_verify_rank_bound_1413", "p1 verify --type=0 --search-bound 0 --rank-bound 1413",
          EXIT_NO_POINT, seconds=1.0, fields={"partner": None}),

@@ -104,6 +104,21 @@ def fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_closed_stdout_ends_without_traceback():
+    # the reader takes 100 bytes of a 460 KB listing and closes the pipe:
+    # the next write fails, and the CLI exits 141 with nothing on stderr
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = ["oracle", "--kind", "affine", "--field", "2", "--poly", "x0", "--vars", "12"]
+    with subprocess.Popen([sys.executable, "-m", "ffgeom.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in stderr and stderr == ""
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
 def _emitted(doc):
     buf = io.StringIO()
     cli._emit(doc, buf)

@@ -206,6 +206,20 @@ class TestArithmetic:
             prod = np.array(fld.coords(b)) @ fld._mul_matrix(a) % p
             assert fld.from_coords(prod.tolist()) == _ref_mul(fld, a, b), (a, b)
 
+    @pytest.mark.parametrize("q", [2, 7, 9, 16, 25, 3 ** 7])
+    def test_matrices_of_an_array_are_the_scalar_ones(self, q):
+        # the lift of a whole array, and the coordinates it starts from,
+        # entry by entry
+        fld = field_for(q)
+        rng = random.Random(q)
+        a = np.array([[rng.randrange(q) for _ in range(5)] for _ in range(3)], dtype=np.int64)
+        lifted = fld._mul_matrices(a)
+        assert lifted.shape == (3, 5, fld.k, fld.k)
+        coords = fields.digits(a, fld.p, fld.k)
+        for i, j in np.ndindex(a.shape):
+            assert np.array_equal(lifted[i, j], fld._mul_matrix(int(a[i, j])))
+            assert coords[:, i, j].tolist() == fld.coords(int(a[i, j]))
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(PRIME_POWERS_64), st.integers(0, 63), st.integers(0, 3 * 64))
     @example(q=64, a=0, e=0)

@@ -20,6 +20,7 @@ from ffgeom.polynomials import (
     parse_polynomial,
 )
 
+from cli_cases import many_groups_terms
 from conftest import field_for, grid_eval_python, grid_polys, grid_zeros, random_poly
 
 
@@ -86,6 +87,16 @@ class TestGridEval:
     def test_nullary(self):
         p = MultivariatePolynomial.constant(4, 0, make_field(5))
         assert np.array_equal(_grid_values(p), np.array([4]))
+
+    @pytest.mark.parametrize("q", [3, 7, 9, 1021])
+    def test_exponents_past_float_precision(self, q):
+        # x^q = x on F_q brings every exponent below q before its log is
+        # summed in float64, where 2^60 * log x would lose its low bits
+        fld = field_for(q)
+        poly = MultivariatePolynomial(2, fld, {(2 ** 60, 1): 1, (3, 2 ** 65 + 3): 2, (0, 0): 1})
+        idx = np.arange(min(q ** 2, 4096), dtype=np.int64)
+        assert np.array_equal(kernels.grid_eval([poly], idx)[:, 0],
+                              grid_eval_python(poly, len(idx)))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_index_array_matches_range_form(self, q):
@@ -342,9 +353,10 @@ class TestSplitScan:
          "x0^2*x1 + x1^2", [(0, 0), (0, 1)]),
         # q^n <= chunk: s = n, the whole polynomial in base
         (2, None, None, 5, "x0*x4 + x1 + 1", 5, "x0*x4 + x1 + 1", []),
-        # three monomials of 16 inner values each pass a cap of 32, so x2
-        # moves outward and becomes the constant monomial's coefficient
-        (2, 16, 32, 6, "x0*x5 + x1*x4 + x0*x1*x3 + x2", 3, "0",
+        # three groups and base make an M of 4 * 16 entries, past a cap of
+        # 40, so x2 moves outward and becomes the constant monomial's
+        # coefficient: four groups and base then make 5 * 8
+        (2, 16, 40, 6, "x0*x5 + x1*x4 + x0*x1*x3 + x2", 3, "0",
          [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
     ])
     def test_split_cases(self, q, chunk, cap, nvars, text, s, base, monos):
@@ -370,46 +382,64 @@ class TestSplitScan:
 
     def test_many_groups_cache_in_bounded_memory(self, monkeypatch):
         # 300 terms over F_2 in 20 variables, each an outer variable times a
-        # distinct inner monomial.  Under the real inner bound (s = 10) their
-        # logs fit the cap, so the bound is raised to _CHUNK, as large as
-        # the one-variable floor makes an inner grid for q in (2^10, 2^14]:
-        # at s = 14 the inner logs would take 300 * 2^14 * 8 bytes (~39 MB);
-        # the cap lowers s until they fit.
-        # The cache is built before the first block and every block
-        # allocates alike, so the first blocks show the scan's peak.
-        rng = random.Random(5)
-        inner = set()
-        while len(inner) < 300:
-            mono = tuple(int(rng.random() < 0.3) for _ in range(14))
-            if any(mono):
-                inner.add(mono)
-        terms = {}
-        for mono in sorted(inner):
-            o = rng.randrange(6)
-            terms[tuple(int(i == o) for i in range(6)) + mono] = 1
-        poly = MultivariatePolynomial(20, make_field(2), terms)
+        # distinct inner monomial.  Under the real inner bound (s = 10) M
+        # fits the cap, so the bound is raised to _CHUNK, as large as the
+        # one-variable floor makes an inner grid for q in (2^10, 2^14]: at
+        # s = 14 M would take 301 * 2^14 float64s (~39 MB); the cap lowers s
+        # until it fits.  A batch of coefficients holds at most the cap's
+        # entries too, so the whole scan stays in bounded memory.
+        poly = MultivariatePolynomial(20, make_field(2), {e: 1 for e in many_groups_terms()})
         assert len(poly.terms) == 300
         calls = _counting_grid_eval(monkeypatch)
         with _scanning(inner=kernels._CHUNK):
             tracemalloc.start()
             try:
-                arrays = list(itertools.islice(kernels.hits(poly), 4))
+                arrays = list(kernels.hits(poly))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             s = kernels._split(poly)[0]
-        assert len(arrays) == 4 and s < 14
+        assert sum(map(len, arrays)) == 515744 and s < 14
         assert peak < 32 * 2 ** 20
-        # one grid_eval for the inner grid, then one per block scanned,
-        # whatever the number of groups
-        scanned = int(arrays[-1][0]) // (kernels._CHUNK // 2 ** s * 2 ** s) + 1
-        assert len(calls) <= scanned + 1
+        # one grid_eval for the inner grid, then one per batch of outer
+        # points, which doubles from one block: log-many, whatever the
+        # number of groups
+        blocks = 2 ** 20 // (kernels._CHUNK // 2 ** s * 2 ** s)
+        assert len(calls) <= blocks.bit_length() + 1
+
+
+class TestBlockProduct:
+    @pytest.mark.parametrize("bound", ["real", "one group", "2^7"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25])
+    def test_hits_match_scalar_reference(self, q, bound):
+        # inner grids of one variable (two over F_2, so that a scan can have
+        # more than two groups), so every scan multiplies A by M.  A bound
+        # of k (p - 1)^2 + 1 in place of 2^53 leaves one group per exact
+        # product: a scan then adds the residues of a slice per group and
+        # base, and in characteristic 2 it packs no sums.  A bound of 2^7
+        # packs at most two sums into a float, so a point of F_8 or F_16
+        # takes several floats
+        fld = field_for(q)
+        exact = {"real": kernels._EXACT, "one group": fld.k * (fld.p - 1) ** 2 + 1,
+                 "2^7": 2 ** 7}[bound]
+        rng = random.Random(700 + q)
+        nvars = 3 if q < 16 else 2
+        most = 0
+        with _scanning(inner=max(q, 4)), mock.patch.object(kernels, "_EXACT", exact):
+            for _ in range(10):
+                poly = random_poly(rng, fld, nvars, 2 * q, nterms=6)
+                s, base, groups = kernels._split(poly.reduced())
+                assert s == (2 if q == 2 else 1)
+                most = max(most, len(groups) + (not base.is_zero()))
+                assert _joined_hits(poly) == _scalar_hits(poly)
+        assert most >= 3  # several slices under the one-group bound
 
 
 class TestInnerBound:
     """The rule of :func:`kernels._split` for s, the inner variable count:
     q^s at most ``_INNER`` (and ``_CHUNK``), at least one variable while
-    q <= ``_CHUNK``, and the whole grid when it fits."""
+    q <= ``_CHUNK`` and M, (groups + 1) * k^2 * q^s entries, fits
+    ``_MAX_CACHED``, and the whole grid when it fits."""
 
     def test_early_first_hit_reads_few_points(self, monkeypatch):
         # over F_2 in 14 variables (a cli fallback's grid) the first hit
@@ -427,19 +457,25 @@ class TestInnerBound:
                                    2 ** 14, 2 ** 15])
     def test_one_inner_variable_while_q_fits_a_chunk(self, q):
         # q^s is the largest power within 2^10, but a field past 2^10 keeps
-        # one inner variable while q <= _CHUNK; past _CHUNK none is left
-        poly = parse_polynomial("x0*x1*x2 + x2^2 + x1 + 1", field_for(q), 3)
+        # one inner variable while q <= _CHUNK and the M of its two groups
+        # (x2 and the constant monomial) and base fits the cap: F_3^8 and
+        # F_2^14 lift each entry to 64 and 196, past it.  Past _CHUNK none
+        # is left
+        fld = field_for(q)
+        poly = parse_polynomial("x0*x1*x2 + x2^2 + x1 + 1", fld, 3)
         s = kernels._split(poly.reduced())[0]
         expected = max(k for k in range(4) if q ** k <= kernels._INNER)
         if q > kernels._INNER:
-            expected = int(q <= kernels._CHUNK)
+            expected = int(q <= kernels._CHUNK and 3 * fld.k ** 2 * q <= kernels._MAX_CACHED)
         assert s == expected
+        assert s == {3 ** 8: 0, 2 ** 14: 0, 2 ** 11: 1}.get(q, s)
 
     def test_only_the_cache_cap_drops_the_last_inner_variable(self):
-        # over F_2^14, 64 groups x0*x1^e of 2^14 inner values each fill the
-        # cap of 64 * 2^14, and a 65th moves x1 outward despite the floor
-        fld = make_field(2, 14)
-        for groups, s in ((64, 1), (65, 0)):
+        # over F_16381, 63 groups x0*x1^e and base make an M of 64 * 16381
+        # entries, within the cap of 2^20, and a 64th group moves x1 outward
+        # despite the floor
+        fld = make_field(16381)
+        for groups, s in ((63, 1), (64, 0)):
             poly = MultivariatePolynomial(2, fld, {(1, e): 1 for e in range(1, groups + 1)})
             assert kernels._split(poly)[0] == s
 
