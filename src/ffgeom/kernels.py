@@ -6,35 +6,38 @@ polynomials at an array of grid indices from one decode of the indices.
 With n = 1 an index is an element's encoding, which is how the root search
 of :mod:`ffgeom.polynomials` evaluates a polynomial at its candidate roots.
 All terms of all the polynomials are one exponent matrix: the terms' logs
-at the points are one float64 product of the points' logs with it, the
-values one lookup in the field's discrete-log tables, and each
-polynomial's value one sum over its terms, taken on coordinates over F_p.
-Every field has tables, so one kernel serves every field up to the size
-limit.
+at the points are one float64 product of the points' logs with it, and the
+values one lookup in the field's discrete-log tables.  Each polynomial's
+value is one sum over its terms: an XOR in characteristic 2, otherwise a
+sum over F_p of each coordinate.  Every field has tables, so one kernel
+serves every field up to the size limit.
 
 Scans go through :func:`hits`, which splits the grid into its last s
 (*inner*) variables and the rest (*outer*), and writes the polynomial as
 ``base`` plus a sum of inner monomials times coefficients in the outer
-variables, one *group* per monomial.  An element of F_q = F_{p^k} is its k
-coordinates over F_p, and multiplication by a fixed element is a k x k
-matrix over F_p, so the values on a block of outer points times the inner
-grid are one product over F_p::
+variables, one *group* per monomial.  The inner grid's monomials are
+evaluated once per scan, and the coefficients in batches of outer points
+that double from one block.  A block's values then come from one of two
+steps, chosen by p and k:
 
-    (A . M) mod p
+- the block product, for odd p and for F_2.  An element of F_q = F_{p^k}
+  is its k coordinates over F_p, and multiplication by a fixed element is
+  a k x k matrix over F_p, so a block's values are one product
+  ``(A . M) mod p``.  M holds every group's monomial and ``base`` at the
+  inner points, each entry lifted to its k x k block by
+  :meth:`FiniteField._mul_matrices`; a row of A holds the coordinates of
+  every group's coefficient (and a 1 for ``base``) at one outer point.
+  The product is taken in float64, exact while its sums stay below 2^53
+  (``_EXACT``): G rows of M give sums below G*k*(p-1)^2, so a scan with
+  more groups multiplies them in slices of fewer and adds the residues.
+- the log-domain step, for F_{2^k} with k > 1, where the lift would cost
+  k^2 multiply-adds per group and point while a sum is one XOR: each
+  group's term is one gather of g^(log a + log mono), and the terms are
+  XORed.
 
-M holds, once per scan, every group's monomial and ``base`` at the inner
-points, each entry lifted to its k x k block by
-:meth:`FiniteField._mul_matrices`; a row of A holds the coordinates of every
-group's coefficient (and a 1 for ``base``) at one outer point.  The product
-is taken in float64, exact while its sums stay below 2^53 (``_EXACT``): G
-rows of M give sums below G*k*(p-1)^2, so a scan with more groups
-multiplies them in slices of fewer and adds the residues.  A point's value
-is zero when each of its k sums is 0 mod p; in characteristic 2 its sums,
-each at most G*k, are packed several to a float, bits apart, and read by
-one mask of their low bits.  M is held to ``_MAX_CACHED`` entries by
-lowering s.  The coefficients are evaluated in batches of outer points
-that double from one block, so a scan that stops at its first hit
-evaluates one block of them, and one that runs to the end makes log-many
+What a scan caches of its inner grid is held to ``_MAX_CACHED`` entries by
+lowering s.  A scan that stops at its first hit evaluates one block of
+coefficients, and one that runs to the end makes log-many
 :func:`grid_eval` calls.
 """
 
@@ -49,9 +52,10 @@ _CHUNK = 2 ** 14
 # points of the inner grid that hits evaluates through grid_eval once per
 # scan (the cost model is in _split's docstring)
 _INNER = 2 ** 10
-# float64 entries of a scan's M, (groups + 1) * k^2 * q^s, and of a batch of
-# coefficient coordinates: 8 MB each.  With q^s <= _INNER, a prime field
-# reaches it past 2^10 groups, a field of degree k past 2^10 / k^2
+# entries a scan caches of its inner grid, (groups + 1) * k^2 * q^s float64s
+# of M or (groups + 1) * q^s int64 logs, and of a batch of coefficient
+# coordinates: 8 MB each.  With q^s <= _INNER, a prime field reaches it past
+# 2^10 groups, an odd-p field of degree k past 2^10 / k^2
 _MAX_CACHED = 64 * _CHUNK
 # point-term pairs grid_eval holds at once: 1 MB per array of its slice
 _TERM_ENTRIES = 2 ** 17
@@ -93,28 +97,41 @@ def grid_eval(polys, idx):
     field, nvars = polys[0].field, polys[0].nvars
     p, k, q = field.p, field.k, field.q
     out = np.zeros((len(idx), len(polys)), dtype=np.int64)
-    terms = [(exps, c) for poly in polys for exps, c in poly.terms.items()]
-    if not terms:
+    live = [j for j, poly in enumerate(polys) if poly.terms]
+    if not live:
         return out
+    terms = [(exps, c) for j in live for exps, c in polys[j].terms.items()]
     logt, expt = field_tables(field)
     m = q - 1
     exps = np.array([[(e - 1) % m + 1 if e else 0 for e in exps] for exps, _ in terms],
-                    dtype=np.float64).reshape(len(terms), nvars).T
-    logc = logt[[c for _, c in terms]].astype(np.float64)
-    owner = np.repeat(np.arange(len(polys)), [len(poly.terms) for poly in polys])
-    member = (owner[:, None] == np.arange(len(polys))).astype(np.float64)
-    pw = p ** np.arange(k, dtype=np.float64)
+                    dtype=np.float64).reshape(len(terms), nvars)
+    used = np.flatnonzero(exps.any(axis=0))  # only these variables are decoded
+    exps = exps[:, used]
+    logc = logt[[c for _, c in terms]].astype(np.float64)[:, None]
+    sizes = [len(polys[j].terms) for j in live]
+    if p == 2:  # addition is XOR: each polynomial is one reduce over its run of terms
+        starts = np.cumsum([0] + sizes[:-1])
+    else:  # a sum over F_p of each coordinate: one product with the term-owner matrix
+        owner = np.repeat(np.arange(len(live)), sizes)
+        member = (np.arange(len(live))[:, None] == owner).astype(np.float64)
+        pw = p ** np.arange(k, dtype=np.float64)
     rows = max(1, _TERM_ENTRIES // (len(terms) * k))
     for start in range(0, len(idx), rows):
-        coords = decode(idx[start:start + rows], q, nvars)
-        total = np.where(coords == 0, _DEAD, logt[coords]) @ exps
+        coords = decode(idx[start:start + rows], q, nvars, used).T  # contiguous rows
+        total = exps @ np.where(coords == 0, _DEAD, logt[coords])  # (terms, N)
         total += logc
-        live = total < _DEAD
-        total *= live
+        alive = total < _DEAD
+        total *= alive
         values = expt[_floor_mod(total, m).astype(np.int64)]
-        values *= live
-        sums = _floor_mod(digits(values, p, k).astype(np.float64) @ member, p)
-        out[start:start + rows] = (pw @ sums.reshape(k, -1)).reshape(-1, len(polys))
+        values *= alive
+        if len(terms) == len(live):  # a term per polynomial: nothing to add
+            sums = values
+        elif p == 2:
+            sums = np.bitwise_xor.reduceat(values, starts, axis=0)
+        else:
+            coordinates = _floor_mod(member @ digits(values, p, k).astype(np.float64), p)
+            sums = np.tensordot(pw, coordinates, 1).astype(np.int64)
+        out[start:start + rows, live] = sums.T
     return out
 
 
@@ -126,30 +143,33 @@ def _split(poly):
     other n - s, at most one group per monomial.
 
     s is the largest with q^s <= min(``_INNER``, ``_CHUNK``), and at least
-    1 while q <= ``_CHUNK``, then lowered (down to 0) until the scan's M,
-    (groups + 1) * k^2 * q^s float64 entries, fits ``_MAX_CACHED``.  Every
-    group with a constant coefficient folds into ``base``.
+    1 while q <= ``_CHUNK``, then lowered (down to 0) until what the scan
+    caches of the inner grid fits ``_MAX_CACHED``: (groups + 1) * k^2 * q^s
+    entries of M for the block product, groups * q^s logs for the log-domain
+    step of characteristic 2 (see :func:`_uses_logs`).  Every group with a
+    constant coefficient folds into ``base``.
 
     The cost model: :func:`hits` sends the q^s inner points through
     :func:`grid_eval` once per scan, and the outer points in batches, at a
-    pass per point and term.  A block of ``_CHUNK`` points is then one
-    BLAS product of its ``_CHUNK`` // q^s outer points' coefficients with M,
-    (groups + 1) * k^2 multiply-adds a point, and a residue test of a few
-    passes over its k sums (packed into fewer floats in characteristic
-    2).  A scan that stops at its first hit thus pays for the whole inner
-    grid however early the hit, so the inner grid stays small; but a block
-    holds ``_CHUNK`` // q^s outer points, whose coefficients cost
-    grid_eval's per-term work, so the inner grid must not shrink so far
-    that they dominate.  A grid within the bound is one grid_eval (s = n)
-    and builds no M.
+    pass per point and term.  A block then costs, per point, the
+    block product's (groups + 1) * k^2 multiply-adds in one BLAS call and a
+    residue test of a few passes over its k sums, or in the log domain a
+    gather and an XOR pass per group.  A scan that stops at its first hit
+    thus pays for the whole inner grid however early the hit, so the inner
+    grid stays small; but a block holds ``_CHUNK`` // q^s outer points,
+    whose coefficients cost grid_eval's per-term work, so the inner grid
+    must not shrink so far that they dominate.  A grid within the bound
+    (s = n) and a scan with no inner variable (s = 0) are grid_eval block
+    by block.
     """
     field, n = poly.field, poly.nvars
     bound = min(_INNER, _CHUNK)
     s = 0
     while s < n and (field.q ** (s + 1) <= bound or (s == 0 and field.q <= _CHUNK)):
         s += 1
-    if s == n:  # no outer variables, so no coefficient and no M
+    if s == n:  # no outer variables, so no coefficient and nothing cached
         return s, poly, []
+    lift = 1 if _uses_logs(field) else field.k ** 2
     while True:
         coefs = {}
         for exps, c in poly.terms.items():
@@ -161,9 +181,66 @@ def _split(poly):
                 base[mono] = coef[constant]
             else:
                 groups.append((mono, type(poly)(n - s, field, coef)))
-        if s == 0 or (len(groups) + 1) * field.k ** 2 * field.q ** s <= _MAX_CACHED:
+        if s == 0 or (len(groups) + 1) * lift * field.q ** s <= _MAX_CACHED:
             return s, type(poly)(s, field, base), groups
         s -= 1
+
+
+def _uses_logs(field):
+    """Whether scans over ``field`` take the log-domain step: in
+    characteristic 2 with k > 1, where a sum is one XOR pass and the block
+    product's k x k lift would cost k^2 multiply-adds per group and point."""
+    return field.p == 2 and field.k > 1
+
+
+def _product_step(field, inner):
+    """The block product's step: from ``inner``, the (q^s, groups + 1)
+    values of every group's monomial and of ``base`` (last) on the inner
+    grid, a function of a block's (B, groups) coefficients that returns
+    its (B, q^s) mask of nonzero values, ``(A . M) mod p``."""
+    p, k = field.p, field.k
+    width, columns = inner.shape
+    rows = columns * k
+    # M[(group, i), (l, j)]: coordinate l of (group's value at inner point j) * x^i
+    mat = field._mul_matrices(inner.T).transpose(0, 2, 3, 1).reshape(rows, k * width)
+    mat = mat.astype(np.float64)
+    per = max(1, (_EXACT - 1) // (k * (p - 1) ** 2)) * k  # rows per exact product
+    slices = [slice(r, r + per) for r in range(0, rows, per)]
+
+    def step(a):
+        a = np.concatenate([a, np.ones((len(a), 1), dtype=np.int64)], axis=1)
+        a = np.moveaxis(digits(a, p, k), 0, -1).reshape(len(a), rows).astype(np.float64)
+        values = None
+        for cols in slices:
+            part = a[:, cols] @ mat[cols]
+            values = part if values is None else _floor_mod(values, p) + _floor_mod(part, p)
+        values /= p  # an integer quotient exactly where the sum is 0 mod p
+        return (np.floor(values) != values).reshape(len(a), k, width).any(axis=1)
+    return step
+
+
+def _log_step(field, inner):
+    """The log-domain step of characteristic 2 (see :func:`_uses_logs`):
+    like :func:`_product_step`, but it returns the block's values, each
+    group's term one gather of g^(log a + log mono) and the terms added by
+    XOR.  A factor's log is below q - 1, or 2(q - 1) for 0, and ``prod``
+    holds g^i at every sum i < 2(q - 1) and 0 from there on, so the step
+    needs neither a modulus nor a mask."""
+    logt, expt = field_tables(field)
+    zlog = 2 * (field.q - 1)
+    prod = np.concatenate([expt, expt, np.zeros(zlog + 1, dtype=np.int64)])
+    logs = np.where(inner[:, :-1] != 0, logt[inner[:, :-1]], zlog).T  # (groups, q^s)
+    base = inner[:, -1]
+
+    def step(a):
+        values = np.broadcast_to(base, (len(a), len(base)))
+        loga = np.where(a != 0, logt[a], zlog)
+        for g in np.flatnonzero(a.any(axis=0)):
+            term = prod[loga[:, g, None] + logs[g]]
+            term ^= values
+            values = term
+        return values
+    return step
 
 
 def hits(poly):
@@ -174,75 +251,47 @@ def hits(poly):
     has no nonzero point to scan for.  It is then :func:`_split` into its
     last s variables, whose q^s points (about ``_INNER``) make the inner
     grid, and the outer rest.  ``base`` and every inner monomial are one
-    :func:`grid_eval` over the inner grid, lifted into M.  A block is
-    ``_CHUNK`` // q^s outer points times the inner grid: its values are the
-    block's rows of A times M, mod p, and a point is a hit where any of its
-    k coordinates is nonzero.  A's rows come from one grid_eval of every
-    coefficient per batch of outer points: the first batch is one block,
-    and each next one twice the last, up to ``_CHUNK`` outer points and
-    ``_MAX_CACHED`` coordinates.  So a caller that stops at the first array
-    evaluates the inner grid and one batch per doubling up to its first
-    hit, and a caller that counts holds one batch and one block.
+    :func:`grid_eval` over the inner grid, cached by the scan's step
+    (:func:`_product_step`, or :func:`_log_step` in characteristic 2 with
+    k > 1).  A block is ``_CHUNK`` // q^s outer points times the inner
+    grid.  The coefficients come from one grid_eval per batch of outer
+    points: the first batch is one block, and each next one twice the
+    last, up to ``_CHUNK`` outer points and ``_MAX_CACHED`` coordinates.
+    So a caller that stops at the first array evaluates the inner grid and
+    one batch per doubling up to its first hit, and a caller that counts
+    holds one batch and one block.  A scan with no inner grid to cache
+    (s = 0) or no outer variable (s = n) is grid_eval of ``poly``, block
+    by block.
     """
     poly = poly.reduced()
     if poly.is_zero():
         return
-    field, p, k, q = poly.field, poly.field.p, poly.field.k, poly.field.q
+    field, q, n = poly.field, poly.field.q, poly.nvars
     s, base, groups = _split(poly)
-    width = q ** s
-    if s == poly.nvars:  # one block, the inner grid: A is the unit row, A . M is base
-        found = np.flatnonzero(grid_eval([base], np.arange(width, dtype=np.int64)))
-        if len(found):
-            yield found
+    if s in (0, n):
+        total = q ** n
+        for start in range(0, total, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+            found = np.flatnonzero(grid_eval([poly], idx))
+            if len(found):
+                yield found + start
         return
+    width = q ** s
     monos = [type(poly)(s, field, {mono: 1}) for mono, _ in groups]
+    inner = grid_eval(monos + [base], np.arange(width, dtype=np.int64))
+    step = (_log_step if _uses_logs(field) else _product_step)(field, inner)
     coefs = [coef for _, coef in groups]
-    if not base.is_zero():  # the last row of M, with the coefficient 1
-        monos.append(base)
-    rows = len(monos) * k
-    inner = grid_eval(monos, np.arange(width, dtype=np.int64))
-    # M[(group, i), (l, j)]: coordinate l of (group's value at inner point j) * x^i
-    lift = field._mul_matrices(inner.T).transpose(0, 2, 3, 1)
-    mat = lift.reshape(rows, k * width).astype(np.float64)
-    del inner, lift
-    bits = rows.bit_length()  # in characteristic 2 every sum is at most rows
-    fit = (_EXACT.bit_length() - 1) // bits if p == 2 else 0  # sums per float
-    if fit:
-        # a point's k sums packed ``fit`` to a float, ``bits`` bits each: a
-        # value is nonzero where one of them is odd
-        floats, odd = -(-k // fit), sum(1 << bits * i for i in range(fit))
-        pack = np.zeros((k, floats))
-        pack[np.arange(k), np.arange(k) // fit] = 2.0 ** (bits * (np.arange(k) % fit))
-        mat = (np.swapaxes(mat.reshape(rows, k, width), 1, 2) @ pack).transpose(0, 2, 1)
-        mat, slices = mat.reshape(rows, floats * width), [slice(None)]
-    else:
-        floats, odd = k, 0
-        per = max(1, (_EXACT - 1) // (k * (p - 1) ** 2)) * k  # rows per exact product
-        slices = [slice(r, r + per) for r in range(0, rows, per)]
-    outer = q ** (poly.nvars - s)
-    step = _CHUNK // width  # q^s <= _CHUNK: at least one outer point
-    most = max(step, min(_CHUNK, _MAX_CACHED // rows))
-    size, o0 = step, 0
+    outer = q ** (n - s)
+    block = _CHUNK // width  # outer points per block; q^s <= _CHUNK: at least one
+    most = max(block, min(_CHUNK, _MAX_CACHED // (len(groups) + 1) // field.k) // block * block)
+    size, o0 = block, 0
     while o0 < outer:
         o1 = min(o0 + size, outer)
-        coefficients = np.ones((o1 - o0, len(monos)), dtype=np.int64)
+        batch = np.zeros((o1 - o0, 0), dtype=np.int64)  # a base alone: no coefficient
         if coefs:
-            coefficients[:, :len(coefs)] = grid_eval(coefs, np.arange(o0, o1, dtype=np.int64))
-        batch = np.moveaxis(digits(coefficients, p, k), 0, -1).reshape(o1 - o0, rows)
-        batch = batch.astype(np.float64)
-        for b0 in range(0, o1 - o0, step):
-            block = batch[b0:b0 + step]
-            values = None
-            for cols in slices:
-                part = block[:, cols] @ mat[cols]
-                values = part if values is None else _floor_mod(values, p) + _floor_mod(part, p)
-            if odd:
-                values = values.astype(np.int64) & odd
-            else:
-                values /= p  # an integer quotient exactly where the sum is 0 mod p
-                values = np.floor(values) != values
-            nonzero = values.reshape(len(block), floats, width).any(axis=1)
-            found = np.flatnonzero(nonzero)
+            batch = grid_eval(coefs, np.arange(o0, o1, dtype=np.int64))
+        for b0 in range(0, o1 - o0, block):
+            found = np.flatnonzero(step(batch[b0:b0 + block]))
             if len(found):
                 found += (o0 + b0) * width
                 yield found
@@ -258,12 +307,15 @@ def decode_point(t, q, n):
     return tuple(point)
 
 
-def decode(idx, q, n):
+def decode(idx, q, n, variables=None):
     """:func:`decode_point` at every index of the int64 array ``idx``: an
-    (N, n) int64 array, row r the coordinates of point ``idx[r]``.  It is
-    the transpose of a C-ordered (n, N) array, so each coordinate is one
+    (N, n) int64 array, row r the coordinates of point ``idx[r]``, or only
+    the columns of ``variables`` (an ascending sequence) when given.  It is
+    the transpose of a C-ordered array, so each coordinate is one
     contiguous column."""
-    place = np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
+    if variables is None:
+        variables = np.arange(n)
+    place = (n - 1 - np.asarray(variables, dtype=np.int64))[:, None]
     if q & (q - 1):
         coords = idx // q ** place
         coords %= q  # in place: one (n, N) array at a time

@@ -341,6 +341,11 @@ class TestSplitScan:
             joined = np.concatenate(arrays) if arrays else np.zeros(0, np.int64)
             assert all(len(a) for a in arrays) and np.all(np.diff(joined) > 0)
             assert joined.tolist() == _scalar_hits(poly)
+            # one array per block: a span's hits are cut at its blocks' edges
+            width = poly.field.q ** kernels._split(poly.reduced())[0]
+            block = kernels._CHUNK // width * width
+            assert len({a[0] // block for a in arrays}) == len(arrays)
+            assert all(a[0] // block == a[-1] // block for a in arrays)
 
     # base and the group monomials are over the last s variables, renamed
     # x0 .. x(s-1); None keeps the real _CHUNK or _MAX_CACHED
@@ -413,12 +418,11 @@ class TestBlockProduct:
     @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25])
     def test_hits_match_scalar_reference(self, q, bound):
         # inner grids of one variable (two over F_2, so that a scan can have
-        # more than two groups), so every scan multiplies A by M.  A bound
-        # of k (p - 1)^2 + 1 in place of 2^53 leaves one group per exact
-        # product: a scan then adds the residues of a slice per group and
-        # base, and in characteristic 2 it packs no sums.  A bound of 2^7
-        # packs at most two sums into a float, so a point of F_8 or F_16
-        # takes several floats
+        # more than two groups), so every scan steps A by its cached inner
+        # grid: by M, or by logs over F_4, F_8 and F_16.  A bound of
+        # k (p - 1)^2 + 1 in place of 2^53 leaves one group per exact
+        # product, so a scan adds the residues of a slice per group and
+        # base; a bound of 2^7 puts a few groups in each slice
         fld = field_for(q)
         exact = {"real": kernels._EXACT, "one group": fld.k * (fld.p - 1) ** 2 + 1,
                  "2^7": 2 ** 7}[bound]
@@ -457,27 +461,30 @@ class TestInnerBound:
                                    2 ** 14, 2 ** 15])
     def test_one_inner_variable_while_q_fits_a_chunk(self, q):
         # q^s is the largest power within 2^10, but a field past 2^10 keeps
-        # one inner variable while q <= _CHUNK and the M of its two groups
-        # (x2 and the constant monomial) and base fits the cap: F_3^8 and
-        # F_2^14 lift each entry to 64 and 196, past it.  Past _CHUNK none
-        # is left
+        # one inner variable while q <= _CHUNK and what the scan caches of
+        # its two groups (x2 and the constant monomial) and base fits the
+        # cap: F_3^8 lifts each entry of M to 64, past it, while F_2^11 and
+        # F_2^14 cache one log per entry.  Past _CHUNK none is left
         fld = field_for(q)
         poly = parse_polynomial("x0*x1*x2 + x2^2 + x1 + 1", fld, 3)
         s = kernels._split(poly.reduced())[0]
         expected = max(k for k in range(4) if q ** k <= kernels._INNER)
+        lift = 1 if kernels._uses_logs(fld) else fld.k ** 2
         if q > kernels._INNER:
-            expected = int(q <= kernels._CHUNK and 3 * fld.k ** 2 * q <= kernels._MAX_CACHED)
+            expected = int(q <= kernels._CHUNK and 3 * lift * q <= kernels._MAX_CACHED)
         assert s == expected
-        assert s == {3 ** 8: 0, 2 ** 14: 0, 2 ** 11: 1}.get(q, s)
+        assert s == {3 ** 8: 0, 2 ** 14: 1, 2 ** 11: 1}.get(q, s)
 
     def test_only_the_cache_cap_drops_the_last_inner_variable(self):
         # over F_16381, 63 groups x0*x1^e and base make an M of 64 * 16381
         # entries, within the cap of 2^20, and a 64th group moves x1 outward
-        # despite the floor
-        fld = make_field(16381)
-        for groups, s in ((63, 1), (64, 0)):
-            poly = MultivariatePolynomial(2, fld, {(1, e): 1 for e in range(1, groups + 1)})
-            assert kernels._split(poly)[0] == s
+        # despite the floor.  F_2^14 takes the log-domain step, which counts
+        # the same: (groups + 1) * 2^14 logs
+        for q in (16381, 2 ** 14):
+            fld = field_for(q)
+            for groups, s in ((63, 1), (64, 0)):
+                poly = MultivariatePolynomial(2, fld, {(1, e): 1 for e in range(1, groups + 1)})
+                assert kernels._split(poly)[0] == s
 
     @pytest.mark.parametrize("q,n", [(2, 10), (3, 6), (31, 2), (1021, 1)])
     def test_grid_within_the_bound_is_one_grid_eval(self, monkeypatch, q, n):
