@@ -7,10 +7,10 @@ With n = 1 an index is an element's encoding, which is how the root search
 of :mod:`ffgeom.polynomials` evaluates a polynomial at its candidate roots.
 All terms of all the polynomials are one exponent matrix: the terms' logs
 at the points are one float64 product of the points' logs with it, and the
-values one lookup in the field's discrete-log tables.  Each polynomial's
-value is one sum over its terms: an XOR in characteristic 2, otherwise a
-sum over F_p of each coordinate.  Every field has tables, so one kernel
-serves every field up to the size limit.
+values one lookup in the field's discrete-log tables, and each
+polynomial's value one sum over its terms, taken on coordinates over F_p.
+Every field has tables, so one kernel serves every field up to the size
+limit.
 
 Scans go through :func:`hits`, which splits the grid into its last s
 (*inner*) variables and the rest (*outer*), and writes the polynomial as
@@ -100,25 +100,22 @@ def grid_eval(polys, idx):
     live = [j for j, poly in enumerate(polys) if poly.terms]
     if not live:
         return out
+    cols = slice(None) if len(live) == len(polys) else live
     terms = [(exps, c) for j in live for exps, c in polys[j].terms.items()]
     logt, expt = field_tables(field)
     m = q - 1
     exps = np.array([[(e - 1) % m + 1 if e else 0 for e in exps] for exps, _ in terms],
-                    dtype=np.float64).reshape(len(terms), nvars)
-    used = np.flatnonzero(exps.any(axis=0))  # only these variables are decoded
-    exps = exps[:, used]
-    logc = logt[[c for _, c in terms]].astype(np.float64)[:, None]
-    sizes = [len(polys[j].terms) for j in live]
-    if p == 2:  # addition is XOR: each polynomial is one reduce over its run of terms
-        starts = np.cumsum([0] + sizes[:-1])
-    else:  # a sum over F_p of each coordinate: one product with the term-owner matrix
-        owner = np.repeat(np.arange(len(live)), sizes)
-        member = (np.arange(len(live))[:, None] == owner).astype(np.float64)
-        pw = p ** np.arange(k, dtype=np.float64)
+                    dtype=np.float64).reshape(len(terms), nvars).T
+    used = np.flatnonzero(exps.any(axis=1))  # only these variables are decoded
+    exps = exps[used]
+    logc = logt[[c for _, c in terms]].astype(np.float64)
+    owner = np.repeat(np.arange(len(live)), [len(polys[j].terms) for j in live])
+    member = (owner[:, None] == np.arange(len(live))).astype(np.float64)
+    pw = p ** np.arange(k, dtype=np.float64)
     rows = max(1, _TERM_ENTRIES // (len(terms) * k))
     for start in range(0, len(idx), rows):
-        coords = decode(idx[start:start + rows], q, nvars, used).T  # contiguous rows
-        total = exps @ np.where(coords == 0, _DEAD, logt[coords])  # (terms, N)
+        coords = decode(idx[start:start + rows], q, nvars, used)
+        total = np.where(coords == 0, _DEAD, logt[coords]) @ exps  # (N, terms)
         total += logc
         alive = total < _DEAD
         total *= alive
@@ -126,12 +123,10 @@ def grid_eval(polys, idx):
         values *= alive
         if len(terms) == len(live):  # a term per polynomial: nothing to add
             sums = values
-        elif p == 2:
-            sums = np.bitwise_xor.reduceat(values, starts, axis=0)
         else:
-            coordinates = _floor_mod(member @ digits(values, p, k).astype(np.float64), p)
-            sums = np.tensordot(pw, coordinates, 1).astype(np.int64)
-        out[start:start + rows, live] = sums.T
+            sums = _floor_mod(digits(values, p, k).astype(np.float64) @ member, p)
+            sums = (pw @ sums.reshape(k, -1)).reshape(-1, len(live))
+        out[start:start + rows, cols] = sums
     return out
 
 
