@@ -140,9 +140,9 @@ def _split(poly):
     s is the largest with q^s <= min(``_INNER``, ``_CHUNK``), and at least
     1 while q <= ``_CHUNK``, then lowered (down to 0) until what the scan
     caches of the inner grid fits ``_MAX_CACHED``: (groups + 1) * k^2 * q^s
-    entries of M for the block product, groups * q^s logs for the log-domain
-    step of characteristic 2 (see :func:`_uses_logs`).  Every group with a
-    constant coefficient folds into ``base``.
+    entries of M for the block product, (groups + 1) * q^s values for the
+    log-domain step (see :func:`_uses_logs`).  Every group with a constant
+    coefficient folds into ``base``.
 
     The cost model: :func:`hits` sends the q^s inner points through
     :func:`grid_eval` once per scan, and the outer points in batches, at a
