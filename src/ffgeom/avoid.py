@@ -14,6 +14,7 @@ decoder of hits into points, :func:`chart_rows`.
 
 import operator
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -335,12 +336,12 @@ def _cells(m, n):
     """Schubert cells of Grass(m, n) in lexicographic pivot order, each as
     (pivot columns, free entries (row, column) in grid order)."""
     for pivots in combinations(range(n), m):
-        free = [
+        free = tuple(
             (i, j)
             for i in range(m)
             for j in range(pivots[i] + 1, n)
             if j not in pivots
-        ]
+        )
         yield pivots, free
 
 
@@ -357,28 +358,26 @@ def _echelon(pivots, free, n, values, zero=0, one=1):
 
 @dataclass(frozen=True)
 class Cell:
-    """A Schubert cell of Grass(m, n) as a chart: its pivot columns, its
-    free entries (row, column) in grid order, and the maximal minors of its
-    echelon matrix in lexicographic column-set order, as polynomials in the
-    free entries."""
+    """A Schubert cell of Grass(m, n) over ``field`` as a chart: its pivot
+    columns and its free entries (row, column) in grid order."""
 
     n: int
     pivots: tuple
     free: tuple
-    minors: tuple
+    field: object
 
-    @classmethod
-    def build(cls, n, pivots, free, fld):
-        """The cell of ``pivots`` and ``free`` in Grass(m, n) over ``fld``,
-        its minors expanded once from the symbolic echelon matrix."""
-        m, k = len(pivots), len(free)
+    @cached_property
+    def minors(self):
+        """The maximal minors of the cell's echelon matrix in lexicographic
+        column-set order, as polynomials in the free entries, expanded from
+        the symbolic matrix on first use."""
+        k, fld = len(self.free), self.field
         P = MultivariatePolynomial
         variables = [P.variable(v, k, fld) for v in range(k)]
         zero = P.constant(0, k, fld)
-        rows = _echelon(pivots, free, n, variables, zero, P.constant(1, k, fld))
+        rows = _echelon(self.pivots, self.free, self.n, variables, zero, P.constant(1, k, fld))
         ms = minors(rows, operator.add, operator.sub, operator.mul, operator.neg)
-        return cls(n, pivots, tuple(free),
-                   tuple(ms.get(cols, zero) for cols in combinations(range(n), m)))
+        return tuple(ms.get(cols, zero) for cols in combinations(range(self.n), len(self.pivots)))
 
     def matrices(self, values):
         """The echelon matrices with the rows of the (N, k) int64 array
@@ -392,13 +391,31 @@ class Cell:
         return rows
 
 
+def _pullback(poly, cell):
+    """The section ``poly`` on ``cell``, a polynomial in its free entries.
+
+    With one row (every cell of P^n, and of Grass(1, n)) the minors are the
+    row: 0 before the pivot i, 1 at it, the free entries after it.  So the
+    pullback is one pass over the exponent table: the terms with a positive
+    exponent in x_0..x_{i-1} drop out, x_i's exponent is dropped, and the
+    rest are the exponents of the free entries.  More rows substitute the
+    minors.
+    """
+    if len(cell.pivots) > 1:
+        return poly.substitute(cell.minors)
+    (i,) = cell.pivots
+    return MultivariatePolynomial(len(cell.free), poly.field, (
+        (e[i + 1:], c) for e, c in poly.terms.items() if not any(e[:i])))
+
+
 def grass_cell_pullback(d):
     """Restrict the section to the dense open cell [I_m | A]; the result is a
     polynomial in the m*(n-m) cell coordinates of degree <= m * deg."""
     if d.kind != GRASSMANNIAN:
         raise ValueError("expected a Grassmannian hypersurface")
     m, n = d.params
-    pulled = d.poly.substitute(Cell.build(n, *next(_cells(m, n)), d.poly.field).minors)
+    pivots, free = next(_cells(m, n))
+    pulled = _pullback(d.poly, Cell(n, pivots, free, d.poly.field))
     if pulled.is_zero():
         raise CellContained("section vanishes identically on the dense cell")
     if pulled.total_degree() > m * d.degree:
@@ -460,8 +477,8 @@ def charts(d):
     or None on affine space).
 
     Affine space is one chart.  Each Schubert cell of Grass(m, n), with P^n
-    as Grass(1, n+1), gives the section pulled back to the cell through the
-    cell's minors.  Cells come in lexicographic pivot order with free
+    as Grass(1, n+1), gives the section pulled back to the cell by
+    :func:`_pullback`.  Cells come in lexicographic pivot order with free
     entries in grid order (the order of :func:`projective_points`, and for
     Grass(m, n) the canonical order of reduced row-echelon matrices), so
     scanning the charts in turn lists the points in canonical order.
@@ -471,8 +488,8 @@ def charts(d):
         return
     m, n = _grass_shape(d)
     for pivots, free in _cells(m, n):
-        cell = Cell.build(n, pivots, free, d.poly.field)
-        yield d.poly.substitute(cell.minors), cell
+        cell = Cell(n, pivots, free, d.poly.field)
+        yield _pullback(d.poly, cell), cell
 
 
 def chart_rows(chart, cell, found):

@@ -108,12 +108,13 @@ _SLOT = "\0"
 def _write_points(kind, names, blocks, fld, write):
     """Write the text of an oracle listing, the value of its document's
     "points", as ``json.dumps(indent=2)`` would at nesting depth 1, from the
-    blocks of :func:`exhaustive_oracle`, one point at a time.
+    blocks of :func:`exhaustive_oracle`, one block at a time.
 
     Every listed point has the same shape, so its text is one template: the
     text of a point whose elements are slots, split at them.  An element's
     text depends only on the element and its depth, so it is built once
-    per depth, and only for the elements the listing holds.
+    per depth, and only for the elements the listing holds.  A block's
+    text is then one join of its points' pieces and element texts.
     """
     if not blocks:
         write("[]")
@@ -125,14 +126,17 @@ def _write_points(kind, names, blocks, fld, write):
         point[name] = slots.tolist()
     text = json.dumps(point, indent=2).replace("\n", "\n    ")
     pieces = np.array(text.split(json.dumps(_SLOT)), dtype=object)
-    seen = np.zeros(fld.q, dtype=bool)
-    for block in blocks:
-        for array in block:
-            seen[array] = True
+    arrays = [array for block in blocks for array in block]
+    # the tables end at the largest element held, not at q: a sorted set of
+    # the held elements would cost a sort and a search per listed element
+    size = max(int(array.max()) for array in arrays) + 1
+    seen = np.zeros(size, dtype=bool)
+    for array in arrays:
+        seen[array] = True
     held = np.flatnonzero(seen).tolist()
     texts = {}  # depth -> element texts, indexed by element
     for depth in {array.ndim + 2 for array in blocks[0]}:
-        texts[depth] = np.empty(fld.q, dtype=object)
+        texts[depth] = np.empty(size, dtype=object)
         texts[depth][held] = [
             json.dumps(fld.coords(a), indent=2).replace("\n", "\n" + "  " * depth)
             for a in held
@@ -141,14 +145,15 @@ def _write_points(kind, names, blocks, fld, write):
     for block in blocks:
         elements = np.concatenate(
             [texts[a.ndim + 2][a.reshape(len(a), -1)] for a in block], axis=1)
-        parts = np.empty((len(elements), len(pieces) + elements.shape[1]), dtype=object)
-        parts[:, 0::2] = pieces
-        parts[:, 1::2] = elements
-        # a write per point: no text longer than a point is built, which
-        # peaks lower than a write per block
-        for row in parts.tolist():
-            write(sep + "".join(row))
-            sep = ",\n    "
+        # each row is a separator, then the template's pieces with the
+        # point's elements between them
+        parts = np.empty((len(elements), 1 + len(pieces) + elements.shape[1]), dtype=object)
+        parts[:, 0] = ",\n    "
+        parts[0, 0] = sep
+        parts[:, 1::2] = pieces
+        parts[:, 2::2] = elements
+        write("".join(parts.ravel().tolist()))
+        sep = ",\n    "
     write("\n  ]")
 
 

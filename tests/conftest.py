@@ -9,6 +9,7 @@ from ffgeom import kernels
 from ffgeom.avoid import (
     AFFINE,
     PROJECTIVE,
+    Cell,
     GrassmannianPoint,
     Hypersurface,
     ProjectivePoint,
@@ -232,6 +233,13 @@ def pencil_member_reference(poly, fld):
             return restricted, lam
     restricted = poly.substitute([y[0], P.constant(0, n, fld)] + y[1:])
     return None if restricted.is_zero() else (restricted, "inf")
+
+
+def chart_reference(poly, n, pivots, free):
+    """The section ``poly`` on the Schubert cell of ``pivots`` and ``free``
+    in Grass(m, n) through the general substitution: every variable becomes
+    its maximal minor of the cell's symbolic echelon matrix."""
+    return poly.substitute(Cell(n, pivots, free, poly.field).minors)
 
 
 @pytest.fixture

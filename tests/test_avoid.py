@@ -49,6 +49,7 @@ from ffgeom.fields import make_field
 from ffgeom.polynomials import MultivariatePolynomial, UnivariatePolynomial, parse_polynomial
 
 from conftest import (
+    chart_reference,
     field_for,
     first_members_vanish,
     grassmannian_points,
@@ -329,6 +330,44 @@ class TestPencilMember:
             assert _pencil_member(poly, fld) == expected
 
 
+@st.composite
+def _one_row_sections(draw):
+    """A homogeneous polynomial over F_q, q <= 9, in n + 1 variables,
+    n <= 4: a section on P^n and on Grass(1, n + 1)."""
+    fld = field_for(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    nvars = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return random_homogeneous_poly(rng, fld, nvars, rng.randint(1, 4), rng.randint(1, 8))
+
+
+class TestOneRowCharts:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_one_row_sections())
+    # on the charts x0 = 0 of P^2, terms with a positive exponent before the pivot
+    @example(parse_polynomial("x0^2 + x0*x1 + x1*x2 + x2^2", F3, 3))
+    def test_matches_substitute_reference(self, poly):
+        fld, n = poly.field, poly.nvars - 1
+        plane = Hypersurface(poly, PROJECTIVE, (n,))
+        grass = Hypersurface(poly, GRASSMANNIAN, (1, n + 1))
+        for d in (plane, grass):
+            for chart, cell in charts(d):
+                assert chart == chart_reference(poly, cell.n, cell.pivots, cell.free)
+                # a one-row cell never expands its minors
+                assert "minors" not in vars(cell)
+        dense = next(charts(grass))[0]
+        if dense.is_zero():
+            with pytest.raises(CellContained):
+                grass_cell_pullback(grass)
+        else:
+            assert grass_cell_pullback(grass) == dense
+        # P^n is Grass(1, n + 1): the same points, each row its own Pluecker vector
+        count, points = oracle_points(plane, fld)
+        assert count == len(points)
+        assert oracle_points(grass, fld)[0] == count
+        assert [(gp.matrix, gp.plucker) for gp in oracle_points(grass, fld)[1]] == [
+            ((pt.coords,), pt.coords) for pt in points]
+
+
 class TestPlucker:
     def test_symbolic_example(self):
         mat = ((1, 0, 1, 0), (0, 1, 0, 2))
@@ -503,7 +542,7 @@ class TestOracle:
         d = Hypersurface(poly, GRASSMANNIAN, (2, 4))
         assert ambient_point_count(d) == 35
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_search_agrees_with_oracle_all_kinds(self, q):
         # A^1..A^3, P^1..P^3 (P^3 takes two pencil levels), Grass(1,3) and
         # Grass(2,4): random sections, and on each space one that vanishes

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -262,6 +263,24 @@ def test_oracle_listing_across_chunk_and_chart_edges():
         code, stdout, _ = invoke(_oracle_argv("projective", "2", poly, (15,), max_listed))
         assert (code, stdout) == _reference_stdout("projective", "2", poly, ambient, listing,
                                                    max_listed)
+
+
+@pytest.mark.parametrize("command,bound_mib", [
+    # 10^5 points of F_2^20, one text per block
+    ("oracle --kind affine --field 2 --poly x0+1 --vars 20 --max-listed 100000", 128),
+    # the element texts cover the elements listed, not all 2^20 of the field
+    ("oracle --kind affine --field 2^20 --poly x0 --vars 1", 4),
+])
+def test_oracle_listing_in_bounded_memory(command, bound_mib):
+    argv = command.split()
+    run(argv, out=io.StringIO(), err=io.StringIO())  # the field's tables, built once
+    tracemalloc.start()
+    try:
+        code = run(argv, out=io.StringIO(), err=io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak < bound_mib * 2 ** 20
 
 
 def test_parser_reused_across_requests():
