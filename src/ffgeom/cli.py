@@ -126,17 +126,17 @@ def _write_points(kind, names, blocks, fld, write):
         point[name] = slots.tolist()
     text = json.dumps(point, indent=2).replace("\n", "\n    ")
     pieces = np.array(text.split(json.dumps(_SLOT)), dtype=object)
-    arrays = [array for block in blocks for array in block]
-    # the tables end at the largest element held, not at q: a sorted set of
-    # the held elements would cost a sort and a search per listed element
-    size = max(int(array.max()) for array in arrays) + 1
-    seen = np.zeros(size, dtype=bool)
-    for array in arrays:
-        seen[array] = True
+    seen = np.zeros(fld.q, dtype=bool)
+    for block in blocks:
+        for array in block:
+            seen[array] = True
     held = np.flatnonzero(seen).tolist()
-    texts = {}  # depth -> element texts, indexed by element
+    # element texts, indexed by element up to the largest one held: a
+    # sorted array of the held elements would cost a search per element
+    # listed
+    texts = {}  # depth -> element texts
     for depth in {array.ndim + 2 for array in blocks[0]}:
-        texts[depth] = np.empty(size, dtype=object)
+        texts[depth] = np.empty(held[-1] + 1, dtype=object)
         texts[depth][held] = [
             json.dumps(fld.coords(a), indent=2).replace("\n", "\n" + "  " * depth)
             for a in held

@@ -362,9 +362,9 @@ class TestOneRowCharts:
             assert grass_cell_pullback(grass) == dense
         # P^n is Grass(1, n + 1): the same points, each row its own Pluecker vector
         count, points = oracle_points(plane, fld)
-        assert count == len(points)
-        assert oracle_points(grass, fld)[0] == count
-        assert [(gp.matrix, gp.plucker) for gp in oracle_points(grass, fld)[1]] == [
+        grass_count, grass_points = oracle_points(grass, fld)
+        assert count == grass_count == len(points)
+        assert [(gp.matrix, gp.plucker) for gp in grass_points] == [
             ((pt.coords,), pt.coords) for pt in points]
 
 

@@ -266,7 +266,7 @@ def test_oracle_listing_across_chunk_and_chart_edges():
 
 
 @pytest.mark.parametrize("command,bound_mib", [
-    # 10^5 points of F_2^20, one text per block
+    # 10^5 points of the F_2 grid in 20 variables, one text per block
     ("oracle --kind affine --field 2 --poly x0+1 --vars 20 --max-listed 100000", 128),
     # the element texts cover the elements listed, not all 2^20 of the field
     ("oracle --kind affine --field 2^20 --poly x0 --vars 1", 4),
