@@ -293,7 +293,7 @@ def point_off_divisor(curve, divisor):
     phi = UnivariatePolynomial(fc, k1)
     # the root search refuses a root field past the table limit, so it runs
     # before the (e + deg G)^3 check: the value against an independent
-    # algorithm, the Bareiss determinant of the Sylvester matrix
+    # algorithm, the Sylvester determinant by Gaussian elimination
     found = find_root_in_tower(phi, e) if phi.degree >= 1 else None
     rows = sylvester_matrix(fc, gc, e, divisor.degree)
     if value != _avoid.det_scalar([[a or 0 for a in r] for r in rows], k1):

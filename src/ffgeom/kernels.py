@@ -27,9 +27,9 @@ steps, chosen by p and k:
   inner points, each entry lifted to its k x k block by
   :meth:`FiniteField._mul_matrices`; a row of A holds the coordinates of
   every group's coefficient (and a 1 for ``base``) at one outer point.
-  The product is taken in float64, exact while its sums stay below 2^53
-  (``_EXACT``): G rows of M give sums below G*k*(p-1)^2, so a scan with
-  more groups multiplies them in slices of fewer and adds the residues.
+  The product is one float64 ``A @ M``, exact while its sums stay below
+  2^53 (``_EXACT``): G rows of M give sums below G*(p-1)^2, which the
+  cache cap of :func:`_split` keeps below 2^34.
 - the log-domain step, for F_{2^k} with k > 1, where the lift would cost
   k^2 multiply-adds per group and point while a sum is one XOR: each
   group's term is one gather of g^(log a + log mono), and the terms are
@@ -43,6 +43,7 @@ coefficients, and one that runs to the end makes log-many
 
 import numpy as np
 
+from .errors import InternalContradiction
 from .fields import digits
 
 # grid points per block of hits: O(_CHUNK) memory.  A scan that stops at its
@@ -142,7 +143,9 @@ def _split(poly):
     caches of the inner grid fits ``_MAX_CACHED``: (groups + 1) * k^2 * q^s
     entries of M for the block product, (groups + 1) * q^s values for the
     log-domain step (see :func:`_uses_logs`).  Every group with a constant
-    coefficient folds into ``base``.
+    coefficient folds into ``base``.  With s >= 1 the cap bounds the block
+    product's sums by ``_MAX_CACHED`` // (k^2 q) * k * (p-1)^2, at most
+    17 171 481 600 < 2^34 (F_16381): far below ``_EXACT``.
 
     The cost model: :func:`hits` sends the q^s inner points through
     :func:`grid_eval` once per scan, and the outer points in batches, at a
@@ -192,24 +195,21 @@ def _product_step(field, inner):
     """The block product's step: from ``inner``, the (q^s, groups + 1)
     values of every group's monomial and of ``base`` (last) on the inner
     grid, a function of a block's (B, groups) coefficients that returns
-    its (B, q^s) mask of nonzero values, ``(A . M) mod p``."""
+    its (B, q^s) mask of nonzero values, ``(A . M) mod p``, from one
+    float64 product that :func:`_split`'s cap keeps exact."""
     p, k = field.p, field.k
     width, columns = inner.shape
     rows = columns * k
+    if rows * (p - 1) ** 2 >= _EXACT:
+        raise InternalContradiction(f"a block product of {rows} rows over F_{p} is inexact")
     # M[(group, i), (l, j)]: coordinate l of (group's value at inner point j) * x^i
     mat = field._mul_matrices(inner.T).transpose(0, 2, 3, 1).reshape(rows, k * width)
     mat = mat.astype(np.float64)
-    per = max(1, (_EXACT - 1) // (k * (p - 1) ** 2)) * k  # rows per exact product
-    slices = [slice(r, r + per) for r in range(0, rows, per)]
 
     def step(a):
         a = np.concatenate([a, np.ones((len(a), 1), dtype=np.int64)], axis=1)
         a = np.moveaxis(digits(a, p, k), 0, -1).reshape(len(a), rows).astype(np.float64)
-        values = None
-        for cols in slices:
-            part = a[:, cols] @ mat[cols]
-            values = part if values is None else _floor_mod(values, p) + _floor_mod(part, p)
-        values /= p  # an integer quotient exactly where the sum is 0 mod p
+        values = a @ mat / p  # an integer quotient exactly where the sum is 0 mod p
         return (np.floor(values) != values).reshape(len(a), k, width).any(axis=1)
     return step
 

@@ -392,13 +392,11 @@ def rank_and_det(matrix, field):
     """Rank of a matrix of field elements and, when it is square, its
     determinant (0 for a non-square matrix).
 
-    Fraction-free (Bareiss) elimination: step k replaces each entry below
-    and right of the pivot p_k by (p_k*a - b*c) / p_{k-1}, which stays a
-    minor of the input, so the last pivot of a square matrix of full rank
-    is its determinant up to the sign of the row swaps.  The division is
-    one inversion per step after the first, and none when p_{k-1} = 1.  A
-    column without a pivot is skipped, which leaves the rank exact and the
-    determinant 0.
+    Gaussian elimination: each pivot is inverted once, and every later row
+    with a nonzero entry a in the pivot column subtracts a / pivot times
+    the pivot row's nonzero tail.  The determinant is the product of the
+    pivots, negated once per row swap.  A column without a pivot is
+    skipped, which leaves the rank exact and the determinant 0.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
@@ -406,7 +404,7 @@ def rank_and_det(matrix, field):
     mul, sub = field.mul, field.sub
     rank = 0
     sign = 1
-    prev = p = 1
+    det = 1
     for col in range(ncols):
         for i in range(rank, nrows):
             if rows[i][col]:
@@ -417,23 +415,20 @@ def rank_and_det(matrix, field):
             rows[rank], rows[i] = rows[i], rows[rank]
             sign = -sign
         prow = rows[rank]
-        p = prow[col]
+        det = mul(det, prow[col])
         rank += 1
         if rank == nrows:
             break
-        inv_prev = 1 if prev == 1 else field.inv(prev)
-        for i in range(rank, nrows):
-            row = rows[i]
-            a = row[col]
-            for j in range(col + 1, ncols):
-                v = mul(p, row[j])
-                if a:
-                    v = sub(v, mul(a, prow[j]))
-                row[j] = v if inv_prev == 1 else mul(v, inv_prev)
-        prev = p
+        inv = field.inv(prow[col])
+        tail = [(j, b) for j, b in enumerate(prow[col + 1:], col + 1) if b]
+        for row in rows[rank:]:
+            if row[col]:
+                f = mul(row[col], inv)
+                for j, b in tail:
+                    row[j] = sub(row[j], mul(f, b))
     if rank < nrows or nrows != ncols:
         return rank, 0
-    return rank, (p if sign > 0 else field.neg(p))
+    return rank, (det if sign > 0 else field.neg(det))
 
 
 def det_scalar(matrix, field):

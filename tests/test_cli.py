@@ -301,15 +301,6 @@ def rows(cases):
 class TestExitCodes:
     """Test ids kept from before the table; each runs its rows."""
 
-    def test_parse_error_is_precondition(self):
-        run_row("avoid_poly_trailing_plus")
-
-    def test_bad_field_spec(self):
-        run_row("field_6_not_prime_power")
-
-    def test_unknown_flag(self):
-        run_row("field_info_unknown_flag")
-
     @rows({"561^1": "field_561_carmichael", "2047^1": "field_2047_pseudoprime"})
     def test_pseudoprime_characteristic_refused(self, row_id):
         run_row(row_id)
@@ -364,9 +355,6 @@ class TestExitCodes:
     def test_partner_budget_counts_parts(self, row_id):
         run_row(row_id)
 
-    def test_deep_nesting_fails_fast(self):
-        run_row("avoid_poly_nested_10000_deep")
-
     @rows({"rank-max-0": "p1_scan_rank_max_0",
            "coeff-bound-negative": "p1_scan_coeff_bound_negative"})
     def test_scan_without_types_returns_fast(self, row_id):
@@ -381,9 +369,6 @@ class TestExitCodes:
 
     def test_largest_rank_bound_in_budget_returns_fast(self):
         run_row("p1_verify_rank_bound_1413")
-
-    def test_missing_subcommand(self):
-        run_row("no_subcommand")
 
     def test_curve_field_too_small(self):
         run_row("curve_field_too_small")

@@ -299,7 +299,7 @@ def _ref_mul(fld, a, b):
 
 class TestAdditionRule:
     """``add``/``sub``/``neg`` against a coordinate-wise reference, on ints
-    and on int64 arrays of encodings (the grid kernel's operands)."""
+    and on int64 arrays of encodings, both of which they accept."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_field_operands())

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffgeom import fields, kernels
 from ffgeom.avoid import AFFINE, GRASSMANNIAN, PROJECTIVE, Hypersurface, charts
+from ffgeom.errors import InternalContradiction
 from ffgeom.fields import FiniteField, make_field
 from ffgeom.polynomials import (
     MultivariatePolynomial,
@@ -413,6 +415,25 @@ class TestSplitScan:
         assert len(calls) <= blocks.bit_length() + 1
 
 
+# the patched bounds of TestBlockProduct that some block product's sums reach
+_REFUSED = {(2, "one group"), (3, "one group"), (9, "one group"), (25, "one group"),
+            (25, "2^7")}
+
+
+def _prime_powers(limit):
+    """(p, k) for every prime power p^k <= ``limit``."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    for p in np.flatnonzero(sieve).tolist():
+        q, k = p, 1
+        while q <= limit:
+            yield p, k
+            q, k = q * p, k + 1
+
+
 class TestBlockProduct:
     @pytest.mark.parametrize("bound", ["real", "one group", "2^7"])
     @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25])
@@ -420,23 +441,43 @@ class TestBlockProduct:
         # inner grids of one variable (two over F_2, so that a scan can have
         # more than two groups), so every scan steps A by its cached inner
         # grid: by M, or by logs over F_4, F_8 and F_16.  A bound of
-        # k (p - 1)^2 + 1 in place of 2^53 leaves one group per exact
-        # product, so a scan adds the residues of a slice per group and
-        # base; a bound of 2^7 puts a few groups in each slice
+        # k (p - 1)^2 + 1 in place of 2^53 is reached by every block product
+        # with a group, and 2^7 by one of 8 rows over F_25: the step refuses
+        # those scans, and every other scan matches the reference
         fld = field_for(q)
         exact = {"real": kernels._EXACT, "one group": fld.k * (fld.p - 1) ** 2 + 1,
                  "2^7": 2 ** 7}[bound]
         rng = random.Random(700 + q)
         nvars = 3 if q < 16 else 2
-        most = 0
+        most = refused = 0
         with _scanning(inner=max(q, 4)), mock.patch.object(kernels, "_EXACT", exact):
             for _ in range(10):
                 poly = random_poly(rng, fld, nvars, 2 * q, nterms=6)
                 s, base, groups = kernels._split(poly.reduced())
                 assert s == (2 if q == 2 else 1)
                 most = max(most, len(groups) + (not base.is_zero()))
-                assert _joined_hits(poly) == _scalar_hits(poly)
-        assert most >= 3  # several slices under the one-group bound
+                rows = (len(groups) + 1) * fld.k
+                if not kernels._uses_logs(fld) and rows * (fld.p - 1) ** 2 >= exact:
+                    refused += 1
+                    with pytest.raises(InternalContradiction, match="inexact"):
+                        _joined_hits(poly)
+                else:
+                    assert _joined_hits(poly) == _scalar_hits(poly)
+        assert most >= 3  # several groups in a product
+        assert (refused > 0) == ((q, bound) in _REFUSED)
+
+    def test_cache_cap_keeps_every_block_product_exact(self):
+        # every field up to the table limit whose scans can take the block
+        # product with an inner variable: q <= _CHUNK, and not F_{2^k} with
+        # k > 1.  The cap holds M to (groups + 1) * k^2 * q^s entries, so its
+        # rows, times the (p - 1)^2 bound on a product, stay below _EXACT
+        worst = 0
+        for p, k in _prime_powers(2 ** 20):
+            q = p ** k
+            if q > kernels._CHUNK or kernels._uses_logs(SimpleNamespace(p=p, k=k)):
+                continue
+            worst = max(worst, kernels._MAX_CACHED // (k * k * q) * k * (p - 1) ** 2)
+        assert worst == 17_171_481_600 < 2 ** 34 < kernels._EXACT  # at F_16381
 
 
 class TestInnerBound:

@@ -505,6 +505,9 @@ class TestEuclideanResultant:
     @example((make_field(7), [1, 1, 1], [1, 1, 0], 2, 2))
     @example((make_field(2, 4), [3, 5, 7], [2, 9, 0], 2, 2))
     def test_matches_bareiss_on_sylvester_matrix(self, case):
+        """The Euclidean resultant against the determinant of the Sylvester
+        matrix, which :func:`rank_and_det` takes by Gaussian elimination
+        (the id is kept from the fraction-free elimination it replaced)."""
         fld, fc, gc, m, n = case
         rows = sylvester_matrix(fc, gc, m, n)
         det = det_scalar([[a or 0 for a in row] for row in rows], fld)
@@ -579,15 +582,46 @@ def _matrices(draw, square, max_rows=6):
     return fld, rows
 
 
+class _CountingField:
+    """F_7 through the operations :func:`rank_and_det` may use, with its
+    products counted."""
+
+    def __init__(self):
+        self.fld, self.products = make_field(7), 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.fld.mul(a, b)
+
+    def sub(self, a, b):
+        return self.fld.sub(a, b)
+
+    def neg(self, a):
+        return self.fld.neg(a)
+
+    def inv(self, a):
+        return self.fld.inv(a)
+
+
+# a pivot row with zero entries, whose tail skips them
+_ZERO_IN_PIVOT_ROW = (make_field(7), [[2, 0, 0, 3], [1, 4, 0, 5], [6, 2, 1, 0], [3, 3, 3, 1]])
+# a zero below the first pivot, a row that step leaves alone
+_ZERO_BELOW_PIVOT = (make_field(7), [[1, 2, 3], [0, 4, 5], [6, 0, 1]])
+
+
 class TestElimination:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_matrices(square=True))
+    @example(_ZERO_IN_PIVOT_ROW)
+    @example(_ZERO_BELOW_PIVOT)
     def test_det_matches_cofactor_expansion(self, case):
         fld, mat = case
         assert det_scalar(mat, fld) == _cofactor_det(mat, fld)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_matrices(square=False))
+    @example(_ZERO_IN_PIVOT_ROW)
+    @example(_ZERO_BELOW_PIVOT)
     def test_rank_matches_largest_nonzero_minor(self, case):
         fld, mat = case
         assert rank_and_det(mat, fld)[0] == _cofactor_rank(mat, fld)
@@ -599,6 +633,16 @@ class TestElimination:
         assert rank_and_det([[0, 1], [1, 0]], F7) == (2, F7.neg(1))
         assert rank_and_det([[0, 0, 3], [0, 0, 1]], F7) == (1, 0)
         assert rank_and_det([[0, 0], [0, 0]], F7) == (0, 0)
+
+    def test_dense_matrix_takes_a_third_of_n_cubed_products(self):
+        # Gaussian elimination: n^3/3 + O(n^2) products, where a fraction-free
+        # step costs three per entry
+        n, fld = 12, _CountingField()
+        rng = random.Random(14)  # a matrix of full rank
+        mat = [[rng.randrange(1, 7) for _ in range(n)] for _ in range(n)]
+        rank, det = rank_and_det(mat, fld)
+        assert rank == n and det == _field_minors(mat, fld.fld)[tuple(range(n))]
+        assert fld.products <= n ** 3 // 3 + n ** 2
 
     def test_input_unchanged(self):
         mat = [[0, 1, 2], [3, 4, 5], [6, 0, 1]]
