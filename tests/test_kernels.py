@@ -442,7 +442,7 @@ class TestBlockProduct:
         # more than two groups), so every scan steps A by its cached inner
         # grid: by M, or by logs over F_4, F_8 and F_16.  A bound of
         # k (p - 1)^2 + 1 in place of 2^53 is reached by every block product
-        # with a group, and 2^7 by one of 8 rows over F_25: the step refuses
+        # with a group, and 2^7 by one of 8 or more rows over F_25: the step refuses
         # those scans, and every other scan matches the reference
         fld = field_for(q)
         exact = {"real": kernels._EXACT, "one group": fld.k * (fld.p - 1) ** 2 + 1,

@@ -605,7 +605,7 @@ class _CountingField:
 
 # a pivot row with zero entries, whose tail skips them
 _ZERO_IN_PIVOT_ROW = (make_field(7), [[2, 0, 0, 3], [1, 4, 0, 5], [6, 2, 1, 0], [3, 3, 3, 1]])
-# a zero below the first pivot, a row that step leaves alone
+# a zero below the first pivot: a row the first step leaves alone
 _ZERO_BELOW_PIVOT = (make_field(7), [[1, 2, 3], [0, 4, 5], [6, 0, 1]])
 
 
