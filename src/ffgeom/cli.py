@@ -31,7 +31,7 @@ from .avoid import (
     plucker_variable_names,
 )
 from .errors import FFGeomError, InternalContradiction, ParseError, SpaceTooLarge
-from .fields import parse_field_spec
+from .fields import digits, parse_field_spec
 from .polynomials import MAX_VARS, count_variables, parse_polynomial
 
 EXIT_OK = 0
@@ -45,15 +45,23 @@ class _ArgumentError(Exception):
     pass
 
 
+class _Help(Exception):
+    """``-h``/``--help`` was given: the argument is the usage text."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """A parser that raises instead of exiting, and reads each flag only
-    under its full name (subparsers inherit both as ``parser_class``)."""
+    """A parser that raises instead of exiting, on an error and on a request
+    for help, and reads each flag only under its full name (subparsers
+    inherit both as ``parser_class``)."""
 
     def __init__(self, *args, allow_abbrev=False, **kwargs):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise _ArgumentError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _field_json(fld):
@@ -113,8 +121,9 @@ def _write_points(kind, names, blocks, fld, write):
     Every listed point has the same shape, so its text is one template: the
     text of a point whose elements are slots, split at them.  An element's
     text depends only on the element and its depth, so it is built once
-    per depth, and only for the elements the listing holds.  A block's
-    text is then one join of its points' pieces and element texts.
+    per depth, and only for the elements the listing holds, from its row of
+    :func:`fields.digits`.  A block's text is then one join of its points'
+    pieces and element texts.
     """
     if not blocks:
         write("[]")
@@ -130,17 +139,18 @@ def _write_points(kind, names, blocks, fld, write):
     for block in blocks:
         for array in block:
             seen[array] = True
-    held = np.flatnonzero(seen).tolist()
+    held = np.flatnonzero(seen)
+    coords = digits(held, fld.p, fld.k).T.astype(str).tolist()
     # element texts, indexed by element up to the largest one held: a
     # sorted array of the held elements would cost a search per element
     # listed
     texts = {}  # depth -> element texts
     for depth in {array.ndim + 2 for array in blocks[0]}:
+        # a list as indent=2 writes it: an entry per line, one level in
+        end = "\n" + "  " * depth
+        comma = "," + end + "  "
         texts[depth] = np.empty(held[-1] + 1, dtype=object)
-        texts[depth][held] = [
-            json.dumps(fld.coords(a), indent=2).replace("\n", "\n" + "  " * depth)
-            for a in held
-        ]
+        texts[depth][held] = [f"[{end}  {comma.join(row)}{end}]" for row in coords]
     sep = "[\n    "
     for block in blocks:
         elements = np.concatenate(
@@ -487,6 +497,9 @@ def run(argv, out=None, err=None):
     except _ArgumentError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PRECONDITION
+    except _Help as exc:
+        out.write(exc.args[0])
+        return EXIT_OK
     try:
         return args.handler(args, out)
     except InternalContradiction as exc:

@@ -296,7 +296,7 @@ def point_off_divisor(curve, divisor):
     # algorithm, the Sylvester determinant by Gaussian elimination
     found = find_root_in_tower(phi, e) if phi.degree >= 1 else None
     rows = sylvester_matrix(fc, gc, e, divisor.degree)
-    if value != _avoid.det_scalar([[a or 0 for a in r] for r in rows], k1):
+    if value != _avoid.det_scalar(rows, k1):
         raise InternalContradiction(
             "fiber resultant disagrees with its Sylvester determinant"
         )

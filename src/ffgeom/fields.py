@@ -4,7 +4,8 @@ An element of F_{p^k} is encoded as an integer in [0, p^k): the mixed-radix
 encoding of its coordinate vector (c_0, ..., c_{k-1}) over F_p with respect to
 the power basis 1, g, ..., g^{k-1} of the generator g, constant coordinate in
 the lowest digit.  The all-zero vector encodes to 0 and the unit to 1, so
-``range(q)`` enumerates the field in canonical order.
+``range(q)`` enumerates the field in canonical order.  :func:`digits` reads
+arrays of them in base p, and grid indices of F_q^n in base q.
 
 Every field up to the size limit has one pair of discrete-log tables
 (:attr:`FiniteField.tables`), built on first use.  The grid kernel's terms
@@ -100,17 +101,24 @@ def _is_prime(n):
     return True
 
 
-def digits(a, p, k):
-    """Coordinates over F_p of the encodings in the int64 array ``a`` (each
-    below p^k), constant coordinate first, on a new first axis: one
-    contiguous array per coordinate."""
+def digits(a, base, places):
+    """Base-``base`` digits of the int64 array ``a`` on a new first axis, one
+    contiguous array per digit, entry i a // base^places[i] % base.  A count
+    n for ``places`` means places 0 .. n - 1: the coordinates over F_p of
+    encodings below p^n, constant coordinate first.  A power-of-two base
+    shifts and masks, several times faster than division."""
     a = np.asarray(a, dtype=np.int64)
-    out = np.empty((k,) + a.shape, dtype=np.int64)
-    for i in range(k - 1):
-        quo = a // p
-        np.subtract(a, quo * p, out=out[i, ...])
-        a = quo
-    out[-1] = a
+    places = np.arange(places) if isinstance(places, int) else np.asarray(places, dtype=np.int64)
+    bits = base.bit_length() - 1
+    if base == 1 << bits:  # one shift and one mask for every place
+        out = a >> bits * places.reshape((-1,) + (1,) * a.ndim)
+        out &= base - 1
+        return out
+    out = np.empty((len(places),) + a.shape, dtype=np.int64)
+    for i, place in enumerate(places.tolist()):
+        row = out[i, ...]  # written in place: no temporary outlives a step
+        np.floor_divide(a, base ** place, out=row)  # by a scalar: numpy's fast path
+        row -= row // base * base
     return out
 
 
@@ -119,7 +127,7 @@ def _remainder_table(p, k, d, divisors):
     coefficient j of x^i mod the monic degree-d polynomial with low
     coefficients the base-p digits of ``divisors[c]``.  Below d a row is x^i
     itself; each later row is the last one times x, reduced."""
-    low = divisors // p ** np.arange(d, dtype=np.int64)[:, None] % p
+    low = digits(divisors, p, d)
     out = np.zeros((k + 1, d, len(divisors)), dtype=np.int64)
     for i in range(d):
         out[i, i] = 1
@@ -265,12 +273,11 @@ class FiniteField:
             blocks += [_remainder_table(p, k, d, np.arange(lo, min(lo + step, p ** d),
                                                             dtype=np.int64))
                        for lo in range(0, p ** d, step)]
-        pw = p ** np.arange(k, dtype=np.int64)
         start, size = 0, 32
         while start < p ** k:
             m = np.arange(start, min(start + size, p ** k), dtype=np.int64)
             rows = np.ones((len(m), k + 1), dtype=np.int64)
-            rows[:, :k] = m[:, None] // pw % p
+            rows[:, :k] = digits(m, p, k).T
             for table in blocks:
                 rem = (rows @ table.reshape(k + 1, -1) % p).reshape(len(rows), *table.shape[1:])
                 rows = rows[rem.any(axis=1).all(axis=1)]

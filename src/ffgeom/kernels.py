@@ -2,7 +2,9 @@
 
 Every evaluation on the grid F_q^n (canonical order, last variable varying
 fastest) goes through :func:`grid_eval`, which evaluates a list of sparse
-polynomials at an array of grid indices from one decode of the indices.
+polynomials at an array of grid indices from one decode of the indices
+(:func:`decode`): a point's coordinates are the base-q digits of its index,
+last variable lowest, from :func:`fields.digits`.
 With n = 1 an index is an element's encoding, which is how the root search
 of :mod:`ffgeom.polynomials` evaluates a polynomial at its candidate roots.
 All terms of all the polynomials are one exponent matrix: the terms' logs
@@ -44,7 +46,7 @@ coefficients, and one that runs to the end makes log-many
 import numpy as np
 
 from .errors import InternalContradiction
-from .fields import digits
+from .fields import _base_p, digits
 
 # grid points per block of hits: O(_CHUNK) memory.  A scan that stops at its
 # first hit evaluates one block, and a working set of a few MB is reused by
@@ -294,27 +296,16 @@ def hits(poly):
 
 
 def decode_point(t, q, n):
-    """Inverse of the canonical grid order used by grid_eval."""
-    point = [0] * n
-    for i in range(n - 1, -1, -1):
-        point[i] = t % q
-        t //= q
-    return tuple(point)
+    """Inverse of the canonical grid order used by grid_eval: the n base-q
+    digits of t, the last variable's the lowest."""
+    return tuple(_base_p(t, q, n)[::-1])
 
 
 def decode(idx, q, n, variables=None):
     """:func:`decode_point` at every index of the int64 array ``idx``: an
     (N, n) int64 array, row r the coordinates of point ``idx[r]``, or only
-    the columns of ``variables`` (an ascending sequence) when given.  It is
-    the transpose of a C-ordered array, so each coordinate is one
-    contiguous column."""
-    if variables is None:
-        variables = np.arange(n)
-    place = (n - 1 - np.asarray(variables, dtype=np.int64))[:, None]
-    if q & (q - 1):
-        coords = idx // q ** place
-        coords %= q  # in place: one (n, N) array at a time
-    else:  # q = 2^b: a shift and a mask, several times faster than division
-        coords = idx >> (q.bit_length() - 1) * place
-        coords &= q - 1
-    return coords.T
+    the columns of ``variables`` (an ascending sequence) when given.
+    Variable i is base-q digit n - 1 - i, and the array is the transpose of
+    :func:`fields.digits`, so each coordinate is one contiguous column."""
+    variables = np.arange(n) if variables is None else np.asarray(variables, dtype=np.int64)
+    return digits(idx, q, n - 1 - variables).T

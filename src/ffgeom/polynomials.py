@@ -12,6 +12,7 @@ The text format accepted by :func:`parse_polynomial`:
 """
 
 import operator
+import random
 import re
 from bisect import bisect_left
 from functools import reduce
@@ -30,7 +31,7 @@ from .errors import (
     SpaceTooLarge,
     ZeroPolynomial,
 )
-from .fields import _base_p, embed, make_field, poly_divmod, poly_mul, power
+from .fields import embed, make_field, poly_divmod, poly_mul, power
 
 
 class MultivariatePolynomial:
@@ -43,20 +44,25 @@ class MultivariatePolynomial:
         self.field = field
         self.terms = {}
         if terms:
-            for exps, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    exps = tuple(exps)
-                    if len(exps) != nvars:
-                        raise ArityMismatch("exponent vector length mismatch")
-                    cur = self.terms.get(exps)
-                    if cur is None:
-                        self.terms[exps] = c
+            self._merge(terms.items() if isinstance(terms, dict) else terms)
+
+    def _merge(self, pairs):
+        """Add (exponents, coefficient) pairs in place, dropping zero sums."""
+        terms, nvars = self.terms, self.nvars
+        for exps, c in pairs:
+            if c:
+                exps = tuple(exps)
+                if len(exps) != nvars:
+                    raise ArityMismatch("exponent vector length mismatch")
+                cur = terms.get(exps)
+                if cur is None:
+                    terms[exps] = c
+                else:
+                    s = self.field.add(cur, c)
+                    if s:
+                        terms[exps] = s
                     else:
-                        s = field.add(cur, c)
-                        if s:
-                            self.terms[exps] = s
-                        else:
-                            del self.terms[exps]
+                        del terms[exps]
 
     # -- constructors ----------------------------------------------------
 
@@ -448,15 +454,17 @@ def det_poly(matrix, nvars, field):
 def sylvester_matrix(fc, gc, m, n):
     """(m+n) x (m+n) Sylvester matrix from coefficient lists (low degree
     first, padded to declared degrees m = deg f, n = deg g); f-rows first.
-    Entries are whatever the coefficient lists contain."""
+    Entries are whatever the coefficient lists contain, and 0 elsewhere,
+    which :func:`rank_and_det` and :func:`minors` (over any ring) read as
+    zero."""
     size = m + n
     frow = list(reversed(fc))  # high degree first
     grow = list(reversed(gc))
     rows = []
     for i in range(n):
-        rows.append([None] * i + frow + [None] * (size - i - len(frow)))
+        rows.append([0] * i + frow + [0] * (size - i - len(frow)))
     for i in range(m):
-        rows.append([None] * i + grow + [None] * (size - i - len(grow)))
+        rows.append([0] * i + grow + [0] * (size - i - len(grow)))
     return rows
 
 
@@ -560,26 +568,37 @@ def _equal_degree_factors(d, degree):
     """The monic irreducible factors of ``d``, a monic product of distinct
     irreducibles of one degree over F_q, by Cantor-Zassenhaus splitting.
 
-    The splitting polynomials a are the nonconstant polynomials of degree
-    below deg d, in encoding order.  Each a splits every factor g of
-    degree above ``degree`` by gcd(g, t), with t = a^((q^degree - 1)/2) - 1
-    mod g for odd q, and the trace a + a^2 + ... + a^(2^(k*degree - 1)) mod
-    g for q = 2^k.  Two distinct factors of d are told apart by some a of
-    degree below deg d, so the sequence cannot run out.
+    Each splitting polynomial a, nonconstant of degree below deg d, splits
+    every factor g of degree above ``degree`` by gcd(g, t), with
+    t = a^((q^degree - 1)/2) - 1 mod g for odd q, and the trace
+    a + a^2 + ... + a^(2^(k*degree - 1)) mod g for q = 2^k.  The a are drawn
+    from a fixed-seed generator, of degree below 2 * ``degree``: for two
+    factors g1, g2 such an a mod g1 * g2 is uniform (Chinese remainders), so
+    it tells them apart with probability about 1/2, and a short a keeps the
+    first products of the power short.  64 * deg d tries fail only on a
+    vanishingly unlikely draw, which raises.  (In encoding order a + c
+    follows a, and for q = 2^k its trace differs from a's by the constant
+    Tr(c), so it splits as a does: each useful a cost q tries.)  The factors
+    are d's and do not depend on the draws.
     """
+    if d.degree == degree:  # one factor: nothing to split or draw
+        return [d]
     fld, q = d.field, d.field.q
     one = UnivariatePolynomial([1], fld)
-    splitters = (UnivariatePolynomial(_base_p(m, q, d.degree), fld)
-                 for m in range(q, q ** d.degree))
+    rng = random.Random(0)
     done, todo = [], [d]
+    tries = 0
     while True:
         done += [g for g in todo if g.degree == degree]
         todo = [g for g in todo if g.degree > degree]
         if not todo:
             return done
-        a = next(splitters, None)
-        if a is None:
+        if tries == 64 * d.degree:
             raise InternalContradiction(f"no splitting polynomial splits {d!r}")
+        tries += 1
+        a = UnivariatePolynomial([rng.randrange(q) for _ in range(min(d.degree, 2 * degree))], fld)
+        if a.degree < 1:
+            continue
         split = []
         for g in todo:
             if fld.p == 2:
@@ -708,27 +727,21 @@ class _Parser:
                 f"{MAX_TERM_ENTRIES} exponents")
 
     def parse_expr(self):
-        # the terms are summed into one dict: adding polynomials would copy
-        # the running sum at every sign, quadratic in its length
-        fld = self.field
+        # the terms are merged into one polynomial in place: adding
+        # polynomials would copy the running sum at every sign, quadratic in
+        # its length
+        neg = self.field.neg
         negate = self.take("-")
         if not negate:
             self.take("+")
-        acc = {}
+        acc = MultivariatePolynomial(self.nvars, self.field)
         while True:
-            for e, c in self.parse_term():
-                if negate:
-                    c = fld.neg(c)
-                cur = acc.get(e)
-                total = c if cur is None else fld.add(cur, c)
-                if total:
-                    acc[e] = total
-                else:
-                    del acc[e]
-            self.check_entries(len(acc), "sum")
+            pairs = self.parse_term()
+            acc._merge(((e, neg(c)) for e, c in pairs) if negate else pairs)
+            self.check_entries(len(acc.terms), "sum")
             ch = self.peek()
             if ch not in ("+", "-"):
-                return MultivariatePolynomial(self.nvars, fld, acc)
+                return acc
             self.i += 1
             negate = ch == "-"
 

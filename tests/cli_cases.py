@@ -309,6 +309,13 @@ ROWS = [
          stderr="exceeds limit", seconds=1.0),
     case("curve_fermat_200_f40009", fermat(200, 40009), EXIT_PRECONDITION,
          stderr="exceeds limit", seconds=0.2),
+    # the Fermat cubic in characteristic 2: its fiber's roots are found by
+    # Cantor-Zassenhaus splitting with trace polynomials, whose splitters
+    # are drawn at random, since a + c splits as a does when q = 2^k
+    *[case(f"curve_fermat_cubic_f2_{k}",
+           f"curve point --field 2^{k} --curve 'x0^3 + x1^3 + x2^3' --avoid x1",
+           EXIT_OK, seconds=1.0)
+      for k in (10, 20)],
     case("curve_field_too_small", "curve point --curve 'x0*x1 + 2*x2^2' --avoid x2 --field 3",
          EXIT_PRECONDITION),
     case("curve_not_squarefree", "curve point --curve x0^2 --avoid x2 --field 5",

@@ -247,8 +247,7 @@ def _symbolic_resultant(c, g, center, fld):
         c.degree,
         g.degree,
     )
-    zero = MultivariatePolynomial(2, fld)
-    return det_poly([[zero if x is None else x for x in row] for row in rows], 2, fld)
+    return det_poly(rows, 2, fld)
 
 
 def _pencil_coefficients(form, center, fld):

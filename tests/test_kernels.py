@@ -51,6 +51,9 @@ class TestDecode:
         assert coords.shape == (len(idx), n) and coords.dtype == np.int64
         assert [tuple(row) for row in coords.tolist()] == [
             kernels.decode_point(t, q, n) for t in idx.tolist()]
+        # a subset of the variables, as grid_eval decodes only those it reads
+        cols = list(range(0, n, 2))
+        assert np.array_equal(kernels.decode(idx, q, n, cols), coords[:, cols])
 
 
 def _grid_values(poly):

@@ -510,7 +510,7 @@ class TestEuclideanResultant:
         (the id is kept from the fraction-free elimination it replaced)."""
         fld, fc, gc, m, n = case
         rows = sylvester_matrix(fc, gc, m, n)
-        det = det_scalar([[a or 0 for a in row] for row in rows], fld)
+        det = det_scalar(rows, fld)
         assert resultant(fc, gc, m, n, fld) == det
 
     def test_inputs_unchanged(self):
