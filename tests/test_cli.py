@@ -444,6 +444,21 @@ class TestExitCodes:
     def test_largest_rank_bound_in_budget_returns_fast(self):
         run_row("p1_verify_rank_bound_1413")
 
+    def test_curve_field_too_small(self):
+        run_row("curve_field_too_small")
+
+    def test_not_squarefree(self):
+        run_row("curve_not_squarefree")
+
+    def test_oracle_limit(self):
+        run_row("oracle_limit_below_space")
+
+    def test_bound_char_p_refuses_composite(self):
+        run_row("bound_char_p_composite")
+
+    def test_oracle_grass_without_shape(self):
+        run_row("oracle_grass_without_shape")
+
     def test_oracle_negative_max_listed(self):
         run_row("oracle_max_listed_negative")
 
