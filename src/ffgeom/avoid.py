@@ -369,15 +369,32 @@ class Cell:
     @cached_property
     def minors(self):
         """The maximal minors of the cell's echelon matrix in lexicographic
-        column-set order, as polynomials in the free entries, expanded from
-        the symbolic matrix on first use."""
+        column-set order, as polynomials in the free entries, built on first
+        use.
+
+        Every entry is 0, a pivot's 1 or a free entry of its own, so the
+        product of the entries along a permutation is +-1 times distinct
+        free entries, and those give the permutation back (a row without
+        one takes its pivot).  No two products meet: a minor is a list of
+        terms, each an exponent tuple of 0s and 1s with coefficient +-1.
+        :func:`polynomials.minors` expands the wedge of the rows over such
+        lists, a sum being a concatenation, so its cost follows the terms it
+        makes, with no polynomial arithmetic.
+        """
         k, fld = len(self.free), self.field
-        P = MultivariatePolynomial
-        variables = [P.variable(v, k, fld) for v in range(k)]
-        zero = P.constant(0, k, fld)
-        rows = _echelon(self.pivots, self.free, self.n, variables, zero, P.constant(1, k, fld))
-        ms = minors(rows, operator.add, operator.sub, operator.mul, operator.neg)
-        return tuple(ms.get(cols, zero) for cols in combinations(range(self.n), len(self.pivots)))
+        add = operator.add
+
+        def mul(a, b):  # b is an entry: one term, coefficient 1
+            return [(tuple(map(add, u, w)), s) for u, s in a for w, _ in b]
+
+        def neg(a):
+            return [(u, fld.neg(s)) for u, s in a]
+
+        units = [[((0,) * v + (1,) + (0,) * (k - v - 1), 1)] for v in range(k)]
+        rows = _echelon(self.pivots, self.free, self.n, units, 0, [((0,) * k, 1)])
+        ms = minors(rows, add, lambda a, b: a + neg(b), mul, neg)
+        return tuple(MultivariatePolynomial(k, fld, ms.get(cols, ()))
+                     for cols in combinations(range(self.n), len(self.pivots)))
 
     def matrices(self, values):
         """The echelon matrices with the rows of the (N, k) int64 array
@@ -399,7 +416,11 @@ def _pullback(poly, cell):
     pullback is one pass over the exponent table: the terms with a positive
     exponent in x_0..x_{i-1} drop out, x_i's exponent is dropped, and the
     rest are the exponents of the free entries.  More rows substitute the
-    minors.
+    cell's minors, :attr:`Cell.minors`, whose terms are products of distinct
+    free entries with coefficients +-1: :meth:`MultivariatePolynomial.substitute`
+    expands each term of the section once, each minor's powers one base-p
+    digit of the exponent at a time, and refuses (SpaceTooLarge) an
+    expansion past ``polynomials.MAX_TERMS`` terms before it starts.
     """
     if len(cell.pivots) > 1:
         return poly.substitute(cell.minors)

@@ -10,7 +10,9 @@ of :mod:`ffgeom.polynomials` evaluates a polynomial at its candidate roots.
 All terms of all the polynomials are one exponent matrix: the terms' logs
 at the points are one float64 product of the points' logs with it, and the
 values one lookup in the field's discrete-log tables, and each
-polynomial's value one sum over its terms, taken on coordinates over F_p.
+polynomial's value one sum over its terms mod p: of the values themselves
+in a prime field, where a value is its own coordinate, and otherwise of
+their coordinates over F_p, split by :func:`fields.digits`.
 Every field has tables, so one kernel serves every field up to the size
 limit.
 
@@ -94,28 +96,35 @@ def grid_eval(polys, idx):
     field elements, column j the values of ``polys[j]`` in ``idx``'s order.
 
     Every exponent is brought below q first (x^q = x on F_q), so a term's
-    log is a float64 sum below 2^53.  The points go in slices of at most
-    ``_TERM_ENTRIES`` point-term pairs (over the k coordinates).
+    log is a float64 sum below 2^53, and only the variables some term uses
+    are decoded.  The points go in slices of at most ``_TERM_ENTRIES``
+    point-term pairs (over the k coordinates).  The set-up is a few passes
+    over the terms: a list with one term per polynomial needs no sum, and
+    otherwise the sum is one product with a 0/1 matrix of the terms'
+    polynomials, on the values in a prime field and on their k coordinates
+    otherwise.
     """
     field, nvars = polys[0].field, polys[0].nvars
     p, k, q = field.p, field.k, field.q
     out = np.zeros((len(idx), len(polys)), dtype=np.int64)
-    live = [j for j, poly in enumerate(polys) if poly.terms]
+    live = [poly.terms for poly in polys if poly.terms]
     if not live:
         return out
-    cols = slice(None) if len(live) == len(polys) else live
-    terms = [(exps, c) for j in live for exps, c in polys[j].terms.items()]
-    logt, expt = field_tables(field)
+    cols = slice(None) if len(live) == len(polys) else [j for j, poly in enumerate(polys)
+                                                          if poly.terms]
     m = q - 1
-    exps = np.array([[(e - 1) % m + 1 if e else 0 for e in exps] for exps, _ in terms],
-                    dtype=np.float64).reshape(len(terms), nvars).T
-    used = np.flatnonzero(exps.any(axis=1))  # only these variables are decoded
-    exps = exps[used]
-    logc = logt[[c for _, c in terms]].astype(np.float64)
-    owner = np.repeat(np.arange(len(live)), [len(polys[j].terms) for j in live])
-    member = (owner[:, None] == np.arange(len(live))).astype(np.float64)
-    pw = p ** np.arange(k, dtype=np.float64)
-    rows = max(1, _TERM_ENTRIES // (len(terms) * k))
+    reduced = [[(e - 1) % m + 1 if e else 0 for e in exps] for terms in live for exps in terms]
+    count = len(reduced)
+    # (variables, terms): only the variables some term uses are decoded
+    used = [i for i, col in enumerate(zip(*reduced)) if any(col)]
+    exps = np.array([col for col in zip(*reduced) if any(col)],
+                    dtype=np.float64).reshape(len(used), count)
+    logt, expt = field_tables(field)
+    logc = logt[[c for terms in live for c in terms.values()]].astype(np.float64)
+    member = None  # a term per polynomial needs no sum
+    if count > len(live):  # row t: the polynomial term t belongs to
+        member = np.repeat(np.eye(len(live)), [len(terms) for terms in live], axis=0)
+    rows = max(1, _TERM_ENTRIES // (count * k))
     for start in range(0, len(idx), rows):
         coords = decode(idx[start:start + rows], q, nvars, used)
         total = np.where(coords == 0, _DEAD, logt[coords]) @ exps  # (N, terms)
@@ -124,11 +133,13 @@ def grid_eval(polys, idx):
         total *= alive
         values = expt[_floor_mod(total, m).astype(np.int64)]
         values *= alive
-        if len(terms) == len(live):  # a term per polynomial: nothing to add
+        if member is None:
             sums = values
-        else:
+        elif k == 1:  # a value is its own coordinate: sum it mod p
+            sums = _floor_mod(values.astype(np.float64) @ member, p)
+        else:  # sum each coordinate over F_p, and encode the sums
             sums = _floor_mod(digits(values, p, k).astype(np.float64) @ member, p)
-            sums = (pw @ sums.reshape(k, -1)).reshape(-1, len(live))
+            sums = (p ** np.arange(k, dtype=np.float64) @ sums.reshape(k, -1)).reshape(-1, len(live))
         out[start:start + rows, cols] = sums
     return out
 

@@ -15,7 +15,6 @@ import operator
 import random
 import re
 from bisect import bisect_left
-from functools import reduce
 from itertools import chain, zip_longest
 
 import numpy as np
@@ -212,28 +211,46 @@ class MultivariatePolynomial:
         """Compose with polynomials: variable i becomes replacements[i].
 
         All replacements must live in one common ring, which becomes the
-        ring of the result.
+        ring of the result.  Each term is expanded once, as a product of
+        term maps: its coefficient times a power of each replacement it
+        uses, the powers cached for the call, and the products are merged
+        into the result once.  A power is taken one base-p digit of its
+        exponent at a time (:func:`_digit_power`).  Before any expansion the
+        terms are bounded: a power of a t-term replacement has at most
+        prod_j C(d_j + t - 1, t - 1) terms over the digits d_j of its
+        exponent (:func:`_lucas_terms`), and a term's product at most the
+        product of its powers'.  Past ``MAX_TERMS`` summed over the terms,
+        SpaceTooLarge is raised.
         """
         if len(replacements) != self.nvars:
             raise ArityMismatch("one replacement per variable required")
         if not replacements:
             raise ArityMismatch("zero-variable substitution unsupported")
-        target_nvars = replacements[0].nvars
-        fld = replacements[0].field
-        powers = [{} for _ in range(self.nvars)]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = replacements[i] ** e
-            return cache[e]
-
-        def term(exps, c):
-            factors = (power(i, e) for i, e in enumerate(exps) if e)
-            return reduce(operator.mul, factors, self.constant(c, target_nvars, fld))
-
-        return MultivariatePolynomial(target_nvars, fld, chain.from_iterable(
-            term(exps, c).terms.items() for exps, c in self.terms.items()))
+        target_nvars, fld = replacements[0].nvars, replacements[0].field
+        if any(r.nvars != target_nvars for r in replacements):
+            raise ArityMismatch("replacements in mixed arities")
+        sizes = [len(r.terms) for r in replacements]
+        expansions, bound = [], 0
+        for exps, c in self.terms.items():
+            factors = [(i, e) for i, e in enumerate(exps) if e]
+            count = 1
+            for i, e in factors:
+                count *= _lucas_terms(sizes[i], e, fld.p)
+                if not count or count > MAX_TERMS:
+                    break
+            bound += count
+            if bound > MAX_TERMS:
+                raise SpaceTooLarge(f"substitution expands to more than {MAX_TERMS} terms")
+            expansions.append((c, factors))
+        powers, out = {}, MultivariatePolynomial(target_nvars, fld)
+        for c, factors in expansions:
+            acc = MultivariatePolynomial.constant(c, target_nvars, fld)
+            for i, e in factors:
+                if (i, e) not in powers:
+                    powers[i, e] = _digit_power(replacements[i], e)
+                acc = acc * powers[i, e]
+            out._merge(acc.terms.items())
+        return out
 
     def decompose_top_variable(self, var):
         """Coefficients (phi_0, ..., phi_t) of powers of ``var``, each in
@@ -273,6 +290,75 @@ class MultivariatePolynomial:
             factors.extend(vars_part)
             parts.append("*".join(factors))
         return " + ".join(parts) if parts else "0"
+
+
+def _lucas_terms(t, e, p):
+    """prod_j C(d_j + t - 1, t - 1) over the base-p digits d_j of e >= 1:
+    the terms :func:`_digit_power` may give a t-term polynomial to the
+    power e, one :func:`_power_terms` per digit; the count stops once it
+    passes ``MAX_TERMS``."""
+    if not t:
+        return 0
+    count = 1
+    while e and count <= MAX_TERMS:
+        e, d = divmod(e, p)
+        if d:
+            count *= _power_terms(t, d)
+    return count
+
+
+def _digit_power(poly, e):
+    """``poly`` to the power e >= 1 over a field of characteristic p, one
+    base-p digit of e at a time.  By Frobenius, (sum a_i)^e is the product
+    over the digits d_j of e of (sum a_i^(p^j))^(d_j), and
+    a_i^(p^j) = c^(p^j) x^(p^j m) for a_i = c x^m.  Each factor is
+    :func:`_multinomial_power`, which makes each of its terms once."""
+    if e == 1 or not poly.terms:
+        return poly
+    fld, p = poly.field, poly.field.p
+    pairs = list(poly.terms.items())
+    out, scale = None, 1
+    while e:
+        e, d = divmod(e, p)
+        if d:
+            factor = _multinomial_power(
+                poly.nvars, fld, [(tuple(x * scale for x in m), c) for m, c in pairs], d)
+            out = factor if out is None else out * factor
+        if e:
+            scale *= p
+            if fld.k > 1:  # Frobenius on the coefficients; the identity on F_p
+                pairs = [(m, fld.pow(c, p)) for m, c in pairs]
+    return out
+
+
+def _multinomial_power(nvars, fld, pairs, d):
+    """(sum of c x^m over the (m, c) ``pairs``)^d, 1 <= d < p: one term
+    per split of d into exponents alpha, with the coefficient
+    d!/prod alpha_i! prod c_i^(alpha_i), which is nonzero mod p, merged
+    where the terms meet."""
+    p, mul = fld.p, fld.mul
+    if d == 1:
+        return MultivariatePolynomial(nvars, fld, pairs)
+    fact = 1
+    for a in range(2, d + 1):
+        fact = fact * a % p
+    inv = [1] * (d + 1)  # 1/a! mod p, from 1/d! down
+    inv[d] = pow(fact, -1, p)
+    for a in range(d, 1, -1):
+        inv[a - 1] = inv[a] * a % p
+    # states (exponents, coefficient, rest of d) after each term in turn
+    states = [((0,) * nvars, fact, d)]
+    for i, (m, c) in enumerate(pairs):
+        last = i == len(pairs) - 1
+        steps, w, cp = [], [], 1
+        for a in range(d + 1):
+            steps.append(tuple(x * a for x in m))
+            w.append(mul(cp, inv[a]))
+            cp = mul(cp, c)
+        states = [(tuple(map(operator.add, e, steps[a])), mul(coef, w[a]), rest - a)
+                  for e, coef, rest in states
+                  for a in ((rest,) if last else range(rest + 1))]
+    return MultivariatePolynomial(nvars, fld, ((e, coef) for e, coef, _ in states))
 
 
 class UnivariatePolynomial:

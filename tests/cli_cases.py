@@ -190,6 +190,20 @@ ROWS = [
     case("avoid_poly_nested_10000_deep",
          f"avoid affine --field 5 --poly '{'(' * 10000}x0{')' * 10000}'",
          EXIT_PRECONDITION, stderr="nested deeper than", seconds=0.1),
+    # a Pluecker coordinate's power on the dense cell is a minor's power,
+    # taken one base-p digit of the exponent at a time: (ad - bc)^30000 has
+    # 30 001 terms; det(A)^30 on Grass(3, 6) would have C(35, 5) = 324 632,
+    # past polynomials.MAX_TERMS, and is refused before any expansion;
+    # over F_2^16 the exponent 20000 has five binary digits, 6^5 = 7 776
+    case("avoid_grass_minor_power_30000", "avoid grass --field 65521 --m 2 --n 4 --poly x5^30000",
+         EXIT_OK, seconds=2.0),
+    case("avoid_grass_minor_power_past_budget",
+         "avoid grass --field 65521 --m 3 --n 6 --poly x19^30", EXIT_PRECONDITION,
+         stderr="expands to more than", seconds=0.5),
+    case("avoid_grass_minor_power_3000", "avoid grass --field 65521 --m 2 --n 5 --poly x9^3000",
+         EXIT_OK),
+    case("avoid_grass_minor_power_binary_digits",
+         "avoid grass --field 2^16 --m 3 --n 6 --poly x19^20000", EXIT_OK),
 
     # -- oracle --
     golden_case("oracle_projective_f3", "oracle --kind projective --field 3 --poly x0*x1*x2"),

@@ -1,5 +1,7 @@
+import operator
 import random
-from itertools import combinations, combinations_with_replacement, islice, product
+from functools import reduce
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from ffgeom import kernels
 from ffgeom.avoid import (
     AFFINE,
     PROJECTIVE,
-    Cell,
     GrassmannianPoint,
     Hypersurface,
     ProjectivePoint,
@@ -19,7 +20,7 @@ from ffgeom.avoid import (
     projective_points,
 )
 from ffgeom.fields import make_field, poly_divmod
-from ffgeom.polynomials import MultivariatePolynomial
+from ffgeom.polynomials import MultivariatePolynomial, minors
 
 PRIME_POWERS_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -176,11 +177,13 @@ def oracle_points(d, fld, **kwargs):
 
 
 def grid_eval_python(poly, stop):
-    """``poly`` at grid indices 0 .. stop - 1 (canonical order), one
+    """``poly`` at grid indices 0 .. stop - 1 (canonical order), or at each
+    index of ``stop`` when it is an int64 array, one
     :meth:`MultivariatePolynomial.eval` per point: the per-point reference
     for :func:`kernels.grid_eval`."""
     q, n = poly.field.q, poly.nvars
-    return np.array([poly.eval(kernels.decode_point(t, q, n)) for t in range(stop)],
+    indices = range(stop) if isinstance(stop, int) else stop.tolist()
+    return np.array([poly.eval(kernels.decode_point(t, q, n)) for t in indices],
                     dtype=np.int64)
 
 
@@ -235,11 +238,40 @@ def pencil_member_reference(poly, fld):
     return None if restricted.is_zero() else (restricted, "inf")
 
 
+def cell_minors_reference(n, pivots, free, fld):
+    """The maximal minors of the symbolic echelon matrix of the Schubert
+    cell of ``pivots`` and ``free`` in Grass(m, n), in lexicographic
+    column-set order: :func:`polynomials.minors` over the polynomial ring
+    in the free entries, with the :mod:`operator` ops."""
+    k, P = len(free), MultivariatePolynomial
+    zero = P(k, fld)
+    rows = [[zero] * n for _ in pivots]
+    for i, j in enumerate(pivots):
+        rows[i][j] = P.constant(1, k, fld)
+    for v, (i, j) in enumerate(free):
+        rows[i][j] = P.variable(v, k, fld)
+    ms = minors(rows, operator.add, operator.sub, operator.mul, operator.neg)
+    return tuple(ms.get(cols, zero) for cols in combinations(range(n), len(pivots)))
+
+
+def substitute_reference(poly, replacements):
+    """``poly`` with variable i replaced by ``replacements[i]``, term by
+    term: the coefficient times each replacement to its power, by ``**``
+    (square-and-multiply) and ``*``."""
+    nvars, fld = replacements[0].nvars, replacements[0].field
+    products = (
+        reduce(operator.mul, (replacements[i] ** e for i, e in enumerate(exps) if e),
+               MultivariatePolynomial.constant(c, nvars, fld))
+        for exps, c in poly.terms.items())
+    return MultivariatePolynomial(nvars, fld, chain.from_iterable(
+        term.terms.items() for term in products))
+
+
 def chart_reference(poly, n, pivots, free):
     """The section ``poly`` on the Schubert cell of ``pivots`` and ``free``
-    in Grass(m, n) through the general substitution: every variable becomes
-    its maximal minor of the cell's symbolic echelon matrix."""
-    return poly.substitute(Cell(n, pivots, free, poly.field).minors)
+    in Grass(m, n): every variable becomes its maximal minor of the cell's
+    symbolic echelon matrix, by the two references above."""
+    return substitute_reference(poly, cell_minors_reference(n, pivots, free, poly.field))
 
 
 @pytest.fixture

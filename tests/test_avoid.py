@@ -49,6 +49,7 @@ from ffgeom.fields import make_field
 from ffgeom.polynomials import MultivariatePolynomial, UnivariatePolynomial, parse_polynomial
 
 from conftest import (
+    cell_minors_reference,
     chart_reference,
     field_for,
     first_members_vanish,
@@ -58,6 +59,7 @@ from conftest import (
     per_point_oracle,
     random_homogeneous_poly,
     random_poly,
+    substitute_reference,
 )
 
 F2 = make_field(2)
@@ -366,6 +368,48 @@ class TestOneRowCharts:
         assert count == grass_count == len(points)
         assert [(gp.matrix, gp.plucker) for gp in grass_points] == [
             ((pt.coords,), pt.coords) for pt in points]
+
+
+@st.composite
+def _multi_row_sections(draw):
+    """``(section, m, n, scales)``: a homogeneous section over F_q, q <= 9,
+    on Grass(m, n) with m >= 2, of one to three terms, each in at most two
+    variables with exponents up to 3p (so a power may take several base-p
+    digits), and a nonzero scalar per Pluecker coordinate."""
+    fld = field_for(draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9))))
+    m, n = draw(st.sampled_from(((2, 4), (2, 5), (3, 5), (3, 6))))
+    nvars = comb(n, m)
+    degree = draw(st.integers(1, 3 * fld.p))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(0, nvars - 1)), draw(st.integers(0, nvars - 1))
+        i = draw(st.integers(0, degree))
+        exps = [0] * nvars
+        exps[a] += i
+        exps[b] += degree - i
+        terms[tuple(exps)] = draw(st.integers(1, fld.q - 1))
+    scales = draw(st.lists(st.integers(1, fld.q - 1), min_size=nvars, max_size=nvars))
+    return MultivariatePolynomial(nvars, fld, terms), m, n, scales
+
+
+class TestMultiRowCharts:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_multi_row_sections())
+    # a minor to the power 3p over F_9 and F_4: three digits apart
+    @example((parse_polynomial("x9^9 + [1,2]*x0^4*x5^5", F9, 10), 2, 5, [5] * 10))
+    @example((parse_polynomial("x19^6 + x0^3*x19^3", F4, 20), 3, 6, [2, 3] * 10))
+    def test_matches_references(self, case):
+        poly, m, n, scales = case
+        fld = poly.field
+        for chart, cell in charts(Hypersurface(poly, GRASSMANNIAN, (m, n))):
+            expected = cell_minors_reference(n, cell.pivots, cell.free, fld)
+            assert cell.minors == expected
+            assert chart == substitute_reference(poly, expected)
+            # minors times scalars: coefficients off F_p, which a power
+            # raises to p^j along with the exponents
+            scaled = [MultivariatePolynomial.constant(c, len(cell.free), fld) * minor
+                      for c, minor in zip(scales, expected)]
+            assert poly.substitute(scaled) == substitute_reference(poly, scaled)
 
 
 class TestPlucker:

@@ -103,30 +103,40 @@ class TestGridEval:
         assert np.array_equal(kernels.grid_eval([poly], idx)[:, 0],
                               grid_eval_python(poly, len(idx)))
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 1021, 65521])
     def test_index_array_matches_range_form(self, q):
-        # a list with a zero polynomial and different term counts, at empty,
-        # unsorted and repeated indices: column j is the per-point reference
-        # over the whole range of the grid, polys[j] at each index
+        # lists with a zero polynomial and different term counts, or with
+        # one term in every polynomial (nothing to sum), at empty, unsorted
+        # and repeated indices, and at more indices than one slice holds:
+        # column j is the per-point reference, polys[j] at each index
         rng = random.Random(320 + q)
         fld = field_for(q)
-        for _ in range(20):
+        for trial in range(20):
             nvars = rng.randint(1, 3)
             total = q ** nvars
-            polys = [random_poly(rng, fld, nvars, 4, nterms=rng.randint(1, 6)).reduced()
-                     for _ in range(rng.randint(1, 4))]
-            polys.insert(rng.randint(0, len(polys)), MultivariatePolynomial(nvars, fld))
+            if trial % 4 == 3:
+                polys = [random_poly(rng, fld, nvars, 4, nterms=1).reduced()
+                         for _ in range(rng.randint(1, 4))]
+            else:
+                polys = [random_poly(rng, fld, nvars, 4, nterms=rng.randint(1, 6)).reduced()
+                         for _ in range(rng.randint(1, 4))]
+                polys.insert(rng.randint(0, len(polys)), MultivariatePolynomial(nvars, fld))
+            terms = sum(len(poly.terms) for poly in polys)
+            pool = [rng.randrange(total) for _ in range(30)]
             cases = [
                 np.array([], dtype=np.int64),
-                np.array([rng.randrange(total) for _ in range(30)], dtype=np.int64),  # unsorted
+                np.array(pool, dtype=np.int64),  # unsorted
                 np.array([total - 1] * 5 + [0, rng.randrange(total), total - 1], dtype=np.int64),
+                # past one slice of kernels._TERM_ENTRIES point-term pairs
+                np.array(rng.choices(pool, k=kernels._TERM_ENTRIES // (terms * fld.k) + 5),
+                         dtype=np.int64),
             ]
             for idx in cases:
                 values = kernels.grid_eval(polys, idx)
                 assert values.shape == (len(idx), len(polys)) and values.dtype == np.int64
+                points, inverse = np.unique(idx, return_inverse=True)
                 for j, poly in enumerate(polys):
-                    assert np.array_equal(values[:, j],
-                                          grid_eval_python(poly, total)[idx])
+                    assert np.array_equal(values[:, j], grid_eval_python(poly, points)[inverse])
 
 
 class TestTables:
