@@ -139,7 +139,8 @@ def grid_eval(polys, idx):
             sums = _floor_mod(values.astype(np.float64) @ member, p)
         else:  # sum each coordinate over F_p, and encode the sums
             sums = _floor_mod(digits(values, p, k).astype(np.float64) @ member, p)
-            sums = (p ** np.arange(k, dtype=np.float64) @ sums.reshape(k, -1)).reshape(-1, len(live))
+            sums = (p ** np.arange(k, dtype=np.float64) @ sums.reshape(k, -1)).reshape(
+                -1, len(live))
         out[start:start + rows, cols] = sums
     return out
 

@@ -395,7 +395,7 @@ def _multi_row_sections(draw):
 class TestMultiRowCharts:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_multi_row_sections())
-    # a minor to the power 3p over F_9 and F_4: three digits apart
+    # minors to the power 3p over F_9 and F_4, several base-p digits
     @example((parse_polynomial("x9^9 + [1,2]*x0^4*x5^5", F9, 10), 2, 5, [5] * 10))
     @example((parse_polynomial("x19^6 + x0^3*x19^3", F4, 20), 3, 6, [2, 3] * 10))
     def test_matches_references(self, case):
